@@ -2,10 +2,10 @@
 
 from .errors import (CapacityError, ConstructionError, ContractError, InputError,
                      ParseError, PrpdError)
-from .robp import (Mat, NormReport, Robp, exact_average, follow_path, identity,
-                   identity_robp, inf_norm, mat_add, mat_mul, mat_pow, mat_scale,
-                   mat_sub, max_norm, norm_report, parse_robp, random_robp, rational,
-                   serialize_robp, step_matrix, swap_on_one_robp, walk_matrix)
+from .robp import (Mat, Robp, exact_average, identity, identity_robp, inf_norm,
+                   mat_add, mat_mul, mat_pow, mat_scale, mat_sub, max_norm, parse_robp,
+                   random_robp, rational, serialize_robp, signed_walk_sum, step_matrix,
+                   swap_on_one_robp, walk_matrix)
 from .pdist import (FormStats, MatrixForm, PseudoDist, RobustPrpd, concat, dump_pdist,
                     dump_prpd, flatten, form_stats, matrix_form, pad_seeds, pdist,
                     realize, robust_form, scale, to_pseudodist, uniform_pdist,
@@ -21,7 +21,7 @@ from .recursion import (CkBuild, LedgerNode, LedgerReport, RecursionParams, Seed
                         measure_average_error, measure_robust_error, recursive_prpd,
                         telescoping_error_bound, telescoping_product,
                         inductive_seed_bounds)
-from .saks_zhou import (SnapParams, SzSchedule, armoni_pow, exact_power_approximator,
+from .saks_zhou import (SzSchedule, armoni_pow, exact_power_approximator,
                         grid_bits, robp_from_matrix, round_to_grid, snap_collision_bound,
                         snap_collision_rate, snap_error_bound, snap_matrix, snap_value,
                         sz_error_bound, sz_failure_bound, sz_power)

@@ -11,22 +11,21 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 import time
 from fractions import Fraction
 
-from .errors import PrpdError
+from .bits import int_to_bits
+from .errors import InputError, PrpdError
+from .pdist import uniform_prpd
 from .recursion import (MODE_CERTIFIED, MODE_EXACT, RecursionParams, ledger_check,
                         ledger_from_dict, ledger_to_dict, measure_robust_error,
                         recursive_prpd, inductive_seed_bounds)
-from .robp import random_robp, serialize_robp
-from .saks_zhou import (SzSchedule, armoni_pow, exact_power_approximator,
+from .robp import inf_norm, mat_pow, mat_sub, random_robp, serialize_robp
+from .saks_zhou import (SzSchedule, armoni_pow, exact_power_approximator, grid_bits,
                         sz_error_bound, sz_power)
 from .sampler import certify, enumeration_sampler, expander_walk_sampler
-from . import saks_zhou
-from .bits import int_to_bits
-from .robp import inf_norm, mat_pow, mat_sub
-import random
 
 
 def _frac(text: str) -> Fraction:
@@ -34,6 +33,13 @@ def _frac(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
 
 
 def _fmt(q) -> str:
@@ -188,9 +194,8 @@ def cmd_sz_demo(args) -> int:
                                   eps=Fraction(0), y=y, offsets=offsets)
         else:
             eps = args.eps if args.eps is not None else Fraction(1, 64)
-            dd = saks_zhou.grid_bits(args.n1, args.w, eps)
+            dd = grid_bits(args.n1, args.w, eps)
             prpd_len = args.n1 * dd
-            from .pdist import uniform_prpd
             gen = uniform_prpd(prpd_len)
             samp = enumeration_sampler(gen.seed_len, n=0)
             approx = lambda mat, yy: armoni_pow(mat, args.n1, gen, samp, yy, eps)
@@ -222,8 +227,11 @@ def _random_substochastic(rng, w: int) -> tuple:
 
 def cmd_ledger_check(args) -> int:
     rep = Reporter(args.out)
-    with open(args.ledger) as fh:
-        payload = json.load(fh)
+    try:
+        with open(args.ledger) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read ledger {args.ledger}: {exc}") from None
     if isinstance(payload, dict) and payload.get("record") == "ledger":
         payload = payload["ledger"]
     ledger = ledger_from_dict(payload)
@@ -254,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also print records to stdout when --out is given")
 
     p = sub.add_parser("build-prpd", help="build a generator and check its ledger")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--w", type=_positive, required=True)
     p.add_argument("--eps", type=_frac, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--gamma", type=_frac, default=None)
@@ -265,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_prpd)
 
     p = sub.add_parser("verify-error", help="measure robust error against the cascade bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--w", type=_positive, required=True)
     p.add_argument("--eps", type=_frac, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--gamma", type=_frac, default=None)
     p.add_argument("--c", type=int, default=1)
     p.add_argument("--sampler-mode", choices=[MODE_EXACT, MODE_CERTIFIED], default=MODE_EXACT)
-    p.add_argument("--robps", type=int, default=20)
+    p.add_argument("--robps", type=_positive, default=20)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_verify_error)
@@ -289,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify_sampler)
 
     p = sub.add_parser("sz-demo", help="snap-powering chain against its error bound")
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--w", type=_positive, required=True)
+    p.add_argument("--n1", type=_positive, required=True)
+    p.add_argument("--n2", type=_positive, required=True)
+    p.add_argument("--d", type=_positive, required=True)
     p.add_argument("--eps", type=_frac, default=None)
     p.add_argument("--approximator", choices=["exact", "armoni"], default="exact")
-    p.add_argument("--matrices", type=int, default=5)
+    p.add_argument("--matrices", type=_positive, default=5)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_sz_demo)

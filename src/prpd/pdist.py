@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Dict, Iterable, Tuple
 
 from .bits import all_bits
 from .errors import ContractError, InputError, check_capacity
-from .robp import Mat, Robp, follow_path, inf_norm, mat_scale, zeros
+from .robp import Mat, Robp, inf_norm, mat_add, mat_scale, signed_walk_sum
 
 
 # ---------------------------------------------------------------------------
@@ -58,15 +59,7 @@ def realize(pd: PseudoDist, robp: Robp, a: int, b: int) -> Mat:
         raise InputError(
             f"pseudodistribution emits {pd.out_len} bits, segment consumes {(b - a) * robp.d_step}"
         )
-    w = robp.w
-    acc = [[Fraction(0)] * w for _ in range(w)]
-    for s, coeff in pd.entries:
-        if coeff == 0:
-            continue
-        for i in range(w):
-            acc[i][follow_path(robp, a, i, s)] += coeff
-    inv = Fraction(1, pd.size)
-    return tuple(tuple(e * inv for e in row) for row in acc)
+    return mat_scale(Fraction(1, pd.size), signed_walk_sum(robp, a, pd.entries))
 
 
 def scale(pd: PseudoDist, c) -> PseudoDist:
@@ -223,10 +216,7 @@ class MatrixForm:
         return self.table[(z, "")]
 
     def average(self) -> Mat:
-        total = zeros(self.w)
-        for m in self.table.values():
-            total = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(total, m))
-        return mat_scale(Fraction(1, len(self.table)), total)
+        return mat_scale(Fraction(1, len(self.table)), reduce(mat_add, self.table.values()))
 
     @classmethod
     def from_flat(cls, table: Dict[str, Mat]) -> "MatrixForm":
@@ -234,15 +224,6 @@ class MatrixForm:
         keys = next(iter(table.keys()))
         return cls(w=len(some), s_out=len(keys), s_in=0,
                    table={(z, ""): m for z, m in table.items()})
-
-
-def bundle_matrix(robp: Robp, a: int, bundle, w: int) -> Mat:
-    """Sum of signed walk matrices of a bundle, via path following."""
-    acc = [[Fraction(0)] * w for _ in range(w)]
-    for s, sign in bundle:
-        for i in range(w):
-            acc[i][follow_path(robp, a, i, s)] += sign
-    return tuple(tuple(Fraction(e) for e in row) for row in acc)
 
 
 def matrix_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> MatrixForm:
@@ -253,24 +234,16 @@ def matrix_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> MatrixForm:
         )
     count = (1 << prpd.seed_len) * prpd.mu
     check_capacity(count, "matrix form enumeration")
-    table = {}
-    for x in all_bits(prpd.s_out):
-        for y in all_bits(prpd.s_in):
-            table[(x, y)] = bundle_matrix(robp, a, prpd.bundle(x, y), robp.w)
+    table = {(x, y): signed_walk_sum(robp, a, prpd.bundle(x, y))
+             for x in all_bits(prpd.s_out) for y in all_bits(prpd.s_in)}
     return MatrixForm(w=robp.w, s_out=prpd.s_out, s_in=prpd.s_in, table=table)
 
 
 def robust_form(mf: MatrixForm) -> Dict[str, Mat]:
     """Average the inner seed out: x -> E_y[A(x, y)]."""
     inv = Fraction(1, 1 << mf.s_in)
-    out = {}
-    for x in all_bits(mf.s_out):
-        acc = zeros(mf.w)
-        for y in all_bits(mf.s_in):
-            m = mf.table[(x, y)]
-            acc = tuple(tuple(p + q for p, q in zip(ra, rb)) for ra, rb in zip(acc, m))
-        out[x] = mat_scale(inv, acc)
-    return out
+    return {x: mat_scale(inv, reduce(mat_add, (mf.table[(x, y)] for y in all_bits(mf.s_in))))
+            for x in all_bits(mf.s_out)}
 
 
 @dataclass(frozen=True)

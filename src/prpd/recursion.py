@@ -14,13 +14,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bits import all_bits, suffix
-from .errors import ConstructionError, ContractError, InputError
+from .errors import ConstructionError, ContractError, InputError, ParseError
 from .pdist import RobustPrpd, flatten, matrix_form, pad_seeds, robust_form, uniform_prpd
-from .robp import Mat, Robp, exact_average, inf_norm, mat_mul, mat_sub, zeros
+from .robp import Mat, Robp, exact_average, inf_norm, mat_add, mat_mul, mat_sub
 from .sampler import Sampler, certify, enumeration_sampler
 
 MODE_EXACT = "exact-enumeration"
@@ -44,14 +45,8 @@ def telescoping_product(a: Mat, b: Mat, a_approx: Sequence[Mat], b_approx: Seque
     w = len(a)
     if len(b) != w or any(len(m) != w for m in list(a_approx[:k + 1]) + list(b_approx[:k + 1])):
         raise InputError("all matrices must share the same width")
-    total = zeros(w)
-    for i in range(k + 1):
-        term = mat_mul(a_approx[i], b_approx[k - i])
-        total = tuple(tuple(p + q for p, q in zip(r, s)) for r, s in zip(total, term))
-    for i in range(k):
-        term = mat_mul(a_approx[i], b_approx[k - 1 - i])
-        total = tuple(tuple(p - q for p, q in zip(r, s)) for r, s in zip(total, term))
-    return total
+    plus = reduce(mat_add, (mat_mul(a_approx[i], b_approx[k - i]) for i in range(k + 1)))
+    return reduce(mat_sub, (mat_mul(a_approx[i], b_approx[k - 1 - i]) for i in range(k)), plus)
 
 
 def telescoping_error_bound(k: int, gamma) -> Fraction:
@@ -481,6 +476,7 @@ class LedgerReport:
         return [c for c in self.checks if not c.ok]
 
 
+# absolute slack for checks against a log2 replay; exact checks use none
 _TOL = 1e-9
 
 
@@ -488,16 +484,23 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
     """Replay every inductive inequality for every node actually constructed.
 
     Three families: used values against the inductive bounds, structural
-    inequalities of the merge layout (non-overlap, pass-through lengths),
-    and the arithmetic replay of the proof's chains at the configured c.
+    identities and inequalities of the merge layout (non-overlap,
+    pass-through lengths), and the arithmetic replay of the proof's chains
+    at the configured c. A check whose sides are both int or Fraction is
+    decided exactly; only a side computed through log2 gets _TOL.
     """
     cc = c if c is not None else ledger.c
     n, w, gamma = ledger.n_padded, ledger.w, ledger.gamma
     checks: List[LedgerCheck] = []
 
-    def add(h, k, name, lhs, rhs):
-        checks.append(LedgerCheck(h=h, k=k, name=name, lhs=float(lhs), rhs=float(rhs),
-                                  ok=float(lhs) <= float(rhs) + _TOL))
+    def add(h, k, name, lhs, rhs, equal=False):
+        if equal:
+            ok = lhs == rhs
+        elif isinstance(lhs, float) or isinstance(rhs, float):
+            ok = float(lhs) <= float(rhs) + _TOL
+        else:
+            ok = lhs <= rhs
+        checks.append(LedgerCheck(h=h, k=k, name=name, lhs=float(lhs), rhs=float(rhs), ok=ok))
 
     for node in ledger.nodes:
         h, k = node.h, node.k
@@ -506,7 +509,7 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
         add(h, k, "used s_in <= bound", node.s_in, si_bound)
         add(h, k, "used mu <= max(1, binom(2^h-1,k))", node.mu, node.mu_cap)
         if node.kind == "terminal":
-            add(h, k, "terminal s_out = 0", node.s_out, 0)
+            add(h, k, "terminal s_out = 0", node.s_out, 0, equal=True)
             continue
 
         split = (k + 1) // 2
@@ -516,14 +519,13 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
         for i, s_out_c, s_in_c, mu_c in node.children:
             if i > split:
                 add(h, k, f"pass-through child s_out(A_{i}) <= s_out", s_out_c, node.s_out)
-                add(h, k, f"pass-through child s_in(A_{i}) = prefix length", s_in_c, node.len_a[i])
+                add(h, k, f"pass-through child s_in(A_{i}) = prefix length", s_in_c,
+                    node.len_a[i], equal=True)
         for slot in node.samplers:
             child = node.children[slot.i]
             add(h, k, f"sampler g_{slot.i} outer input <= s_out", slot.n, node.s_out)
             add(h, k, f"sampler g_{slot.i} output = flat child seed", slot.out_bits,
-                child[1] + child[2])
-            add(h, k, f"sampler g_{slot.i} output = flat child seed (lower)",
-                child[1] + child[2], slot.out_bits)
+                child[1] + child[2], equal=True)
             add(h, k, f"cert eps(g_{slot.i}) <= required", slot.cert_eps, slot.eps_required)
             add(h, k, f"cert delta(g_{slot.i}) <= required", slot.cert_delta, slot.delta_required)
         mu_sum = 0
@@ -532,8 +534,7 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
             mu_sum += mus[i] * mus[k - i]
         for i in range(k):
             mu_sum += mus[i] * mus[k - 1 - i]
-        add(h, k, "mu identity: sum of term blocks", node.mu, mu_sum)
-        add(h, k, "mu identity (lower)", mu_sum, node.mu)
+        add(h, k, "mu identity: sum of term blocks", node.mu, mu_sum, equal=True)
 
         # arithmetic replay of the proof's chains, global gamma, constant cc
         m_bits = 1 << (h - 1)
@@ -596,8 +597,13 @@ def _frac_str(q) -> str:
 
 
 def _parse_frac(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise ParseError(f"fraction {s!r} is not a 'num/den' string")
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den or "1"))
+    try:
+        return Fraction(int(num), int(den or "1"))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad fraction {s!r}") from None
 
 
 def ledger_to_dict(ledger: SeedLedger) -> dict:
@@ -637,6 +643,16 @@ def ledger_to_dict(ledger: SeedLedger) -> dict:
 
 
 def ledger_from_dict(data: dict) -> SeedLedger:
+    """Inverse of ledger_to_dict; raises ParseError on a missing key or bad fraction."""
+    try:
+        return _ledger_from_dict(data)
+    except KeyError as exc:
+        raise ParseError(f"ledger is missing key {exc}") from None
+    except TypeError as exc:
+        raise ParseError(f"malformed ledger: {exc}") from None
+
+
+def _ledger_from_dict(data: dict) -> SeedLedger:
     nodes = [
         LedgerNode(
             h=nd["h"], k=nd["k"], kind=nd["kind"],

@@ -23,17 +23,9 @@ Mat = tuple  # w-tuple of w-tuples of numbers
 # exact matrix helpers
 
 
-def freeze(rows: Iterable[Iterable]) -> Mat:
-    return tuple(tuple(row) for row in rows)
-
-
 def rational(rows: Iterable[Iterable]) -> Mat:
     """Coerce every entry to Fraction (the verification backend)."""
     return tuple(tuple(Fraction(e) for e in row) for row in rows)
-
-
-def to_float(a: Mat) -> Mat:
-    return tuple(tuple(float(e) for e in row) for row in a)
 
 
 def identity(w: int) -> Mat:
@@ -84,16 +76,6 @@ def inf_norm(a: Mat):
 def max_norm(a: Mat):
     """Maximum absolute entry; never exceeds inf_norm."""
     return max(abs(e) for row in a for e in row)
-
-
-@dataclass(frozen=True)
-class NormReport:
-    inf_norm: Fraction
-    max_norm: Fraction
-
-
-def norm_report(a: Mat) -> NormReport:
-    return NormReport(inf_norm=inf_norm(a), max_norm=max_norm(a))
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +150,24 @@ def walk_matrix(robp: Robp, a: int, b: int, r: str) -> Mat:
     return result
 
 
-def follow_path(robp: Robp, a: int, state: int, r: str) -> int:
-    """End state reached from `state` at layer a reading r; O(steps)."""
-    d = robp.d_step
-    for idx in range(len(r) // d):
-        label = bits_to_int(r[idx * d:(idx + 1) * d])
-        state = robp.transitions[a + idx][label][state]
-    return state
+def signed_walk_sum(robp: Robp, a: int, weighted: Iterable) -> Mat:
+    """Unscaled sum of c * walk_matrix(r) over (r, c) pairs, each r read from layer a.
+
+    Every start state is carried along one read of r, so each label is
+    decoded once per step. Entries are ints for int weights and Fractions
+    for Fraction weights; callers check string lengths and scale.
+    """
+    w, d = robp.w, robp.d_step
+    acc = [[0] * w for _ in range(w)]
+    starts = range(w)
+    for r, c in weighted:
+        ends = starts
+        for idx in range(len(r) // d):
+            row = robp.transitions[a + idx][int(r[idx * d:(idx + 1) * d], 2)]
+            ends = [row[s] for s in ends]
+        for i, e in enumerate(ends):
+            acc[i][e] += c
+    return tuple(tuple(row) for row in acc)
 
 
 def exact_average(robp: Robp, a: int, b: int) -> Mat:

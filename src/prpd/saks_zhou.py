@@ -19,20 +19,8 @@ from typing import Callable, Optional, Tuple
 from .bits import all_bits, bits_to_int
 from .errors import ContractError, InputError, check_capacity
 from .pdist import RobustPrpd
-from .robp import Mat, Robp, follow_path, mat_pow
+from .robp import Mat, Robp, mat_pow, mat_scale, signed_walk_sum
 from .sampler import Sampler, require_certified
-
-
-@dataclass(frozen=True)
-class SnapParams:
-    d: int
-    y: str
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise InputError("snap precision d must be at least 1")
-        if len(self.y) != self.d or any(ch not in "01" for ch in self.y):
-            raise InputError(f"offset must be a {self.d}-bit string")
 
 
 def _offset_int(y, d: int) -> int:
@@ -131,7 +119,10 @@ def round_to_grid(m: Mat, d: int) -> Mat:
 
 def grid_bits(n1: int, w: int, eps) -> int:
     """Smallest d with 2^d >= 3*n1*w/eps."""
-    need = Fraction(3 * n1 * w) / Fraction(eps)
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise InputError("eps must be positive")
+    need = Fraction(3 * n1 * w) / eps
     d = 0
     while (1 << d) < need:
         d += 1
@@ -178,18 +169,12 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps,
     if len(y) != samp.n:
         raise InputError(f"offline randomness must be {samp.n} bits")
     check_capacity((1 << samp.d) * prpd.mu * w, "offline power estimate")
-    acc = [[0] * w for _ in range(w)]
     cut = prpd.s_out
-    for z in all_bits(samp.d):
-        r = samp.sample(y, z)
-        for i in range(prpd.mu):
-            s, sign = prpd.gen(r[:cut], r[cut:], i)
-            for start in range(w):
-                end = follow_path(program, 0, start, s)
-                if end < w:
-                    acc[start][end] += sign
-    inv = Fraction(1, 1 << samp.d)
-    return tuple(tuple(e * inv for e in row) for row in acc)
+    seeds = (samp.sample(y, z) for z in all_bits(samp.d))
+    acc = signed_walk_sum(program, 0, (prpd.gen(r[:cut], r[cut:], i)
+                                       for r in seeds for i in range(prpd.mu)))
+    # state w is the absorbing dummy; M^n1 lives on the real states only
+    return mat_scale(Fraction(1, 1 << samp.d), tuple(row[:w] for row in acc[:w]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Dict, Optional, Tuple
 
 from .bits import all_bits, bits_to_int, int_to_bits
 from .errors import ContractError, InputError, check_capacity
 from .pdist import FormStats, MatrixForm
-from .robp import Mat, inf_norm, mat_mul, mat_scale, zeros
+from .robp import Mat, inf_norm, mat_add, mat_mul, mat_scale
 
 METHOD_BRUTE = "brute-force"
 METHOD_ANALYTIC = "analytic"
@@ -191,11 +192,7 @@ def estimate_matrix(g: Sampler, flat: MatrixForm, x: str, trust: bool = False) -
         raise InputError(f"form indexed by {flat.s_out} bits, sampler emits {g.m}")
     if g.cert is None or (g.cert.method == METHOD_ASSUMED and not trust):
         raise ContractError("estimate_matrix needs a certified sampler")
-    acc = zeros(flat.w)
-    for s in all_bits(g.d):
-        m = flat.flat_at(g.sample(x, s))
-        acc = tuple(tuple(p + q for p, q in zip(ra, rb)) for ra, rb in zip(acc, m))
-    return mat_scale(Fraction(1, 1 << g.d), acc)
+    return sampled_average(flat, g, x)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +203,8 @@ def estimate_matrix(g: Sampler, flat: MatrixForm, x: str, trust: bool = False) -
 
 def sampled_average(mapping: MatrixForm, g: Sampler, z: str) -> Mat:
     """E_over_seed[A(g(z, seed))] without certificate checks (analysis helper)."""
-    acc = zeros(mapping.w)
-    for s in all_bits(g.d):
-        m = mapping.flat_at(g.sample(z, s))
-        acc = tuple(tuple(p + q for p, q in zip(ra, rb)) for ra, rb in zip(acc, m))
-    return mat_scale(Fraction(1, 1 << g.d), acc)
+    total = reduce(mat_add, (mapping.flat_at(g.sample(z, s)) for s in all_bits(g.d)))
+    return mat_scale(Fraction(1, 1 << g.d), total)
 
 
 def symmetric_product_bound(stats_a: FormStats, stats_b: FormStats,

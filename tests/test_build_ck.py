@@ -7,9 +7,8 @@ import pytest
 from prpd import (ConstructionError, ContractError, build_ck, certify, dump_prpd,
                   exact_average, expander_walk_sampler, inf_norm, mat_mul, mat_scale,
                   mat_sub, matrix_form, measure_robust_error, random_robp,
-                  uniform_prpd)
+                  signed_walk_sum, uniform_prpd)
 from prpd.bits import all_bits
-from prpd.pdist import bundle_matrix
 from prpd.robp import zeros
 
 from helpers import corrupted_uniform_prpd, weighted_exact_prpd
@@ -76,11 +75,11 @@ def test_bundle_decomposes_into_terms():
     rng = random.Random(0)
     for _ in range(25):
         y = format(rng.randrange(1 << build.prpd.s_in), f"0{build.prpd.s_in}b")
-        whole = bundle_matrix(program, 0, build.prpd.bundle("", y), 2)
+        whole = signed_walk_sum(program, 0, build.prpd.bundle("", y))
         total = zeros(2)
         for i, j, sign in build.terms:
-            a_mat = bundle_matrix(program, 0, build.a_bundle(i, "", y), 2)
-            b_mat = bundle_matrix(program, 2, build.b_bundle(j, "", y), 2)
+            a_mat = signed_walk_sum(program, 0, build.a_bundle(i, "", y))
+            b_mat = signed_walk_sum(program, 2, build.b_bundle(j, "", y))
             term = mat_scale(sign, mat_mul(a_mat, b_mat))
             total = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(total, term))
         assert whole == total
@@ -101,8 +100,8 @@ def test_termwise_decomposition_bounds():
     for i, j, _ in build.terms:
         acc = zeros(2)
         for y in all_bits(s_in):
-            a_mat = mat_sub(bundle_matrix(program, 0, build.a_bundle(i, "", y), 2), a_target)
-            b_mat = mat_sub(bundle_matrix(program, 2, build.b_bundle(j, "", y), 2), b_target)
+            a_mat = mat_sub(signed_walk_sum(program, 0, build.a_bundle(i, "", y)), a_target)
+            b_mat = mat_sub(signed_walk_sum(program, 2, build.b_bundle(j, "", y)), b_target)
             prod = mat_mul(a_mat, b_mat)
             acc = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(acc, prod))
         term_err = inf_norm(mat_scale(inv, acc))
@@ -112,7 +111,7 @@ def test_termwise_decomposition_bounds():
     k = build.k
     acc = zeros(2)
     for y in all_bits(s_in):
-        a_mat = mat_sub(bundle_matrix(program, 0, build.a_bundle(k, "", y), 2), a_target)
+        a_mat = mat_sub(signed_walk_sum(program, 0, build.a_bundle(k, "", y)), a_target)
         acc = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(acc, a_mat))
     last = inf_norm(mat_mul(mat_scale(inv, acc), b_target))
     assert last <= 3 * gamma ** (k + 1)

@@ -1,5 +1,9 @@
 import json
+from fractions import Fraction
 
+import pytest
+
+from prpd import RecursionParams, ledger_check, ledger_from_dict, ledger_to_dict, recursive_prpd
 from prpd.cli import main
 
 
@@ -105,3 +109,56 @@ def test_cli_reports_capacity_error(capsys):
     code = main(["verify-error", "--n", "64", "--w", "2", "--k", "0", "--robps", "1"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_ledger_check_rejects_cert_delta_just_over_requirement(tmp_path):
+    # the required delta at node (3, 2) is about 2.2e-10, far below any float
+    # tolerance, so only an exact comparison sees a doubled certificate
+    _, ledger = recursive_prpd(16, 2, params=RecursionParams(k=3))
+    data = ledger_to_dict(ledger)
+    node = [nd for nd in data["nodes"] if (nd["h"], nd["k"]) == (3, 2)][0]
+    slot = node["samplers"][0]
+    slot["cert_delta"] = str(2 * Fraction(slot["delta_required"]))
+    report = ledger_check(ledger_from_dict(data))
+    assert ledger_check(ledger).ok and not report.ok
+    assert [(c.h, c.k, c.name) for c in report.failures()] == [
+        (3, 2, "cert delta(g_0) <= required")]
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data))
+    assert main(["ledger-check", "--ledger", str(path)]) == 1
+
+
+BAD_FRACTION_LEDGER = json.dumps({"n": 4, "n_padded": 4, "w": 2, "gamma": "1/0", "k": 1,
+                                  "c": 1, "sampler_mode": "exact-enumeration", "nodes": []})
+
+
+BAD_INPUTS = {
+    "w-zero": (["verify-error", "--n", "4", "--w", "0", "--k", "1"], None),
+    "robps-zero": (["verify-error", "--n", "4", "--w", "2", "--k", "1", "--robps", "0"], None),
+    "n-zero": (["build-prpd", "--n", "0", "--w", "2", "--k", "1"], None),
+    "n1-zero": (["sz-demo", "--w", "2", "--n1", "0", "--n2", "1", "--d", "6"], None),
+    "n2-zero": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "0", "--d", "6"], None),
+    "d-zero": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "1", "--d", "0"], None),
+    "matrices-negative": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "1", "--d", "6",
+                           "--matrices", "-1"], None),
+    "armoni-eps-zero": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "1", "--d", "6",
+                         "--approximator", "armoni", "--eps", "0"], None),
+    "ledger-missing-file": (["ledger-check", "--ledger", "missing.json"], None),
+    "ledger-missing-key": (["ledger-check", "--ledger", "ledger.json"], '{"nodes": [{"h": 0}]}'),
+    "ledger-not-json": (["ledger-check", "--ledger", "ledger.json"], "{"),
+    "ledger-not-object": (["ledger-check", "--ledger", "ledger.json"], "[1, 2]"),
+    "ledger-zero-denominator": (["ledger-check", "--ledger", "ledger.json"], BAD_FRACTION_LEDGER),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_2(tmp_path, monkeypatch, case):
+    argv, ledger_text = BAD_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    if ledger_text is not None:
+        (tmp_path / "ledger.json").write_text(ledger_text)
+    try:
+        code = main(argv)
+    except SystemExit as exc:    # argparse rejects bad flags before any command runs
+        code = exc.code
+    assert code == 2

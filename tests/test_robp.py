@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prpd import (InputError, ParseError, exact_average, follow_path, identity,
-                  identity_robp, inf_norm, mat_add, mat_mul, mat_scale, max_norm,
-                  norm_report, parse_robp, random_robp, serialize_robp, step_matrix,
+from prpd import (InputError, ParseError, exact_average, identity, identity_robp,
+                  inf_norm, mat_add, mat_mul, mat_scale, max_norm, parse_robp,
+                  random_robp, serialize_robp, signed_walk_sum, step_matrix,
                   swap_on_one_robp, walk_matrix)
 from prpd.bits import all_bits
 
@@ -66,10 +67,9 @@ def test_walk_matrix_against_path_following_oracle():
         b = rng.randint(a, 5)
         r = "".join(rng.choice("01") for _ in range(b - a))
         m = walk_matrix(program, a, b, r)
-        for i in range(3):
-            end = follow_path(program, a, i, r)
-            assert m[i][end] == 1
-            assert sum(m[i]) == 1
+        assert signed_walk_sum(program, a, [(r, 1)]) == m
+        for row in m:
+            assert sum(row) == 1
 
 
 def test_walk_matrix_one_one_per_row():
@@ -129,8 +129,8 @@ def test_inf_norm_examples():
 def test_norm_report_chain():
     rng = random.Random(13)
     for _ in range(50):
-        rep = norm_report(rand_matrix(rng, rng.randint(1, 4)))
-        assert rep.max_norm <= rep.inf_norm
+        m = rand_matrix(rng, rng.randint(1, 4))
+        assert max_norm(m) <= inf_norm(m)
 
 
 @st.composite
@@ -151,6 +151,26 @@ def test_inf_norm_subadditive_submultiplicative(data):
     assert max_norm(a) <= inf_norm(a)
     c = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=8))
     assert inf_norm(mat_scale(c, a)) == abs(c) * inf_norm(a)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_signed_walk_sum_matches_weighted_walk_matrices(data):
+    w = data.draw(st.integers(1, 4))
+    d_step = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(1, 4))
+    program = random_robp(n, w, d_step=d_step, seed=data.draw(st.integers(0, 10**6)))
+    a = data.draw(st.integers(0, n))
+    b = data.draw(st.integers(a, n))
+    string = st.text("01", min_size=(b - a) * d_step, max_size=(b - a) * d_step)
+    weight = data.draw(st.sampled_from([
+        st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=8)]))
+    weighted = data.draw(st.lists(st.tuples(string, weight), min_size=1, max_size=6))
+    total = signed_walk_sum(program, a, weighted)
+    assert total == reduce(mat_add, (mat_scale(c, walk_matrix(program, a, b, r))
+                                     for r, c in weighted))
+    if all(type(c) is int for _, c in weighted):
+        assert all(type(e) is int for row in total for e in row)
 
 
 def test_serialize_parse_roundtrip():

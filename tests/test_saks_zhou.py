@@ -218,21 +218,14 @@ def test_sz_power_single_level_is_single_snap():
 
 def test_sz_schedule_validation():
     with pytest.raises(InputError):
+        SzSchedule(n1=2, n2=1, d=0, eps=Fraction(0), y="", offsets=("",))
+    with pytest.raises(InputError):
         SzSchedule(n1=2, n2=2, d=3, eps=Fraction(0), y="", offsets=("000",))
     with pytest.raises(InputError):
         SzSchedule(n1=2, n2=1, d=3, eps=Fraction(0), y="", offsets=("01",))
     schedule = SzSchedule(n1=2, n2=2, d=3, eps=Fraction(0), y="", offsets=("000", "111"))
     with pytest.raises(InputError):
         sz_power(identity(2), schedule, exact_power_approximator(2), n=8)
-
-
-def test_snap_params_validation():
-    from prpd import SnapParams
-    SnapParams(d=3, y="010")
-    with pytest.raises(InputError):
-        SnapParams(d=0, y="")
-    with pytest.raises(InputError):
-        SnapParams(d=3, y="01")
 
 
 def test_sz_failure_bound_expression():
