@@ -16,8 +16,8 @@ from .sampler import (Certificate, Sampler, TvProfile, certify, enumeration_samp
                       right_product_bound, right_product_error, sampled_average,
                       symmetric_product_bound, symmetric_product_error, tv_profile)
 from .recursion import (CkBuild, LedgerNode, LedgerReport, RecursionParams, SeedLedger,
-                        MODE_CERTIFIED, MODE_EXACT, build_ck, ck_requirements,
-                        ledger_check, ledger_from_dict, ledger_to_dict,
+                        MODE_CERTIFIED, MODE_EXACT, brute_certified_enumeration_factory,
+                        build_ck, ledger_check, ledger_from_dict, ledger_to_dict, merge_terms,
                         measure_average_error, measure_robust_error, recursive_prpd,
                         telescoping_error_bound, telescoping_product,
                         inductive_seed_bounds)

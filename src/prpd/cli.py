@@ -19,9 +19,10 @@ from fractions import Fraction
 from .bits import int_to_bits
 from .errors import InputError, PrpdError
 from .pdist import uniform_prpd
-from .recursion import (MODE_CERTIFIED, MODE_EXACT, RecursionParams, ledger_check,
-                        ledger_from_dict, ledger_to_dict, measure_robust_error,
-                        recursive_prpd, inductive_seed_bounds)
+from .recursion import (MODE_CERTIFIED, MODE_EXACT, RecursionParams,
+                        brute_certified_enumeration_factory, inductive_seed_bounds,
+                        ledger_check, ledger_from_dict, ledger_to_dict, measure_robust_error,
+                        recursive_prpd)
 from .robp import inf_norm, mat_pow, mat_sub, random_robp, serialize_robp
 from .saks_zhou import (SzSchedule, armoni_pow, exact_power_approximator, grid_bits,
                         sz_error_bound, sz_power)
@@ -76,12 +77,8 @@ class Reporter:
 
 
 def _params_from_args(args) -> RecursionParams:
-    return RecursionParams(
-        gamma=args.gamma,
-        k=args.k,
-        c=args.c,
-        sampler_mode=args.sampler_mode,
-    )
+    factory = brute_certified_enumeration_factory if args.sampler_mode == MODE_CERTIFIED else None
+    return RecursionParams(gamma=args.gamma, k=args.k, c=args.c, sampler_factory=factory)
 
 
 def cmd_build_prpd(args) -> int:
@@ -92,9 +89,9 @@ def cmd_build_prpd(args) -> int:
     rep.emit({"record": "config", "command": "build-prpd", "build_id": _build_id(args),
               "n": args.n, "w": args.w, "k": ledger.k, "gamma": _fmt(ledger.gamma),
               "c": ledger.c, "sampler_mode": ledger.sampler_mode})
-    for node in ledger.nodes:
-        so_b, si_b = inductive_seed_bounds(node.h, node.k, ledger.n_padded, ledger.w,
-                                         ledger.gamma, ledger.c)
+    rows = [(node, *inductive_seed_bounds(node.h, node.k, ledger.n_padded, ledger.w,
+                                          ledger.gamma, ledger.c)) for node in ledger.nodes]
+    for node, so_b, si_b in rows:
         rep.emit({"record": "node", "h": node.h, "k": node.k, "kind": node.kind,
                   "s_out": node.s_out, "s_in": node.s_in, "mu": node.mu,
                   "s_out_bound": round(so_b, 3), "s_in_bound": round(si_b, 3),
@@ -108,9 +105,7 @@ def cmd_build_prpd(args) -> int:
           f"mode={ledger.sampler_mode} runtime={time.time() - start:.3f}s")
     print(f"{'h':>3} {'k':>3} {'kind':>8} {'s_out':>6} {'s_in':>6} {'mu':>6} "
           f"{'s_out_bound':>12} {'s_in_bound':>11} {'mu_cap':>7}")
-    for node in ledger.nodes:
-        so_b, si_b = inductive_seed_bounds(node.h, node.k, ledger.n_padded, ledger.w,
-                                         ledger.gamma, ledger.c)
+    for node, so_b, si_b in rows:
         print(f"{node.h:>3} {node.k:>3} {node.kind:>8} {node.s_out:>6} {node.s_in:>6} "
               f"{node.mu:>6} {so_b:>12.1f} {si_b:>11.1f} {node.mu_cap:>7}")
     print(f"ledger check: {len(report.checks)} inequalities, "
@@ -261,28 +256,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--records", action="store_true",
                        help="also print records to stdout when --out is given")
 
+    def recursion(p):
+        """The flags _params_from_args reads, plus n, w and eps."""
+        p.add_argument("--n", type=_positive, required=True)
+        p.add_argument("--w", type=_positive, required=True)
+        p.add_argument("--eps", type=_frac, default=None)
+        p.add_argument("--k", type=int, default=None)
+        p.add_argument("--gamma", type=_frac, default=None)
+        p.add_argument("--c", type=int, default=1)
+        p.add_argument("--sampler-mode", choices=[MODE_EXACT, MODE_CERTIFIED], default=MODE_EXACT)
+        common(p)
+
     p = sub.add_parser("build-prpd", help="build a generator and check its ledger")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--w", type=_positive, required=True)
-    p.add_argument("--eps", type=_frac, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--gamma", type=_frac, default=None)
-    p.add_argument("--c", type=int, default=1)
-    p.add_argument("--sampler-mode", choices=[MODE_EXACT, MODE_CERTIFIED], default=MODE_EXACT)
-    common(p)
+    recursion(p)
     p.set_defaults(func=cmd_build_prpd)
 
     p = sub.add_parser("verify-error", help="measure robust error against the cascade bound")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--w", type=_positive, required=True)
-    p.add_argument("--eps", type=_frac, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--gamma", type=_frac, default=None)
-    p.add_argument("--c", type=int, default=1)
-    p.add_argument("--sampler-mode", choices=[MODE_EXACT, MODE_CERTIFIED], default=MODE_EXACT)
+    recursion(p)
     p.add_argument("--robps", type=_positive, default=20)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(func=cmd_verify_error)
 
     p = sub.add_parser("certify-sampler", help="brute-force a sampler certificate")

@@ -11,17 +11,20 @@ weight actually used next to the inductive bounds they must stay under.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, partial
+from itertools import repeat
 from math import comb
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+                    get_args, get_origin, get_type_hints)
 
 from .bits import all_bits, suffix
 from .errors import ConstructionError, ContractError, InputError, ParseError
 from .pdist import RobustPrpd, flatten, matrix_form, pad_seeds, robust_form, uniform_prpd
-from .robp import Mat, Robp, exact_average, inf_norm, mat_add, mat_mul, mat_sub
+from .robp import Mat, Robp, exact_average, inf_norm, mat_add, mat_mul, mat_sub, zeros
 from .sampler import Sampler, certify, enumeration_sampler
 
 MODE_EXACT = "exact-enumeration"
@@ -30,6 +33,11 @@ MODE_CERTIFIED = "certified-backend"
 
 # ---------------------------------------------------------------------------
 # telescoping product of graded approximations
+
+
+def merge_terms(k: int) -> Tuple[Tuple[int, int, int], ...]:
+    """The telescoping terms (i, j, sign): i + j = k with +1, then i + j = k-1 with -1."""
+    return tuple([(i, k - i, 1) for i in range(k + 1)] + [(i, k - 1 - i, -1) for i in range(k)])
 
 
 def telescoping_product(a: Mat, b: Mat, a_approx: Sequence[Mat], b_approx: Sequence[Mat], k: int) -> Mat:
@@ -45,8 +53,10 @@ def telescoping_product(a: Mat, b: Mat, a_approx: Sequence[Mat], b_approx: Seque
     w = len(a)
     if len(b) != w or any(len(m) != w for m in list(a_approx[:k + 1]) + list(b_approx[:k + 1])):
         raise InputError("all matrices must share the same width")
-    plus = reduce(mat_add, (mat_mul(a_approx[i], b_approx[k - i]) for i in range(k + 1)))
-    return reduce(mat_sub, (mat_mul(a_approx[i], b_approx[k - 1 - i]) for i in range(k)), plus)
+    total = zeros(w)
+    for i, j, sign in merge_terms(k):
+        total = (mat_add if sign > 0 else mat_sub)(total, mat_mul(a_approx[i], b_approx[j]))
+    return total
 
 
 def telescoping_error_bound(k: int, gamma) -> Fraction:
@@ -65,11 +75,12 @@ def ck_requirements(m_bits: int, w: int, k: int, gamma) -> Tuple[Tuple[Fraction,
     indices i <= ceil(k/2), i.e. the largest binomial; the index attaining
     it is returned.
     """
-    gamma = Fraction(gamma)
+    num, den = Fraction(gamma).as_integer_ratio()
     cap = (k + 1) // 2
-    eps = tuple(gamma ** (i + 1) / (w * comb(m_bits - 1, i)) for i in range(cap + 1))
+    eps = tuple(Fraction(num ** (i + 1), den ** (i + 1) * w * comb(m_bits - 1, i))
+                for i in range(cap + 1))
     binding = max(range(cap + 1), key=lambda i: comb(2 * m_bits - 1, i))
-    delta = gamma ** (k + 1) / (w * w * comb(2 * m_bits - 1, binding))
+    delta = Fraction(num ** (k + 1), den ** (k + 1) * w * w * comb(2 * m_bits - 1, binding))
     return eps, delta, binding
 
 
@@ -88,36 +99,18 @@ class SamplerSlot:
 
 @dataclass
 class CkBuild:
-    """One merge level: the generator plus everything the ledger records."""
+    """One merge level: the generator, its seed layout and its sampler slots."""
 
     prpd: RobustPrpd
-    m_bits: int
-    w: int
-    k: int
-    gamma: Fraction
-    split: int                       # ceil(k/2): last sampled index
-    terms: Tuple[Tuple[int, int, int], ...]   # (i, j, sign), positives then negatives
     len_a: Tuple[int, ...]
     len_b: Tuple[int, ...]
-    samplers: Tuple[Sampler, ...]
-    slots: Tuple["SamplerSlot", ...]
-    eps_required: Tuple[Fraction, ...]
-    delta_required: Fraction
-    delta_binding_i: int
-    child_summaries: Tuple[Tuple[int, int, int], ...]   # (s_out, s_in, mu) per index
-    a_entry: Callable = field(repr=False, default=None)
-    b_entry: Callable = field(repr=False, default=None)
-
-    def a_bundle(self, i: int, x: str, y: str):
-        return [self.a_entry(i, x, y, t) for t in range(self.child_summaries[i][2])]
-
-    def b_bundle(self, j: int, x: str, y: str):
-        return [self.b_entry(j, x, y, t) for t in range(self.child_summaries[j][2])]
+    slots: Tuple[SamplerSlot, ...]
+    a_entry: Callable = field(repr=False)     # (i, x, y, t) -> t-th (string, sign) of A_i
+    b_entry: Callable = field(repr=False)
 
 
 def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
-             w: int, gamma, samplers: Optional[Sequence[Sampler]] = None,
-             trust: bool = False) -> CkBuild:
+             w: int, gamma, samplers: Optional[Sequence[Sampler]] = None) -> CkBuild:
     """Merge graded half-segment generators into one for the doubled segment.
 
     a_children[i] and b_children[i] must be gamma^(i+1)-robust generators
@@ -165,8 +158,6 @@ def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
             )
         if g.cert is None:
             raise ContractError(f"sampler g_{i} is uncertified; certify() it first")
-        if g.cert.method == "assumed" and not trust:
-            raise ContractError(f"sampler g_{i} carries an assumed certificate; pass trust=True")
         if g.cert.eps > eps_req[i]:
             raise ConstructionError(
                 f"sampler g_{i} accuracy fails eps_{i} <= gamma^{i + 1}/(w*binom(m-1,{i})): "
@@ -182,7 +173,7 @@ def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
     flat_b = [flatten(b_children[i]) for i in range(split + 1)]
     len_a = tuple(samplers[i].d if i <= split else a_children[i].s_in for i in range(k + 1))
     len_b = tuple(samplers[j].d if j <= split else b_children[j].s_in for j in range(k + 1))
-    terms = tuple([(i, k - i, 1) for i in range(k + 1)] + [(i, k - 1 - i, -1) for i in range(k)])
+    terms = merge_terms(k)
     s_in = max(len_a[i] + len_b[j] for i, j, _ in terms)
     s_out_needs = [samplers[i].n for i in range(split + 1)]
     s_out_needs += [a_children[i].s_out for i in range(split + 1, k + 1)]
@@ -238,13 +229,8 @@ def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
                     cert_method=g.cert.method, cert_eps=g.cert.eps, cert_delta=g.cert.delta)
         for i, g in enumerate(sampler_tuple)
     )
-    return CkBuild(
-        prpd=prpd, m_bits=m_bits, w=w, k=k, gamma=gamma, split=split,
-        terms=terms, len_a=len_a, len_b=len_b, samplers=sampler_tuple, slots=slots,
-        eps_required=eps_req, delta_required=delta_req, delta_binding_i=binding,
-        child_summaries=tuple((c.s_out, c.s_in, c.mu) for c in a_children),
-        a_entry=a_entry, b_entry=b_entry,
-    )
+    return CkBuild(prpd=prpd, len_a=len_a, len_b=len_b, slots=slots,
+                   a_entry=a_entry, b_entry=b_entry)
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +242,12 @@ class RecursionParams:
     gamma: Optional[Fraction] = None          # default 1/n^4 (n padded)
     k: Optional[int] = None                   # default: smallest k meeting eps
     c: int = 1                                # sampler seed-length constant
-    sampler_mode: str = MODE_EXACT
+    # (m_bits, eps_req, delta_req) -> certified sampler; None installs exact enumeration
     sampler_factory: Optional[Callable[[int, Fraction, Fraction], Sampler]] = None
-    trust: bool = False
 
 
 def brute_certified_enumeration_factory(m_bits: int, eps_req: Fraction, delta_req: Fraction) -> Sampler:
-    """Default certified backend: exact sampler with a brute-force certificate."""
+    """Certified backend: exact sampler with a brute-force certificate."""
     g = enumeration_sampler(m_bits)
     ok, _ = certify(g, 0, 0)
     if not ok:
@@ -300,16 +285,10 @@ class SeedLedger:
     eps_target: Optional[Fraction]
     nodes: List[LedgerNode]
 
-    def node(self, h: int, k: int) -> LedgerNode:
-        for nd in self.nodes:
-            if nd.h == h and nd.k == k:
-                return nd
-        raise KeyError((h, k))
-
     @property
     def top(self) -> LedgerNode:
         h = self.n_padded.bit_length() - 1
-        return self.node(h, self.k)
+        return next(nd for nd in self.nodes if (nd.h, nd.k) == (h, self.k))
 
 
 def next_power_of_two(n: int) -> int:
@@ -318,17 +297,23 @@ def next_power_of_two(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+def cascade_bound(h: int, k: int, gamma: Fraction) -> Fraction:
+    """(11^h * gamma)^(k+1): the robust error bound of node (h, k)."""
+    num, den = gamma.as_integer_ratio()
+    return Fraction((11 ** h * num) ** (k + 1), den ** (k + 1))
+
+
 def derive_k(n_padded: int, gamma: Fraction, eps: Fraction) -> int:
     """Smallest k whose full-cascade error bound meets eps."""
     h = n_padded.bit_length() - 1
-    base = Fraction(11) ** h * gamma
+    base = cascade_bound(h, 0, gamma)
     if base >= 1:
         raise InputError(
             f"per-level cascade 11^log2(n)*gamma = {base} is not below 1; "
             "decrease gamma or give k explicitly"
         )
     k = 0
-    while base ** (k + 1) > eps:
+    while cascade_bound(h, k, gamma) > eps:
         k += 1
         if k > 4096:
             raise InputError("eps unreachable at these parameters")
@@ -337,6 +322,38 @@ def derive_k(n_padded: int, gamma: Fraction, eps: Fraction) -> int:
 
 def is_terminal(h: int, k: int) -> bool:
     return h == 0 or 2 * k >= (1 << h)
+
+
+@dataclass(frozen=True)
+class NodePlan:
+    """What the ledger of a recursion must record at one node (h, k)."""
+
+    kind: str                                 # "terminal" | "merge"
+    mu_cap: int                               # max(1, binom(2^h - 1, k))
+    error_bound: Fraction
+    merge_gamma: Optional[Fraction] = None    # 11^(h-1) * gamma, the children's level
+    eps_required: Tuple[Fraction, ...] = ()   # ck_requirements at merge_gamma
+    delta_required: Optional[Fraction] = None
+    delta_binding_i: Optional[int] = None
+
+
+def ledger_plan(n_padded: int, k: int, w: int, gamma: Fraction) -> Dict[Tuple[int, int], NodePlan]:
+    """Every node (h, k) the recursion for (n_padded, k) builds, h ascending, then k."""
+    needed = [(n_padded.bit_length() - 1, k)]
+    for h in range(needed[0][0], 0, -1):
+        # a merge node (h, kk) needs (h-1, 0..kk), so level h-1 is 0..the largest such kk
+        last = max((kk for hh, kk in needed if hh == h and not is_terminal(h, kk)), default=-1)
+        needed += [(h - 1, i) for i in range(last + 1)]
+    plan = {}
+    for h, kk in sorted(needed):
+        cap, bound = max(1, comb((1 << h) - 1, kk)), cascade_bound(h, kk, gamma)
+        if is_terminal(h, kk):
+            plan[(h, kk)] = NodePlan("terminal", cap, bound)
+            continue
+        merge_gamma = cascade_bound(h - 1, 0, gamma)
+        eps_req, delta_req, binding = ck_requirements(1 << (h - 1), w, kk, merge_gamma)
+        plan[(h, kk)] = NodePlan("merge", cap, bound, merge_gamma, eps_req, delta_req, binding)
+    return plan
 
 
 def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] = None
@@ -348,10 +365,7 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
     (h = 0 or 2k >= 2^h) are the exact uniform generator with s_out = 0.
     """
     params = params or RecursionParams()
-    if params.sampler_mode not in (MODE_EXACT, MODE_CERTIFIED):
-        raise InputError(f"unknown sampler_mode {params.sampler_mode!r}")
     n_pad = next_power_of_two(n)
-    height = n_pad.bit_length() - 1
     gamma = Fraction(params.gamma) if params.gamma is not None else Fraction(1, n_pad ** 4)
     if not (0 < gamma < 1):
         raise InputError("gamma must lie strictly between 0 and 1")
@@ -364,57 +378,31 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
             raise InputError("give either eps or params.k")
         k_top = derive_k(n_pad, gamma, Fraction(eps))
 
-    factory = params.sampler_factory or brute_certified_enumeration_factory
-    needed = set()
-    stack = [(height, k_top)]
-    while stack:
-        key = stack.pop()
-        if key in needed:
-            continue
-        needed.add(key)
-        h, kk = key
-        if not is_terminal(h, kk):
-            stack.extend((h - 1, i) for i in range(kk + 1))
+    factory = params.sampler_factory
     table: Dict[Tuple[int, int], RobustPrpd] = {}
     nodes: List[LedgerNode] = []
-    for h in range(height + 1):
-        for kk in range(k_top + 1):
-            if (h, kk) not in needed:
-                continue
-            cap = max(1, comb((1 << h) - 1, kk))
-            bound = (Fraction(11) ** h * gamma) ** (kk + 1)
-            if is_terminal(h, kk):
-                prpd = uniform_prpd(1 << h)
-                nodes.append(LedgerNode(h=h, k=kk, kind="terminal",
-                                        s_out=prpd.s_out, s_in=prpd.s_in, mu=prpd.mu,
-                                        mu_cap=cap, error_bound=bound))
-            else:
-                children = [table[(h - 1, i)] for i in range(kk + 1)]
-                merge_gamma = Fraction(11) ** (h - 1) * gamma
-                if params.sampler_mode == MODE_CERTIFIED:
-                    eps_req, delta_req, _ = ck_requirements(children[0].out_len, w, kk, merge_gamma)
-                    split = (kk + 1) // 2
-                    samplers = [factory(children[i].seed_len, eps_req[i], delta_req)
-                                for i in range(split + 1)]
-                else:
-                    samplers = None
-                build = build_ck(children, children, w=w, gamma=merge_gamma,
-                                 samplers=samplers, trust=params.trust)
-                prpd = build.prpd
-                nodes.append(LedgerNode(
-                    h=h, k=kk, kind="merge",
-                    s_out=prpd.s_out, s_in=prpd.s_in, mu=prpd.mu,
-                    mu_cap=cap, error_bound=bound, merge_gamma=merge_gamma,
-                    delta_binding_i=build.delta_binding_i,
-                    children=tuple((i, c.s_out, c.s_in, c.mu) for i, c in enumerate(children)),
-                    len_a=build.len_a, len_b=build.len_b, samplers=build.slots,
-                ))
-            table[(h, kk)] = prpd
+    for (h, kk), p in ledger_plan(n_pad, k_top, w, gamma).items():
+        merge = {}
+        if p.kind == "terminal":
+            prpd = uniform_prpd(1 << h)
+        else:
+            children = [table[(h - 1, i)] for i in range(kk + 1)]
+            samplers = None if factory is None else [
+                factory(children[i].seed_len, eps_i, p.delta_required)
+                for i, eps_i in enumerate(p.eps_required)]
+            build = build_ck(children, children, w=w, gamma=p.merge_gamma, samplers=samplers)
+            prpd = build.prpd
+            merge = dict(merge_gamma=p.merge_gamma, delta_binding_i=p.delta_binding_i,
+                         children=tuple((i, c.s_out, c.s_in, c.mu) for i, c in enumerate(children)),
+                         len_a=build.len_a, len_b=build.len_b, samplers=build.slots)
+        nodes.append(LedgerNode(h=h, k=kk, kind=p.kind, s_out=prpd.s_out, s_in=prpd.s_in,
+                                mu=prpd.mu, mu_cap=p.mu_cap, error_bound=p.error_bound, **merge))
+        table[(h, kk)] = prpd
     ledger = SeedLedger(n=n, n_padded=n_pad, w=w, gamma=gamma, k=k_top, c=params.c,
-                        sampler_mode=params.sampler_mode,
+                        sampler_mode=MODE_EXACT if factory is None else MODE_CERTIFIED,
                         eps_target=Fraction(eps) if eps is not None else None,
                         nodes=nodes)
-    return table[(height, k_top)], ledger
+    return prpd, ledger            # the plan ends at the top node
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +438,7 @@ def inductive_sampler_seed(i: int, k: int, n: int, w: int, gamma: Fraction, c: i
     return c * i * L_n + 2 * c * L_knw
 
 
-@dataclass(frozen=True)
-class LedgerCheck:
+class LedgerCheck(NamedTuple):     # a tuple, cheap to build: one ledger makes thousands
     h: int
     k: int
     name: str
@@ -478,87 +465,114 @@ class LedgerReport:
 
 # absolute slack for checks against a log2 replay; exact checks use none
 _TOL = 1e-9
+_FLOAT_MAX = sys.float_info.max
 
 
 def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
-    """Replay every inductive inequality for every node actually constructed.
+    """Judge a ledger against ledger_plan of its own (n_padded, k, w, gamma).
 
-    Three families: used values against the inductive bounds, structural
-    identities and inequalities of the merge layout (non-overlap,
-    pass-through lengths), and the arithmetic replay of the proof's chains
-    at the configured c. A check whose sides are both int or Fraction is
-    decided exactly; only a side computed through log2 gets _TOL.
+    The plan fixes the nodes, kinds, caps, error bounds, merge gammas and
+    sampler requirements; recorded copies must equal it. Then: used values
+    against the inductive bounds, the merge layout (non-overlap, pass-through
+    lengths, child summaries against the child nodes), and the replay of the
+    proof's chains at the configured c. A check whose sides are both int or
+    Fraction is decided exactly; only a side computed through log2 gets _TOL.
     """
     cc = c if c is not None else ledger.c
     n, w, gamma = ledger.n_padded, ledger.w, ledger.gamma
+    plan = ledger_plan(n, ledger.k, w, gamma)
+    recorded: Dict[Tuple[int, int], List[LedgerNode]] = {}
+    for nd in ledger.nodes:
+        recorded.setdefault((nd.h, nd.k), []).append(nd)
     checks: List[LedgerCheck] = []
+    # the replay asks for each node's bounds and each k's sampler budgets many times
+    bounds = cache(lambda h, k: inductive_seed_bounds(h, k, n, w, gamma, cc))
+    budgets = cache(lambda k: [inductive_sampler_seed(i, k, n, w, gamma, cc) for i in range(k + 1)])
 
     def add(h, k, name, lhs, rhs, equal=False):
+        try:
+            lhs_f, rhs_f = float(lhs), float(rhs)
+        except OverflowError:           # a recorded value beyond float range
+            lhs_f, rhs_f = (float(min(max(v, -_FLOAT_MAX), _FLOAT_MAX)) for v in (lhs, rhs))
         if equal:
             ok = lhs == rhs
         elif isinstance(lhs, float) or isinstance(rhs, float):
-            ok = float(lhs) <= float(rhs) + _TOL
+            ok = lhs_f <= rhs_f + _TOL
         else:
             ok = lhs <= rhs
-        checks.append(LedgerCheck(h=h, k=k, name=name, lhs=float(lhs), rhs=float(rhs), ok=ok))
+        checks.append(LedgerCheck(h=h, k=k, name=name, lhs=lhs_f, rhs=rhs_f, ok=ok))
 
-    for node in ledger.nodes:
-        h, k = node.h, node.k
-        so_bound, si_bound = inductive_seed_bounds(h, k, n, w, gamma, cc)
+    for (h, k), p in plan.items():
+        found = recorded.get((h, k), ())
+        add(h, k, "node recorded iff planned", len(found), 1, equal=True)
+        if not found:
+            continue
+        node = found[0]
+        add(h, k, f"kind = {p.kind}", node.kind == p.kind, True, equal=True)
+        if node.kind != p.kind:
+            continue
+        so_bound, si_bound = bounds(h, k)
         add(h, k, "used s_out <= bound", node.s_out, so_bound)
         add(h, k, "used s_in <= bound", node.s_in, si_bound)
-        add(h, k, "used mu <= max(1, binom(2^h-1,k))", node.mu, node.mu_cap)
-        if node.kind == "terminal":
+        add(h, k, "used mu <= max(1, binom(2^h-1,k))", node.mu, p.mu_cap)
+        differing = sum(a != b for a, b in zip(
+            (p.mu_cap, p.error_bound, p.merge_gamma, p.delta_binding_i),
+            (node.mu_cap, node.error_bound, node.merge_gamma, node.delta_binding_i)))
+        add(h, k, "recorded mu_cap, error_bound, merge_gamma, delta_binding_i: count differing "
+            "from plan", differing, 0, equal=True)
+        if p.kind == "terminal":
             add(h, k, "terminal s_out = 0", node.s_out, 0, equal=True)
             continue
 
-        split = (k + 1) // 2
+        split = len(p.eps_required) - 1
+        terms = merge_terms(k)
         # structural: layout of the merge actually built
-        for i, j in [(i, k - i) for i in range(k + 1)] + [(i, k - 1 - i) for i in range(k)]:
+        for i, j, _ in terms:
             add(h, k, f"prefix a_{i} + suffix b_{j} <= s_in", node.len_a[i] + node.len_b[j], node.s_in)
-        for i, s_out_c, s_in_c, mu_c in node.children:
-            if i > split:
-                add(h, k, f"pass-through child s_out(A_{i}) <= s_out", s_out_c, node.s_out)
-                add(h, k, f"pass-through child s_in(A_{i}) = prefix length", s_in_c,
-                    node.len_a[i], equal=True)
-        for slot in node.samplers:
-            child = node.children[slot.i]
-            add(h, k, f"sampler g_{slot.i} outer input <= s_out", slot.n, node.s_out)
-            add(h, k, f"sampler g_{slot.i} output = flat child seed", slot.out_bits,
+        kids = [recorded.get((h - 1, i), [None])[0] for i in range(k + 1)]
+        differing = sum(kid is None or summary != (i, kid.s_out, kid.s_in, kid.mu)
+                        for i, (summary, kid) in enumerate(zip(node.children, kids)))
+        add(h, k, f"child summaries: count differing from nodes ({h - 1}, 0..{k})",
+            differing, 0, equal=True)
+        for i, (_, s_out_c, s_in_c, _) in enumerate(node.children[split + 1:], split + 1):
+            add(h, k, f"pass-through child s_out(A_{i}) <= s_out", s_out_c, node.s_out)
+            add(h, k, f"pass-through child s_in(A_{i}) = prefix length", s_in_c, node.len_a[i],
+                equal=True)
+        slots_ok = ([(slot.i, slot.eps_required, slot.delta_required) for slot in node.samplers]
+                    == [(i, eps_i, p.delta_required) for i, eps_i in enumerate(p.eps_required)])
+        add(h, k, f"sampler slots i = 0..{split} at the derived requirements", slots_ok, True,
+            equal=True)
+        for i, slot in enumerate(node.samplers if slots_ok else ()):
+            child = node.children[i]
+            add(h, k, f"sampler g_{i} outer input <= s_out", slot.n, node.s_out)
+            add(h, k, f"sampler g_{i} output = flat child seed", slot.out_bits,
                 child[1] + child[2], equal=True)
-            add(h, k, f"cert eps(g_{slot.i}) <= required", slot.cert_eps, slot.eps_required)
-            add(h, k, f"cert delta(g_{slot.i}) <= required", slot.cert_delta, slot.delta_required)
-        mu_sum = 0
-        mus = [mu for (_, _, _, mu) in node.children]
-        for i in range(k + 1):
-            mu_sum += mus[i] * mus[k - i]
-        for i in range(k):
-            mu_sum += mus[i] * mus[k - 1 - i]
-        add(h, k, "mu identity: sum of term blocks", node.mu, mu_sum, equal=True)
+            add(h, k, f"cert eps(g_{i}) <= required", slot.cert_eps, slot.eps_required)
+            add(h, k, f"cert delta(g_{i}) <= required", slot.cert_delta, slot.delta_required)
+        mus = [summary[3] for summary in node.children]
+        add(h, k, "mu identity: sum of term blocks", node.mu,
+            sum(mus[i] * mus[j] for i, j, _ in terms), equal=True)
 
         # arithmetic replay of the proof's chains, global gamma, constant cc
-        m_bits = 1 << (h - 1)
-        eps_req, delta_req, _ = ck_requirements(m_bits, w, k, gamma)
+        eps_req, delta_req, _ = ck_requirements(1 << (h - 1), w, k, gamma)
         log_delta = -_log2_frac(delta_req)
-        d_budget = [inductive_sampler_seed(i, k, n, w, gamma, cc) for i in range(k + 1)]
+        d_budget = budgets(k)
         for i in range(split + 1):
             need = cc * (-_log2_frac(eps_req[i])) + cc * math.log2(max(2.0, log_delta))
             add(h, k, f"replay: d_{i} formula covers c*log(1/eps_{i})+c*loglog(1/delta)",
                 need, d_budget[i])
-        for i in range(split + 1):
             for j in range(min(i, k - i) + 1):
                 add(h, k, f"replay: d_{i}+d_{j} <= s_in bound", d_budget[i] + d_budget[j], si_bound)
         for i in range(split + 1, k + 1):
-            _, si_child = inductive_seed_bounds(h - 1, i, n, w, gamma, cc)
             add(h, k, f"replay: s_in bound(h-1,{i}) + d_{k - i} <= s_in bound",
-                si_child + d_budget[k - i], si_bound)
+                bounds(h - 1, i)[1] + d_budget[k - i], si_bound)
         for i in range(k + 1):
-            so_child, _ = inductive_seed_bounds(h - 1, i, n, w, gamma, cc)
-            add(h, k, f"replay: s_out bound(h-1,{i}) <= s_out bound", so_child, so_bound)
+            add(h, k, f"replay: s_out bound(h-1,{i}) <= s_out bound", bounds(h - 1, i)[0], so_bound)
         for i in range(split + 1):
-            so_child, si_child = inductive_seed_bounds(h - 1, i, n, w, gamma, cc)
-            lhs = so_child + si_child + cc * log_delta + cc * (-_log2_frac(eps_req[i]))
+            lhs = sum(bounds(h - 1, i)) + cc * log_delta + cc * (-_log2_frac(eps_req[i]))
             add(h, k, f"replay: sampler outer budget at i={i} <= s_out bound", lhs, so_bound)
+    for h, k in sorted(recorded.keys() - plan.keys()):
+        add(h, k, "node recorded iff planned", len(recorded[(h, k)]), 0, equal=True)
     return LedgerReport(checks=checks)
 
 
@@ -588,7 +602,8 @@ def measure_average_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[
 
 
 # ---------------------------------------------------------------------------
-# ledger serialization (line-oriented JSON-friendly dicts)
+# ledger serialization: the dataclasses above are the format, with an object
+# per dataclass, a list per tuple or list and a 'num/den' string per Fraction
 
 
 def _frac_str(q) -> str:
@@ -606,80 +621,75 @@ def _parse_frac(s: str) -> Fraction:
         raise ParseError(f"bad fraction {s!r}") from None
 
 
-def ledger_to_dict(ledger: SeedLedger) -> dict:
-    return {
-        "n": ledger.n,
-        "n_padded": ledger.n_padded,
-        "w": ledger.w,
-        "gamma": _frac_str(ledger.gamma),
-        "k": ledger.k,
-        "c": ledger.c,
-        "sampler_mode": ledger.sampler_mode,
-        "eps_target": _frac_str(ledger.eps_target) if ledger.eps_target is not None else None,
-        "nodes": [
-            {
-                "h": nd.h, "k": nd.k, "kind": nd.kind,
-                "s_out": nd.s_out, "s_in": nd.s_in, "mu": nd.mu, "mu_cap": nd.mu_cap,
-                "error_bound": _frac_str(nd.error_bound),
-                "merge_gamma": _frac_str(nd.merge_gamma) if nd.merge_gamma is not None else None,
-                "delta_binding_i": nd.delta_binding_i,
-                "children": [list(t) for t in nd.children],
-                "len_a": list(nd.len_a), "len_b": list(nd.len_b),
-                "samplers": [
-                    {
-                        "i": s.i, "out_bits": s.out_bits, "n": s.n, "d": s.d,
-                        "eps_required": _frac_str(s.eps_required),
-                        "delta_required": _frac_str(s.delta_required),
-                        "cert_method": s.cert_method,
-                        "cert_eps": _frac_str(s.cert_eps),
-                        "cert_delta": _frac_str(s.cert_delta),
-                    }
-                    for s in nd.samplers
-                ],
-            }
-            for nd in ledger.nodes
-        ],
-    }
+def ledger_to_dict(value: SeedLedger) -> dict:
+    """The ledger, or any value inside it, as JSON values."""
+    kind = type(value)
+    if kind is int or kind is str or value is None:
+        return value
+    if kind is Fraction:
+        return _frac_str(value)
+    if kind is tuple or kind is list:
+        return [ledger_to_dict(v) for v in value]
+    return {name: ledger_to_dict(v) for name, v in vars(value).items()}      # a dataclass
+
+
+def _reader(hint) -> Callable:
+    """A function reading a JSON value as a `hint`, or raising ParseError."""
+    args = get_args(hint)
+    if hint is Fraction:
+        return _parse_frac
+    if get_origin(hint) is Union:                       # Optional[X]
+        read = _reader(args[0])
+        return lambda value: None if value is None else read(value)
+    if get_origin(hint) in (tuple, list):
+        container, reads = get_origin(hint), [_reader(a) for a in args if a is not Ellipsis]
+        fixed = len(args) > 1 and args[-1] is not Ellipsis      # Tuple[int, int, int, int]
+
+        def read_items(value):
+            items = _typed(value, list)
+            if fixed and len(items) != len(reads):
+                raise ParseError(f"{value!r} must have {len(reads)} entries")
+            return container([read(item) for read, item in
+                              zip(reads if fixed else repeat(reads[0]), items)])
+        return read_items
+    if is_dataclass(hint):
+        fields = [(name, _reader(t)) for name, t in get_type_hints(hint).items()]
+
+        def read_object(value):
+            value = _typed(value, dict)
+            return hint(**{name: read(value[name]) for name, read in fields})
+        return read_object
+    return partial(_typed, kind=hint)
+
+
+def _typed(value, kind: type):
+    if type(value) is not kind:             # not isinstance: a bool is no int here
+        raise ParseError(f"{value!r} is not a JSON {kind.__name__}")
+    return value
 
 
 def ledger_from_dict(data: dict) -> SeedLedger:
-    """Inverse of ledger_to_dict; raises ParseError on a missing key or bad fraction."""
+    """Inverse of ledger_to_dict; raises ParseError on a ledger of the wrong shape.
+
+    That is a missing key, a bad fraction, a value of the wrong JSON type (an
+    int must be a non-bool int), a header outside its domain, and a merge node
+    without its merge gamma and binding index or k+1 entries of len_a, len_b
+    and children.
+    """
     try:
-        return _ledger_from_dict(data)
+        ledger = _read_ledger(data)
     except KeyError as exc:
         raise ParseError(f"ledger is missing key {exc}") from None
-    except TypeError as exc:
-        raise ParseError(f"malformed ledger: {exc}") from None
+    if not (ledger.n >= 1 and ledger.n_padded == next_power_of_two(ledger.n) and ledger.w >= 1
+            and ledger.k >= 0 and 0 < ledger.gamma < 1):
+        raise ParseError(f"ledger header out of range: n={ledger.n} n_padded={ledger.n_padded} "
+                         f"w={ledger.w} k={ledger.k} gamma={ledger.gamma}")
+    for nd in ledger.nodes:
+        if nd.kind == "merge" and (None in (nd.merge_gamma, nd.delta_binding_i) or
+                                   {len(nd.len_a), len(nd.len_b), len(nd.children)} != {nd.k + 1}):
+            raise ParseError(f"merge node ({nd.h},{nd.k}) lacks merge_gamma, delta_binding_i "
+                             f"or k+1 entries of len_a, len_b and children")
+    return ledger
 
 
-def _ledger_from_dict(data: dict) -> SeedLedger:
-    nodes = [
-        LedgerNode(
-            h=nd["h"], k=nd["k"], kind=nd["kind"],
-            s_out=nd["s_out"], s_in=nd["s_in"], mu=nd["mu"], mu_cap=nd["mu_cap"],
-            error_bound=_parse_frac(nd["error_bound"]),
-            merge_gamma=_parse_frac(nd["merge_gamma"]) if nd.get("merge_gamma") else None,
-            delta_binding_i=nd.get("delta_binding_i"),
-            children=tuple(tuple(t) for t in nd.get("children", [])),
-            len_a=tuple(nd.get("len_a", [])), len_b=tuple(nd.get("len_b", [])),
-            samplers=tuple(
-                SamplerSlot(
-                    i=s["i"], out_bits=s["out_bits"], n=s["n"], d=s["d"],
-                    eps_required=_parse_frac(s["eps_required"]),
-                    delta_required=_parse_frac(s["delta_required"]),
-                    cert_method=s["cert_method"],
-                    cert_eps=_parse_frac(s["cert_eps"]),
-                    cert_delta=_parse_frac(s["cert_delta"]),
-                )
-                for s in nd.get("samplers", [])
-            ),
-        )
-        for nd in data["nodes"]
-    ]
-    return SeedLedger(
-        n=data["n"], n_padded=data["n_padded"], w=data["w"],
-        gamma=_parse_frac(data["gamma"]), k=data["k"], c=data["c"],
-        sampler_mode=data["sampler_mode"],
-        eps_target=_parse_frac(data["eps_target"]) if data.get("eps_target") else None,
-        nodes=nodes,
-    )
+_read_ledger = _reader(SeedLedger)

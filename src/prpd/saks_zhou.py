@@ -140,8 +140,7 @@ def exact_power_approximator(n1: int) -> Callable[[Mat, str], Mat]:
     return pow_exact
 
 
-def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps,
-               trust: bool = False) -> Mat:
+def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) -> Mat:
     """Estimate M^n1 from offline randomness y.
 
     Rounds M to d = ceil(log2(3*n1*w/eps)) bits, builds the step program,
@@ -164,8 +163,7 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps,
         )
     if samp.m != prpd.seed_len:
         raise ContractError(f"sampler emits {samp.m} bits, generator seed is {prpd.seed_len}")
-    require_certified(samp, eps / (6 * prpd.mu), eps / (w * w), trust=trust,
-                      what="offline sampler")
+    require_certified(samp, eps / (6 * prpd.mu), eps / (w * w), what="offline sampler")
     if len(y) != samp.n:
         raise InputError(f"offline randomness must be {samp.n} bits")
     check_capacity((1 << samp.d) * prpd.mu * w, "offline power estimate")

@@ -23,7 +23,6 @@ from .robp import Mat, inf_norm, mat_add, mat_mul, mat_scale
 
 METHOD_BRUTE = "brute-force"
 METHOD_ANALYTIC = "analytic"
-METHOD_ASSUMED = "assumed"
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,8 @@ class TvProfile:
 
 def enumeration_sampler(m: int, n: int = 0) -> Sampler:
     """d = m and g(x, s) = s: exact for every x, a (0, 0)-sampler."""
+    if n < 0 or m < 0:
+        raise InputError("enumeration_sampler needs n, m >= 0")
 
     def sample(x: str, s: str) -> str:
         return s
@@ -158,11 +159,9 @@ def certify(g: Sampler, eps, delta) -> Tuple[bool, TvProfile]:
     return ok, profile
 
 
-def require_certified(g: Sampler, eps, delta, trust: bool = False, what: str = "sampler") -> None:
+def require_certified(g: Sampler, eps, delta, what: str = "sampler") -> None:
     if g.cert is None:
         raise ContractError(f"{what} is uncertified; run certify() first")
-    if g.cert.method == METHOD_ASSUMED and not trust:
-        raise ContractError(f"{what} carries an assumed certificate; pass trust=True to accept it")
     if not g.cert.covers(eps, delta):
         raise ContractError(
             f"{what} certified at ({g.cert.eps}, {g.cert.delta}), "
@@ -170,9 +169,9 @@ def require_certified(g: Sampler, eps, delta, trust: bool = False, what: str = "
         )
 
 
-def estimate_scalar(g: Sampler, f: Callable[[str], object], x: str, trust: bool = False):
+def estimate_scalar(g: Sampler, f: Callable[[str], object], x: str):
     """E_s[f(g(x, s))]; within eps*(range width) of the true mean off a delta set."""
-    if g.cert is None or (g.cert.method == METHOD_ASSUMED and not trust):
+    if g.cert is None:
         raise ContractError("estimate_scalar needs a certified sampler")
     total = Fraction(0)
     for s in all_bits(g.d):
@@ -180,7 +179,7 @@ def estimate_scalar(g: Sampler, f: Callable[[str], object], x: str, trust: bool 
     return total / (1 << g.d)
 
 
-def estimate_matrix(g: Sampler, flat: MatrixForm, x: str, trust: bool = False) -> Mat:
+def estimate_matrix(g: Sampler, flat: MatrixForm, x: str) -> Mat:
     """E_s[A(g(x, s))] for a flattened form over {0,1}^m.
 
     For all but a w^2*delta fraction of x the result is within
@@ -190,7 +189,7 @@ def estimate_matrix(g: Sampler, flat: MatrixForm, x: str, trust: bool = False) -
         raise ContractError("estimate_matrix consumes flattened forms only; flatten first")
     if flat.s_out != g.m:
         raise InputError(f"form indexed by {flat.s_out} bits, sampler emits {g.m}")
-    if g.cert is None or (g.cert.method == METHOD_ASSUMED and not trust):
+    if g.cert is None:
         raise ContractError("estimate_matrix needs a certified sampler")
     return sampled_average(flat, g, x)
 

@@ -6,7 +6,7 @@ import pytest
 
 from prpd import (ConstructionError, ContractError, build_ck, certify, dump_prpd,
                   exact_average, expander_walk_sampler, inf_norm, mat_mul, mat_scale,
-                  mat_sub, matrix_form, measure_robust_error, random_robp,
+                  mat_sub, matrix_form, measure_robust_error, merge_terms, random_robp,
                   signed_walk_sum, uniform_prpd)
 from prpd.bits import all_bits
 from prpd.robp import zeros
@@ -14,6 +14,11 @@ from prpd.robp import zeros
 from helpers import corrupted_uniform_prpd, weighted_exact_prpd
 
 GAMMA = Fraction(1, 256)
+
+
+def bundle(entry, children, i, y):
+    """The weighted strings of child index i at outer seed '' and inner seed y."""
+    return [entry(i, "", y, t) for t in range(children[i].mu)]
 
 
 def test_k0_exact_children_collapse_to_product():
@@ -77,9 +82,9 @@ def test_bundle_decomposes_into_terms():
         y = format(rng.randrange(1 << build.prpd.s_in), f"0{build.prpd.s_in}b")
         whole = signed_walk_sum(program, 0, build.prpd.bundle("", y))
         total = zeros(2)
-        for i, j, sign in build.terms:
-            a_mat = signed_walk_sum(program, 0, build.a_bundle(i, "", y))
-            b_mat = signed_walk_sum(program, 2, build.b_bundle(j, "", y))
+        for i, j, sign in merge_terms(1):
+            a_mat = signed_walk_sum(program, 0, bundle(build.a_entry, [a0, a1], i, y))
+            b_mat = signed_walk_sum(program, 2, bundle(build.b_entry, [a0, a1], j, y))
             term = mat_scale(sign, mat_mul(a_mat, b_mat))
             total = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(total, term))
         assert whole == total
@@ -97,21 +102,24 @@ def test_termwise_decomposition_bounds():
     b_target = exact_average(program, 2, 4)
     s_in = build.prpd.s_in
     inv = Fraction(1, 1 << s_in)
-    for i, j, _ in build.terms:
+    k = 1
+    for i, j, _ in merge_terms(k):
         acc = zeros(2)
         for y in all_bits(s_in):
-            a_mat = mat_sub(signed_walk_sum(program, 0, build.a_bundle(i, "", y)), a_target)
-            b_mat = mat_sub(signed_walk_sum(program, 2, build.b_bundle(j, "", y)), b_target)
+            a_mat = mat_sub(signed_walk_sum(program, 0, bundle(build.a_entry, [a0, a1], i, y)),
+                            a_target)
+            b_mat = mat_sub(signed_walk_sum(program, 2, bundle(build.b_entry, [a0, a1], j, y)),
+                            b_target)
             prod = mat_mul(a_mat, b_mat)
             acc = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(acc, prod))
         term_err = inf_norm(mat_scale(inv, acc))
         # symmetric rule at delta = 0: 9 * gamma^(i+j+2)
         assert term_err <= 9 * gamma ** (i + j + 2)
     # last-term rule: || E_y[A_k - A] * B || <= 3 * gamma^(k+1) at delta = 0
-    k = build.k
     acc = zeros(2)
     for y in all_bits(s_in):
-        a_mat = mat_sub(signed_walk_sum(program, 0, build.a_bundle(k, "", y)), a_target)
+        a_mat = mat_sub(signed_walk_sum(program, 0, bundle(build.a_entry, [a0, a1], k, y)),
+                        a_target)
         acc = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(acc, a_mat))
     last = inf_norm(mat_mul(mat_scale(inv, acc), b_target))
     assert last <= 3 * gamma ** (k + 1)
@@ -132,7 +140,7 @@ def test_non_overlap_structural():
     m_bits, k = 4, 2
     children = [weighted_exact_prpd(m_bits, comb(m_bits - 1, i)) for i in range(k + 1)]
     build = build_ck(children, children, w=2, gamma=GAMMA)
-    for i, j, _ in build.terms:
+    for i, j, _ in merge_terms(k):
         assert build.len_a[i] + build.len_b[j] <= build.prpd.s_in
 
 

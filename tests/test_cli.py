@@ -128,6 +128,83 @@ def test_ledger_check_rejects_cert_delta_just_over_requirement(tmp_path):
     assert main(["ledger-check", "--ledger", str(path)]) == 1
 
 
+def _nodes(data, kind=None):
+    return [nd for nd in data["nodes"] if kind in (None, nd["kind"])]
+
+
+def _empty_samplers(data):
+    for nd in _nodes(data):
+        nd["samplers"] = []
+
+
+def _relabel_merges(data):
+    for nd in _nodes(data, "merge"):
+        nd["kind"] = "terminal"
+
+
+def _keep_top_only(data):
+    data["nodes"] = [nd for nd in _nodes(data) if (nd["h"], nd["k"]) == (4, data["k"])]
+
+
+def _raise_requirements(data):
+    # requirements of 1 would let certificates at eps = delta = 1/2 pass
+    for nd in _nodes(data, "merge"):
+        for slot in nd["samplers"]:
+            slot.update(eps_required="1/1", delta_required="1/1", cert_eps="1/2", cert_delta="1/2")
+
+
+def _raise_mu_caps(data):
+    for nd in _nodes(data):
+        nd["mu_cap"] = 10 ** 9
+
+
+def _raise_error_bounds(data):
+    for nd in _nodes(data):
+        nd["error_bound"] = "1/1"
+
+
+def _rewrite_merge_gammas(data):
+    for nd in _nodes(data, "merge"):
+        nd["merge_gamma"] = "1/2"
+        nd["delta_binding_i"] += 1
+
+
+def _shift_child_summary(data):
+    # moves one bit of A_0's seed from s_in to s_out: the flat seed length,
+    # which the sampler checks see, is unchanged
+    top = _nodes(data)[-1]
+    top["children"][0][1] += 1
+    top["children"][0][2] -= 1
+
+
+def _mu_beyond_float_range(data):
+    _nodes(data)[-1]["mu"] = 10 ** 400
+
+
+FORGERIES = {f.__name__.lstrip("_"): f for f in (
+    _empty_samplers, _relabel_merges, _keep_top_only, _raise_requirements, _raise_mu_caps,
+    _raise_error_bounds, _rewrite_merge_gammas, _shift_child_summary, _mu_beyond_float_range)}
+
+
+@pytest.mark.parametrize("forgery", FORGERIES)
+def test_ledger_check_rejects_forged_ledger(tmp_path, forgery):
+    _, ledger = recursive_prpd(16, 2, params=RecursionParams(k=3))
+    data = ledger_to_dict(ledger)
+    FORGERIES[forgery](data)
+    assert not ledger_check(ledger_from_dict(data)).ok
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(data))
+    assert main(["ledger-check", "--ledger", str(path)]) == 1
+
+
+def _edited_ledger(edit):
+    """An exported n=8, k=1 ledger, edited; its last node is the top merge node."""
+    _, ledger = recursive_prpd(8, 2, params=RecursionParams(k=1))
+    data = ledger_to_dict(ledger)
+    edit(data)
+    return json.dumps(data)
+
+
 BAD_FRACTION_LEDGER = json.dumps({"n": 4, "n_padded": 4, "w": 2, "gamma": "1/0", "k": 1,
                                   "c": 1, "sampler_mode": "exact-enumeration", "nodes": []})
 
@@ -148,6 +225,16 @@ BAD_INPUTS = {
     "ledger-not-json": (["ledger-check", "--ledger", "ledger.json"], "{"),
     "ledger-not-object": (["ledger-check", "--ledger", "ledger.json"], "[1, 2]"),
     "ledger-zero-denominator": (["ledger-check", "--ledger", "ledger.json"], BAD_FRACTION_LEDGER),
+    "ledger-len-a-empty": (["ledger-check", "--ledger", "ledger.json"],
+                           _edited_ledger(lambda data: data["nodes"][-1].update(len_a=[]))),
+    "ledger-s-out-string": (["ledger-check", "--ledger", "ledger.json"],
+                            _edited_ledger(lambda data: data["nodes"][-1].update(s_out="x"))),
+    "ledger-mu-bool": (["ledger-check", "--ledger", "ledger.json"],
+                       _edited_ledger(lambda data: data["nodes"][-1].update(mu=True))),
+    "ledger-w-zero": (["ledger-check", "--ledger", "ledger.json"],
+                      _edited_ledger(lambda data: data.update(w=0))),
+    "certify-n-negative": (["certify-sampler", "--kind", "enumeration", "--m", "4", "--n", "-1",
+                            "--eps", "0", "--delta", "0"], None),
 }
 
 

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from prpd import (ConstructionError, InputError, MODE_CERTIFIED, RecursionParams,
-                  Robp, certify, exact_average, expander_walk_sampler, identity_robp,
+                  Robp, brute_certified_enumeration_factory, certify, exact_average, expander_walk_sampler, identity_robp,
                   inf_norm, ledger_check, ledger_from_dict, ledger_to_dict, mat_sub,
                   matrix_form, measure_robust_error, random_robp, recursive_prpd,
                   robust_form)
@@ -95,7 +95,7 @@ def test_padding_to_power_of_two():
 
 def test_certified_mode_default_factory():
     prpd, ledger = recursive_prpd(
-        4, 2, params=RecursionParams(k=1, sampler_mode=MODE_CERTIFIED))
+        4, 2, params=RecursionParams(k=1, sampler_factory=brute_certified_enumeration_factory))
     assert ledger.sampler_mode == MODE_CERTIFIED
     for node in ledger.nodes:
         for slot in node.samplers:
@@ -115,7 +115,7 @@ def test_certified_mode_rejects_weak_backend():
 
     with pytest.raises(ConstructionError, match="eps_0"):
         recursive_prpd(4, 2, params=RecursionParams(
-            k=0, sampler_mode=MODE_CERTIFIED, sampler_factory=weak_factory))
+            k=0, sampler_factory=weak_factory))
 
 
 def test_ledger_json_roundtrip():
@@ -146,5 +146,3 @@ def test_bad_params_rejected():
         recursive_prpd(4, 2)  # neither eps nor k
     with pytest.raises(InputError):
         recursive_prpd(4, 2, params=RecursionParams(k=1, gamma=Fraction(3, 2)))
-    with pytest.raises(InputError):
-        recursive_prpd(4, 2, params=RecursionParams(k=1, sampler_mode="bogus"))
