@@ -21,8 +21,8 @@ from .recursion import (CkBuild, LedgerNode, LedgerReport, RecursionParams, Seed
                         measure_average_error, measure_robust_error, recursive_prpd,
                         telescoping_error_bound, telescoping_product,
                         inductive_seed_bounds)
-from .saks_zhou import (SzSchedule, armoni_pow, exact_power_approximator,
-                        grid_bits, robp_from_matrix, round_to_grid, snap_collision_bound,
+from .saks_zhou import (SzSchedule, armoni_pow, grid_bits, robp_from_matrix,
+                        round_to_grid, snap_collision_bound,
                         snap_collision_rate, snap_error_bound, snap_matrix, snap_value,
                         sz_error_bound, sz_failure_bound, sz_power)
 

@@ -24,8 +24,7 @@ from .recursion import (MODE_CERTIFIED, MODE_EXACT, RecursionParams,
                         ledger_check, ledger_from_dict, ledger_to_dict, measure_robust_error,
                         recursive_prpd)
 from .robp import inf_norm, mat_pow, mat_sub, random_robp, serialize_robp
-from .saks_zhou import (SzSchedule, armoni_pow, exact_power_approximator, grid_bits,
-                        sz_error_bound, sz_power)
+from .saks_zhou import SzSchedule, armoni_pow, grid_bits, sz_error_bound, sz_power
 from .sampler import certify, enumeration_sampler, expander_walk_sampler
 
 
@@ -48,32 +47,10 @@ def _fmt(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-_INCIDENTAL_ARGS = {"func", "out", "records"}
-
-
 def _build_id(args: argparse.Namespace) -> str:
-    blob = json.dumps(
-        {k: str(v) for k, v in sorted(vars(args).items()) if k not in _INCIDENTAL_ARGS},
-        sort_keys=True)
+    """Hash of every flag that determines the records; main has removed the others."""
+    blob = json.dumps({k: str(v) for k, v in sorted(vars(args).items())}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-class Reporter:
-    def __init__(self, out_path=None):
-        self.records = []
-        self.out_path = out_path
-
-    def emit(self, record: dict) -> None:
-        self.records.append(record)
-
-    def flush(self, show_records: bool) -> None:
-        lines = [json.dumps(r, sort_keys=True) for r in self.records]
-        if self.out_path:
-            with open(self.out_path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        if show_records or not self.out_path:
-            for line in lines:
-                print(line)
 
 
 def _params_from_args(args) -> RecursionParams:
@@ -81,134 +58,110 @@ def _params_from_args(args) -> RecursionParams:
     return RecursionParams(gamma=args.gamma, k=args.k, c=args.c, sampler_factory=factory)
 
 
-def cmd_build_prpd(args) -> int:
-    start = time.time()
-    rep = Reporter(args.out)
+def _ledger_lines(report) -> list:
+    """The ledger check's verdict line, then one line per failed check."""
+    failures = report.failures()
+    return [f"ledger check: {len(report.checks)} checks, {len(failures)} failures -> "
+            f"{'ok' if report.ok else 'FAIL'}"] + [
+        f"  FAIL ({f.h},{f.k}) {f.name}: lhs={f.lhs} rhs={f.rhs}" for f in failures]
+
+
+def cmd_build_prpd(args, emit):
     prpd, ledger = recursive_prpd(args.n, args.w, eps=args.eps, params=_params_from_args(args))
     report = ledger_check(ledger)
-    rep.emit({"record": "config", "command": "build-prpd", "build_id": _build_id(args),
-              "n": args.n, "w": args.w, "k": ledger.k, "gamma": _fmt(ledger.gamma),
-              "c": ledger.c, "sampler_mode": ledger.sampler_mode})
-    rows = [(node, *inductive_seed_bounds(node.h, node.k, ledger.n_padded, ledger.w,
-                                          ledger.gamma, ledger.c)) for node in ledger.nodes]
-    for node, so_b, si_b in rows:
-        rep.emit({"record": "node", "h": node.h, "k": node.k, "kind": node.kind,
-                  "s_out": node.s_out, "s_in": node.s_in, "mu": node.mu,
-                  "s_out_bound": round(so_b, 3), "s_in_bound": round(si_b, 3),
-                  "mu_cap": node.mu_cap, "error_bound": _fmt(node.error_bound)})
-    rep.emit({"record": "ledger", "ledger": ledger_to_dict(ledger)})
-    rep.emit({"record": "summary", "checks": len(report.checks),
-              "failures": len(report.failures()), "ok": report.ok,
-              "top_s_out": prpd.s_out, "top_s_in": prpd.s_in, "top_mu": prpd.mu})
-    rep.flush(show_records=args.records)
-    print(f"build-prpd n={args.n} w={args.w} k={ledger.k} gamma={_fmt(ledger.gamma)} "
-          f"mode={ledger.sampler_mode} runtime={time.time() - start:.3f}s")
-    print(f"{'h':>3} {'k':>3} {'kind':>8} {'s_out':>6} {'s_in':>6} {'mu':>6} "
-          f"{'s_out_bound':>12} {'s_in_bound':>11} {'mu_cap':>7}")
-    for node, so_b, si_b in rows:
-        print(f"{node.h:>3} {node.k:>3} {node.kind:>8} {node.s_out:>6} {node.s_in:>6} "
-              f"{node.mu:>6} {so_b:>12.1f} {si_b:>11.1f} {node.mu_cap:>7}")
-    print(f"ledger check: {len(report.checks)} inequalities, "
-          f"{len(report.failures())} failures -> {'ok' if report.ok else 'FAIL'}")
-    for fail in report.failures():
-        print(f"  FAIL ({fail.h},{fail.k}) {fail.name}: {fail.lhs} > {fail.rhs}")
-    return 0 if report.ok else 1
+    emit({"record": "config", "command": "build-prpd", "build_id": _build_id(args),
+          "n": args.n, "w": args.w, "k": ledger.k, "gamma": _fmt(ledger.gamma),
+          "c": ledger.c, "sampler_mode": ledger.sampler_mode})
+    lines = [f"build-prpd n={args.n} w={args.w} k={ledger.k} gamma={_fmt(ledger.gamma)} "
+             f"mode={ledger.sampler_mode}",
+             f"{'h':>3} {'k':>3} {'kind':>8} {'s_out':>6} {'s_in':>6} {'mu':>6} "
+             f"{'s_out_bound':>12} {'s_in_bound':>11} {'mu_cap':>7}"]
+    for node in ledger.nodes:
+        so_b, si_b = inductive_seed_bounds(node.h, node.k, ledger.n_padded, ledger.w,
+                                           ledger.gamma, ledger.c)
+        emit({"record": "node", "h": node.h, "k": node.k, "kind": node.kind,
+              "s_out": node.s_out, "s_in": node.s_in, "mu": node.mu,
+              "s_out_bound": round(so_b, 3), "s_in_bound": round(si_b, 3),
+              "mu_cap": node.mu_cap, "error_bound": _fmt(node.error_bound)})
+        lines.append(f"{node.h:>3} {node.k:>3} {node.kind:>8} {node.s_out:>6} {node.s_in:>6} "
+                     f"{node.mu:>6} {so_b:>12.1f} {si_b:>11.1f} {node.mu_cap:>7}")
+    emit({"record": "ledger", "ledger": ledger_to_dict(ledger)})
+    emit({"record": "summary", "checks": len(report.checks),
+          "failures": len(report.failures()), "ok": report.ok,
+          "top_s_out": prpd.s_out, "top_s_in": prpd.s_in, "top_mu": prpd.mu})
+    return report.ok, lines + _ledger_lines(report)
 
 
-def cmd_verify_error(args) -> int:
-    start = time.time()
-    rep = Reporter(args.out)
+def cmd_verify_error(args, emit):
     prpd, ledger = recursive_prpd(args.n, args.w, eps=args.eps, params=_params_from_args(args))
     bound = ledger.top.error_bound
-    worst = None
-    ok = True
-    rep.emit({"record": "config", "command": "verify-error", "build_id": _build_id(args),
-              "n": args.n, "w": args.w, "k": ledger.k, "gamma": _fmt(ledger.gamma),
-              "robps": args.robps, "seed": args.seed, "bound": _fmt(bound)})
+    emit({"record": "config", "command": "verify-error", "build_id": _build_id(args),
+          "n": args.n, "w": args.w, "k": ledger.k, "gamma": _fmt(ledger.gamma),
+          "robps": args.robps, "seed": args.seed, "bound": _fmt(bound)})
+    runs = []
     for t in range(args.robps):
         program = random_robp(ledger.n_padded, args.w, seed=args.seed * 100003 + t)
         err = measure_robust_error(prpd, program)
-        within = err <= bound
-        ok = ok and within
-        if worst is None or err > worst[0]:
-            worst = (err, program)
-        rep.emit({"record": "instance", "index": t, "measured": _fmt(err),
-                  "bound": _fmt(bound), "within": within})
-    rep.emit({"record": "worst", "measured": _fmt(worst[0]),
-              "robp": serialize_robp(worst[1])})
-    rep.emit({"record": "summary", "ok": ok})
-    rep.flush(show_records=args.records)
-    print(f"verify-error n={args.n} w={args.w} k={ledger.k}: {args.robps} programs, "
-          f"worst measured {_fmt(worst[0])} vs bound {_fmt(bound)} "
-          f"runtime={time.time() - start:.3f}s -> {'ok' if ok else 'FAIL'}")
-    return 0 if ok else 1
+        runs.append((err, program))
+        emit({"record": "instance", "index": t, "measured": _fmt(err),
+              "bound": _fmt(bound), "within": err <= bound})
+    worst, program = max(runs, key=lambda run: run[0])      # the first of the worst
+    ok = worst <= bound
+    emit({"record": "worst", "measured": _fmt(worst), "robp": serialize_robp(program)})
+    emit({"record": "summary", "ok": ok})
+    return ok, [f"verify-error n={args.n} w={args.w} k={ledger.k}: {args.robps} programs, "
+                f"worst measured {_fmt(worst)} vs bound {_fmt(bound)} -> {'ok' if ok else 'FAIL'}"]
 
 
-def cmd_certify_sampler(args) -> int:
-    start = time.time()
-    rep = Reporter(args.out)
+def cmd_certify_sampler(args, emit):
     if args.kind == "enumeration":
         g = enumeration_sampler(args.m, n=args.n)
     else:
         g = expander_walk_sampler(args.n, args.d if args.d is not None else args.m,
                                   args.m, seed=args.seed)
     ok, profile = certify(g, args.eps, args.delta)
-    rep.emit({"record": "certificate", "kind": args.kind, "n": g.n, "d": g.d, "m": g.m,
-              "eps": _fmt(args.eps), "delta": _fmt(args.delta),
-              "method": g.cert.method if ok else "none",
-              "max_tv": _fmt(profile.max_tv),
-              "bad_x_count": profile.bad_count(args.eps),
-              "certified": ok})
-    rep.flush(show_records=args.records)
-    print(f"certify-sampler {args.kind} n={g.n} d={g.d} m={g.m}: "
-          f"max TV {_fmt(profile.max_tv)}, bad x {profile.bad_count(args.eps)}/{1 << g.n} "
-          f"at eps={_fmt(args.eps)} delta={_fmt(args.delta)} "
-          f"runtime={time.time() - start:.3f}s -> {'certified' if ok else 'REFUSED'}")
-    return 0 if ok else 1
+    emit({"record": "certificate", "kind": args.kind, "n": g.n, "d": g.d, "m": g.m,
+          "eps": _fmt(args.eps), "delta": _fmt(args.delta),
+          "method": g.cert.method if ok else "none",
+          "max_tv": _fmt(profile.max_tv),
+          "bad_x_count": profile.bad_count(args.eps),
+          "certified": ok})
+    return ok, [f"certify-sampler {args.kind} n={g.n} d={g.d} m={g.m}: "
+                f"max TV {_fmt(profile.max_tv)}, bad x {profile.bad_count(args.eps)}/{1 << g.n} "
+                f"at eps={_fmt(args.eps)} delta={_fmt(args.delta)} -> "
+                f"{'certified' if ok else 'REFUSED'}"]
 
 
-def cmd_sz_demo(args) -> int:
-    start = time.time()
-    rep = Reporter(args.out)
+def cmd_sz_demo(args, emit):
     rng = random.Random(args.seed)
     n = args.n1 ** args.n2
     bound = sz_error_bound(n, args.w, args.d)
-    rep.emit({"record": "config", "command": "sz-demo", "build_id": _build_id(args),
-              "w": args.w, "n1": args.n1, "n2": args.n2, "d": args.d,
-              "approximator": args.approximator, "seed": args.seed,
-              "matrices": args.matrices, "bound": _fmt(bound)})
-    ok = True
+    emit({"record": "config", "command": "sz-demo", "build_id": _build_id(args),
+          "w": args.w, "n1": args.n1, "n2": args.n2, "d": args.d,
+          "approximator": args.approximator, "seed": args.seed,
+          "matrices": args.matrices, "bound": _fmt(bound)})
+    if args.approximator == "exact":
+        eps = Fraction(0)
+        approx = lambda mat, y: mat_pow(mat, args.n1)
+    else:
+        eps = args.eps if args.eps is not None else Fraction(1, 64)
+        gen = uniform_prpd(args.n1 * grid_bits(args.n1, args.w, eps))
+        samp = enumeration_sampler(gen.seed_len, n=0)
+        approx = lambda mat, y: armoni_pow(mat, args.n1, gen, samp, y, eps)
+    errs = []
     for t in range(args.matrices):
         m = _random_substochastic(rng, args.w)
         offsets = tuple(int_to_bits(rng.randrange(1 << args.d), args.d)
                         for _ in range(args.n2))
-        if args.approximator == "exact":
-            approx = exact_power_approximator(args.n1)
-            y = ""
-            schedule = SzSchedule(n1=args.n1, n2=args.n2, d=args.d,
-                                  eps=Fraction(0), y=y, offsets=offsets)
-        else:
-            eps = args.eps if args.eps is not None else Fraction(1, 64)
-            dd = grid_bits(args.n1, args.w, eps)
-            prpd_len = args.n1 * dd
-            gen = uniform_prpd(prpd_len)
-            samp = enumeration_sampler(gen.seed_len, n=0)
-            approx = lambda mat, yy: armoni_pow(mat, args.n1, gen, samp, yy, eps)
-            schedule = SzSchedule(n1=args.n1, n2=args.n2, d=args.d,
-                                  eps=Fraction(eps), y="", offsets=offsets)
-        result = sz_power(m, schedule, approx)
-        err = inf_norm(mat_sub(result, mat_pow(m, n)))
-        within = err <= bound
-        ok = ok and within
-        rep.emit({"record": "instance", "index": t, "measured": _fmt(err),
-                  "bound": _fmt(bound), "within": within})
-    rep.emit({"record": "summary", "ok": ok})
-    rep.flush(show_records=args.records)
-    print(f"runtime={time.time() - start:.3f}s")
-    print(f"sz-demo w={args.w} n={args.n1}^{args.n2} d={args.d} "
-          f"({args.approximator}): {args.matrices} matrices vs bound {_fmt(bound)} -> "
-          f"{'ok' if ok else 'FAIL'}")
-    return 0 if ok else 1
+        schedule = SzSchedule(n1=args.n1, n2=args.n2, d=args.d, eps=eps, y="", offsets=offsets)
+        errs.append(inf_norm(mat_sub(sz_power(m, schedule, approx), mat_pow(m, n))))
+        emit({"record": "instance", "index": t, "measured": _fmt(errs[-1]),
+              "bound": _fmt(bound), "within": errs[-1] <= bound})
+    ok = max(errs) <= bound
+    emit({"record": "summary", "ok": ok})
+    return ok, [f"sz-demo w={args.w} n={args.n1}^{args.n2} d={args.d} "
+                f"({args.approximator}): {args.matrices} matrices vs bound {_fmt(bound)} -> "
+                f"{'ok' if ok else 'FAIL'}"]
 
 
 def _random_substochastic(rng, w: int) -> tuple:
@@ -220,8 +173,7 @@ def _random_substochastic(rng, w: int) -> tuple:
     return tuple(rows)
 
 
-def cmd_ledger_check(args) -> int:
-    rep = Reporter(args.out)
+def cmd_ledger_check(args, emit):
     try:
         with open(args.ledger) as fh:
             payload = json.load(fh)
@@ -229,19 +181,18 @@ def cmd_ledger_check(args) -> int:
         raise InputError(f"cannot read ledger {args.ledger}: {exc}") from None
     if isinstance(payload, dict) and payload.get("record") == "ledger":
         payload = payload["ledger"]
-    ledger = ledger_from_dict(payload)
-    report = ledger_check(ledger, c=args.c)
+    report = ledger_check(ledger_from_dict(payload), c=args.c)
+
+    def exact(v):
+        return _fmt(v) if type(v) is Fraction else v
+
     for chk in report.checks:
-        rep.emit({"record": "check", "h": chk.h, "k": chk.k, "name": chk.name,
-                  "lhs": chk.lhs, "rhs": chk.rhs, "ok": chk.ok, "slack": chk.slack})
-    rep.emit({"record": "summary", "ok": report.ok, "checks": len(report.checks),
-              "failures": len(report.failures())})
-    rep.flush(show_records=args.records)
-    print(f"ledger-check: {len(report.checks)} inequalities, "
-          f"{len(report.failures())} failures -> {'ok' if report.ok else 'FAIL'}")
-    for fail in report.failures():
-        print(f"  FAIL ({fail.h},{fail.k}) {fail.name}: {fail.lhs} > {fail.rhs}")
-    return 0 if report.ok else 1
+        emit({"record": "check", "h": chk.h, "k": chk.k, "name": chk.name,
+              "lhs": exact(chk.lhs), "rhs": exact(chk.rhs), "ok": chk.ok,
+              "slack": exact(chk.slack)})
+    emit({"record": "summary", "ok": report.ok, "checks": len(report.checks),
+          "failures": len(report.failures())})
+    return report.ok, _ledger_lines(report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,11 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="write JSON-line records to this path")
-        p.add_argument("--records", action="store_true",
-                       help="also print records to stdout when --out is given")
-
     def recursion(p):
         """The flags _params_from_args reads, plus n, w and eps."""
         p.add_argument("--n", type=_positive, required=True)
@@ -263,9 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=_frac, default=None)
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--gamma", type=_frac, default=None)
-        p.add_argument("--c", type=int, default=1)
+        p.add_argument("--c", type=_positive, default=1)
         p.add_argument("--sampler-mode", choices=[MODE_EXACT, MODE_CERTIFIED], default=MODE_EXACT)
-        common(p)
 
     p = sub.add_parser("build-prpd", help="build a generator and check its ledger")
     recursion(p)
@@ -285,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_frac, required=True)
     p.add_argument("--delta", type=_frac, required=True)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(func=cmd_certify_sampler)
 
     p = sub.add_parser("sz-demo", help="snap-powering chain against its error bound")
@@ -297,25 +241,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--approximator", choices=["exact", "armoni"], default="exact")
     p.add_argument("--matrices", type=_positive, default=5)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(func=cmd_sz_demo)
 
     p = sub.add_parser("ledger-check", help="re-verify an exported ledger")
     p.add_argument("--ledger", required=True)
-    p.add_argument("--c", type=int, default=None)
-    common(p)
+    p.add_argument("--c", type=_positive, default=None)
     p.set_defaults(func=cmd_ledger_check)
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write JSON-line records to this path, not to stdout")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; its records go to --out, else to stdout before its lines.
+
+    Exit code 0: every bound met, 1: a bound failed, 2: bad input or refused capacity.
+    """
+    args = build_parser().parse_args(argv)
+    start = time.time()
+    command, out_path = vars(args).pop("func"), vars(args).pop("out")
+    records = []
     try:
-        return args.func(args)
+        ok, lines = command(args, records.append)
     except PrpdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    if out_path:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    print(*lines, f"runtime={time.time() - start:.3f}s", sep="\n")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

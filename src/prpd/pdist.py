@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Tuple
 
 from .bits import all_bits
 from .errors import ContractError, InputError, check_capacity
@@ -167,30 +167,26 @@ def pad_seeds(prpd: RobustPrpd, s_out: int, s_in: int) -> RobustPrpd:
     return RobustPrpd(out_len=prpd.out_len, s_out=s_out, s_in=s_in, mu=prpd.mu, gen=gen)
 
 
+def seed_bundles(prpd: RobustPrpd, site: str) -> Iterator[Tuple[str, str, list]]:
+    """Every (x, y, bundle), x outer; the capacity of all (x, y, i) is checked at the call."""
+    check_capacity((1 << prpd.seed_len) * prpd.mu, site)
+    return ((x, y, prpd.bundle(x, y)) for x in all_bits(prpd.s_out) for y in all_bits(prpd.s_in))
+
+
 def to_pseudodist(prpd: RobustPrpd) -> PseudoDist:
     """Expand every (x, y, i) into an entry with coefficient sign * mu."""
-    count = (1 << prpd.seed_len) * prpd.mu
-    check_capacity(count, "robust generator expansion")
     mu = Fraction(prpd.mu)
-    entries = []
-    for x in all_bits(prpd.s_out):
-        for y in all_bits(prpd.s_in):
-            for i in range(prpd.mu):
-                s, sign = prpd.gen(x, y, i)
-                entries.append((s, sign * mu))
-    return PseudoDist(prpd.out_len, tuple(entries))
+    return PseudoDist(prpd.out_len, tuple(
+        (s, sign * mu) for _, _, bundle in seed_bundles(prpd, "robust generator expansion")
+        for s, sign in bundle))
 
 
 def dump_prpd(prpd: RobustPrpd) -> str:
     """Canonical full-table serialization, used to compare builds bit for bit."""
-    count = (1 << prpd.seed_len) * prpd.mu
-    check_capacity(count, "robust generator dump")
     lines = [f"prpd out_len={prpd.out_len} s_out={prpd.s_out} s_in={prpd.s_in} mu={prpd.mu}"]
-    for x in all_bits(prpd.s_out):
-        for y in all_bits(prpd.s_in):
-            for i in range(prpd.mu):
-                s, sign = prpd.gen(x, y, i)
-                lines.append(f"{x or '-'} {y or '-'} {i} {s} {'+' if sign > 0 else '-'}")
+    for x, y, bundle in seed_bundles(prpd, "robust generator dump"):
+        lines += [f"{x or '-'} {y or '-'} {i} {s} {'+' if sign > 0 else '-'}"
+                  for i, (s, sign) in enumerate(bundle)]
     return "\n".join(lines) + "\n"
 
 
@@ -232,10 +228,8 @@ def matrix_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> MatrixForm:
         raise InputError(
             f"generator emits {prpd.out_len} bits, segment consumes {(b - a) * robp.d_step}"
         )
-    count = (1 << prpd.seed_len) * prpd.mu
-    check_capacity(count, "matrix form enumeration")
-    table = {(x, y): signed_walk_sum(robp, a, prpd.bundle(x, y))
-             for x in all_bits(prpd.s_out) for y in all_bits(prpd.s_in)}
+    table = {(x, y): signed_walk_sum(robp, a, bundle)
+             for x, y, bundle in seed_bundles(prpd, "matrix form enumeration")}
     return MatrixForm(w=robp.w, s_out=prpd.s_out, s_in=prpd.s_in, table=table)
 
 

@@ -11,7 +11,6 @@ weight actually used next to the inductive bounds they must stay under.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
@@ -366,6 +365,8 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
     """
     params = params or RecursionParams()
     n_pad = next_power_of_two(n)
+    if w < 1 or params.c < 1:
+        raise InputError(f"w and c must be at least 1, got w={w} c={params.c}")
     gamma = Fraction(params.gamma) if params.gamma is not None else Fraction(1, n_pad ** 4)
     if not (0 < gamma < 1):
         raise InputError("gamma must lie strictly between 0 and 1")
@@ -442,13 +443,17 @@ class LedgerCheck(NamedTuple):     # a tuple, cheap to build: one ledger makes t
     h: int
     k: int
     name: str
-    lhs: float
-    rhs: float
+    lhs: Union[int, Fraction, float]   # the compared values as they are: a bool, int or
+    rhs: Union[int, Fraction, float]   # Fraction is exact, a float comes from the log2 replay
     ok: bool
 
     @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
+    def slack(self) -> Union[int, Fraction, float]:
+        """rhs - lhs; exact unless a side is a float."""
+        try:
+            return self.rhs - self.lhs
+        except OverflowError:           # a recorded int beyond float range against a float
+            return Fraction(self.rhs) - Fraction(self.lhs)
 
 
 @dataclass
@@ -465,7 +470,6 @@ class LedgerReport:
 
 # absolute slack for checks against a log2 replay; exact checks use none
 _TOL = 1e-9
-_FLOAT_MAX = sys.float_info.max
 
 
 def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
@@ -475,10 +479,13 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
     sampler requirements; recorded copies must equal it. Then: used values
     against the inductive bounds, the merge layout (non-overlap, pass-through
     lengths, child summaries against the child nodes), and the replay of the
-    proof's chains at the configured c. A check whose sides are both int or
-    Fraction is decided exactly; only a side computed through log2 gets _TOL.
+    proof's chains at c (the ledger's own unless given; InputError below 1).
+    A check whose sides are both int or Fraction is decided exactly; only a
+    side computed through log2 gets _TOL.
     """
     cc = c if c is not None else ledger.c
+    if cc < 1:
+        raise InputError(f"c must be at least 1, got {cc}")
     n, w, gamma = ledger.n_padded, ledger.w, ledger.gamma
     plan = ledger_plan(n, ledger.k, w, gamma)
     recorded: Dict[Tuple[int, int], List[LedgerNode]] = {}
@@ -490,17 +497,13 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
     budgets = cache(lambda k: [inductive_sampler_seed(i, k, n, w, gamma, cc) for i in range(k + 1)])
 
     def add(h, k, name, lhs, rhs, equal=False):
-        try:
-            lhs_f, rhs_f = float(lhs), float(rhs)
-        except OverflowError:           # a recorded value beyond float range
-            lhs_f, rhs_f = (float(min(max(v, -_FLOAT_MAX), _FLOAT_MAX)) for v in (lhs, rhs))
         if equal:
             ok = lhs == rhs
         elif isinstance(lhs, float) or isinstance(rhs, float):
-            ok = lhs_f <= rhs_f + _TOL
+            ok = lhs <= rhs + _TOL          # int/float comparison is exact at any size
         else:
             ok = lhs <= rhs
-        checks.append(LedgerCheck(h=h, k=k, name=name, lhs=lhs_f, rhs=rhs_f, ok=ok))
+        checks.append(LedgerCheck(h, k, name, lhs, rhs, ok))
 
     for (h, k), p in plan.items():
         found = recorded.get((h, k), ())
@@ -681,9 +684,9 @@ def ledger_from_dict(data: dict) -> SeedLedger:
     except KeyError as exc:
         raise ParseError(f"ledger is missing key {exc}") from None
     if not (ledger.n >= 1 and ledger.n_padded == next_power_of_two(ledger.n) and ledger.w >= 1
-            and ledger.k >= 0 and 0 < ledger.gamma < 1):
+            and ledger.k >= 0 and 0 < ledger.gamma < 1 and ledger.c >= 1):
         raise ParseError(f"ledger header out of range: n={ledger.n} n_padded={ledger.n_padded} "
-                         f"w={ledger.w} k={ledger.k} gamma={ledger.gamma}")
+                         f"w={ledger.w} k={ledger.k} gamma={ledger.gamma} c={ledger.c}")
     for nd in ledger.nodes:
         if nd.kind == "merge" and (None in (nd.merge_gamma, nd.delta_binding_i) or
                                    {len(nd.len_a), len(nd.len_b), len(nd.children)} != {nd.k + 1}):

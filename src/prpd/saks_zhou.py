@@ -19,7 +19,7 @@ from typing import Callable, Optional, Tuple
 from .bits import all_bits, bits_to_int
 from .errors import ContractError, InputError, check_capacity
 from .pdist import RobustPrpd
-from .robp import Mat, Robp, mat_pow, mat_scale, signed_walk_sum
+from .robp import Mat, Robp, mat_scale, signed_walk_sum
 from .sampler import Sampler, require_certified
 
 
@@ -131,13 +131,6 @@ def grid_bits(n1: int, w: int, eps) -> int:
 
 # ---------------------------------------------------------------------------
 # the offline approximator built from a generator plus a sampler
-
-
-def exact_power_approximator(n1: int) -> Callable[[Mat, str], Mat]:
-    def pow_exact(m: Mat, y: str) -> Mat:
-        return mat_pow(m, n1)
-
-    return pow_exact
 
 
 def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) -> Mat:

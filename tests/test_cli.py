@@ -118,14 +118,50 @@ def test_ledger_check_rejects_cert_delta_just_over_requirement(tmp_path):
     data = ledger_to_dict(ledger)
     node = [nd for nd in data["nodes"] if (nd["h"], nd["k"]) == (3, 2)][0]
     slot = node["samplers"][0]
-    slot["cert_delta"] = str(2 * Fraction(slot["delta_required"]))
+    required = Fraction(slot["delta_required"])
+    slot["cert_delta"] = str(2 * required)
     report = ledger_check(ledger_from_dict(data))
     assert ledger_check(ledger).ok and not report.ok
     assert [(c.h, c.k, c.name) for c in report.failures()] == [
         (3, 2, "cert delta(g_0) <= required")]
-    path = tmp_path / "tampered.json"
+    path, out = tmp_path / "tampered.json", tmp_path / "checks.jsonl"
+    path.write_text(json.dumps(data))
+    assert main(["ledger-check", "--ledger", str(path), "--out", str(out)]) == 1
+    # the check records carry the compared values exactly
+    [failed] = [r for r in read_records(out) if r["record"] == "check" and not r["ok"]]
+    assert (Fraction(failed["lhs"]), Fraction(failed["rhs"])) == (2 * required, required)
+    assert Fraction(failed["slack"]) == -required
+    data = ledger_to_dict(ledger)
+    _mu_beyond_float_range(data)
+    path.write_text(json.dumps(data))
+    assert main(["ledger-check", "--ledger", str(path), "--out", str(out)]) == 1
+    assert any(r.get("lhs") == 10 ** 400 and type(r["lhs"]) is int for r in read_records(out))
+
+
+def test_ledger_check_failure_lines(tmp_path, capsys):
+    _, ledger = recursive_prpd(16, 2, params=RecursionParams(k=3))
+    data = ledger_to_dict(ledger)
+    _keep_top_only(data)
+    path = tmp_path / "top_only.json"
     path.write_text(json.dumps(data))
     assert main(["ledger-check", "--ledger", str(path)]) == 1
+    fail_lines = [line for line in capsys.readouterr().out.splitlines() if "FAIL (" in line]
+    assert "  FAIL (0,0) node recorded iff planned: lhs=0 rhs=1" in fail_lines
+    assert not [line for line in fail_lines if " > " in line]
+
+
+def test_records_go_to_stdout_without_out(tmp_path, capsys):
+    argv = ["build-prpd", "--n", "4", "--w", "2", "--k", "1"]
+    out = tmp_path / "build.jsonl"
+    assert main(argv + ["--out", str(out)]) == 0
+    lines_with_out = capsys.readouterr().out.splitlines()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    records = out.read_text().splitlines()
+    assert records and all(json.loads(line) for line in records)
+    assert stdout[:len(records)] == records
+    assert stdout[len(records):-1] == lines_with_out[:-1]
+    assert stdout[-1].startswith("runtime=") and lines_with_out[-1].startswith("runtime=")
 
 
 def _nodes(data, kind=None):
@@ -181,9 +217,15 @@ def _mu_beyond_float_range(data):
     _nodes(data)[-1]["mu"] = 10 ** 400
 
 
+def _s_out_beyond_float_range(data):
+    # compared with a float bound from the log2 replay
+    _nodes(data)[-1]["s_out"] = 10 ** 400
+
+
 FORGERIES = {f.__name__.lstrip("_"): f for f in (
     _empty_samplers, _relabel_merges, _keep_top_only, _raise_requirements, _raise_mu_caps,
-    _raise_error_bounds, _rewrite_merge_gammas, _shift_child_summary, _mu_beyond_float_range)}
+    _raise_error_bounds, _rewrite_merge_gammas, _shift_child_summary, _mu_beyond_float_range,
+    _s_out_beyond_float_range)}
 
 
 @pytest.mark.parametrize("forgery", FORGERIES)
@@ -233,6 +275,11 @@ BAD_INPUTS = {
                        _edited_ledger(lambda data: data["nodes"][-1].update(mu=True))),
     "ledger-w-zero": (["ledger-check", "--ledger", "ledger.json"],
                       _edited_ledger(lambda data: data.update(w=0))),
+    "ledger-header-c-zero": (["ledger-check", "--ledger", "ledger.json"],
+                             _edited_ledger(lambda data: data.update(c=0))),
+    "ledger-check-c-zero": (["ledger-check", "--ledger", "ledger.json", "--c", "0"],
+                            _edited_ledger(lambda data: None)),
+    "build-c-negative": (["build-prpd", "--n", "8", "--w", "2", "--k", "1", "--c", "-1"], None),
     "certify-n-negative": (["certify-sampler", "--kind", "enumeration", "--m", "4", "--n", "-1",
                             "--eps", "0", "--delta", "0"], None),
 }

@@ -47,7 +47,7 @@ def test_enumeration_mode_builds_exactly(n, k):
 def test_ledger_check_passes(n, k, c):
     _, ledger = recursive_prpd(n, 2, params=RecursionParams(k=k, c=c))
     report = ledger_check(ledger)
-    assert report.ok, [f"({f.h},{f.k}) {f.name}: {f.lhs} > {f.rhs}" for f in report.failures()]
+    assert report.ok, [f"({f.h},{f.k}) {f.name}: lhs={f.lhs} rhs={f.rhs}" for f in report.failures()]
 
 
 def test_ledger_mu_caps():
@@ -146,3 +146,10 @@ def test_bad_params_rejected():
         recursive_prpd(4, 2)  # neither eps nor k
     with pytest.raises(InputError):
         recursive_prpd(4, 2, params=RecursionParams(k=1, gamma=Fraction(3, 2)))
+    with pytest.raises(InputError):
+        recursive_prpd(8, 0, params=RecursionParams(k=1))
+    with pytest.raises(InputError):
+        recursive_prpd(8, 2, params=RecursionParams(k=1, c=0))
+    _, ledger = recursive_prpd(8, 2, params=RecursionParams(k=1))
+    with pytest.raises(InputError):
+        ledger_check(ledger, c=0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prpd import (ContractError, InputError, SzSchedule, armoni_pow, certify,
-                  enumeration_sampler, exact_average, exact_power_approximator,
+                  enumeration_sampler, exact_average,
                   expander_walk_sampler, grid_bits, identity, inf_norm, mat_pow,
                   mat_sub, max_norm, robp_from_matrix, round_to_grid,
                   snap_collision_bound, snap_collision_rate, snap_error_bound,
@@ -193,7 +193,7 @@ def test_sz_power_exact_approximator_meets_bound():
         m = rand_substochastic(rng, w)
         offsets = tuple(int_to_bits(rng.randrange(1 << d), d) for _ in range(n2))
         schedule = SzSchedule(n1=n1, n2=n2, d=d, eps=Fraction(0), y="", offsets=offsets)
-        result = sz_power(m, schedule, exact_power_approximator(n1))
+        result = sz_power(m, schedule, lambda m, y: mat_pow(m, n1))
         assert inf_norm(mat_sub(result, mat_pow(m, n))) <= sz_error_bound(n, w, d)
 
 
@@ -204,7 +204,7 @@ def test_sz_power_doubly_stochastic_high_precision():
     rng = random.Random(9)
     offsets = tuple(int_to_bits(rng.randrange(1 << d), d) for _ in range(2))
     schedule = SzSchedule(n1=4, n2=2, d=d, eps=Fraction(0), y="", offsets=offsets)
-    result = sz_power(m, schedule, exact_power_approximator(4))
+    result = sz_power(m, schedule, lambda m, y: mat_pow(m, 4))
     assert inf_norm(mat_sub(result, mat_pow(m, 16))) <= sz_error_bound(16, 2, d)
 
 
@@ -213,7 +213,7 @@ def test_sz_power_single_level_is_single_snap():
     m = rand_substochastic(rng, 2)
     d = 5
     schedule = SzSchedule(n1=4, n2=1, d=d, eps=Fraction(0), y="", offsets=("0" * d,))
-    assert sz_power(m, schedule, exact_power_approximator(4)) == snap_matrix(mat_pow(m, 4), 0, d)
+    assert sz_power(m, schedule, lambda m, y: mat_pow(m, 4)) == snap_matrix(mat_pow(m, 4), 0, d)
 
 
 def test_sz_schedule_validation():
@@ -225,7 +225,7 @@ def test_sz_schedule_validation():
         SzSchedule(n1=2, n2=1, d=3, eps=Fraction(0), y="", offsets=("01",))
     schedule = SzSchedule(n1=2, n2=2, d=3, eps=Fraction(0), y="", offsets=("000", "111"))
     with pytest.raises(InputError):
-        sz_power(identity(2), schedule, exact_power_approximator(2), n=8)
+        sz_power(identity(2), schedule, lambda m, y: mat_pow(m, 2), n=8)
 
 
 def test_sz_failure_bound_expression():
