@@ -6,10 +6,9 @@ from .robp import (Mat, Robp, exact_average, identity, identity_robp, inf_norm,
                    mat_add, mat_mul, mat_pow, mat_scale, mat_sub, max_norm, parse_robp,
                    random_robp, rational, serialize_robp, signed_walk_sum, step_matrix,
                    swap_on_one_robp, walk_matrix)
-from .pdist import (FormStats, MatrixForm, PseudoDist, RobustPrpd, concat, dump_pdist,
-                    dump_prpd, flatten, form_stats, matrix_form, pad_seeds, pdist,
-                    realize, robust_form, scale, to_pseudodist, uniform_pdist,
-                    uniform_prpd, union)
+from .pdist import (FormStats, PseudoDist, RobustPrpd, average, concat, dump_pdist,
+                    dump_prpd, flatten, form_stats, matrix_form, pdist, realize,
+                    robust_form, scale, to_pseudodist, uniform_pdist, uniform_prpd, union)
 from .sampler import (Certificate, Sampler, TvProfile, certify, enumeration_sampler,
                       estimate_matrix, estimate_scalar, expander_walk_sampler,
                       left_product_bound, left_product_error, require_certified,

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -173,15 +174,30 @@ def _random_substochastic(rng, w: int) -> tuple:
     return tuple(rows)
 
 
-def cmd_ledger_check(args, emit):
+def _load_ledger(path: str):
+    """A bare ledger, one `ledger` record, or a records file holding exactly one."""
+    values, decoder, space = [], json.JSONDecoder(), re.compile(r"\s*")
     try:
-        with open(args.ledger) as fh:
-            payload = json.load(fh)
+        with open(path) as fh:
+            text = fh.read()
+        pos = space.match(text).end()
+        while pos < len(text):
+            value, pos = decoder.raw_decode(text, pos)
+            values.append(value)
+            pos = space.match(text, pos).end()
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read ledger {args.ledger}: {exc}") from None
-    if isinstance(payload, dict) and payload.get("record") == "ledger":
-        payload = payload["ledger"]
-    report = ledger_check(ledger_from_dict(payload), c=args.c)
+        raise InputError(f"cannot read ledger {path}: {exc}") from None
+    ledgers = [v["ledger"] for v in values if isinstance(v, dict) and v.get("record") == "ledger"]
+    if len(values) == 1 and not ledgers:
+        return values[0]
+    if len(ledgers) != 1:
+        raise InputError(f"{path} holds {len(ledgers)} ledger records among {len(values)} "
+                         "JSON values; need exactly one")
+    return ledgers[0]
+
+
+def cmd_ledger_check(args, emit):
+    report = ledger_check(ledger_from_dict(_load_ledger(args.ledger)), c=args.c)
 
     def exact(v):
         return _fmt(v) if type(v) is Fraction else v

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Dict, Iterable, Iterator, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .bits import all_bits
 from .errors import ContractError, InputError, check_capacity
@@ -97,22 +99,22 @@ def dump_pdist(pd: PseudoDist) -> str:
 # robust generators: bundles of signed strings behind a two-level seed
 
 
-Gen = Callable[[str, str, int], Tuple[str, int]]
+Bundle = Callable[[str, str], List[Tuple[str, int]]]
 
 
 @dataclass(frozen=True)
 class RobustPrpd:
-    """Generator (x, y, i) -> (string, sign); coefficients are sign * mu.
+    """Generator (x, y) -> bundle of mu (string, sign) pairs; coefficients are sign * mu.
 
-    x has s_out bits, y has s_in bits, i ranges over [0, mu). The per-seed
-    matrix is the plain sum of signed walk matrices over the bundle.
+    x has s_out bits, y has s_in bits. The per-seed matrix A(x, y) is the
+    plain sum of signed walk matrices over the bundle.
     """
 
     out_len: int
     s_out: int
     s_in: int
     mu: int
-    gen: Gen
+    bundle: Bundle
 
     def __post_init__(self):
         if self.mu < 1:
@@ -124,53 +126,39 @@ class RobustPrpd:
     def seed_len(self) -> int:
         return self.s_out + self.s_in
 
-    def bundle(self, x: str, y: str):
-        return [self.gen(x, y, i) for i in range(self.mu)]
-
 
 def uniform_prpd(out_len: int) -> RobustPrpd:
     """The exact baseline: inner seed is the output, weight 1, zero error."""
-
-    def gen(x: str, y: str, i: int):
-        return y, 1
-
-    return RobustPrpd(out_len=out_len, s_out=0, s_in=out_len, mu=1, gen=gen)
+    return RobustPrpd(out_len=out_len, s_out=0, s_in=out_len, mu=1,
+                      bundle=lambda x, y: [(y, 1)])
 
 
 def flatten(prpd: RobustPrpd) -> RobustPrpd:
     """Promote the inner seed into the outer seed; bundles stay bundled."""
     if prpd.s_in == 0:
         return prpd
-    cut = prpd.s_out
-    inner = prpd
-
-    def gen(x: str, y: str, i: int):
-        return inner.gen(x[:cut], x[cut:], i)
-
-    return RobustPrpd(out_len=prpd.out_len, s_out=prpd.seed_len, s_in=0, mu=prpd.mu, gen=gen)
-
-
-def pad_seeds(prpd: RobustPrpd, s_out: int, s_in: int) -> RobustPrpd:
-    """Declare longer seeds; only the original prefixes are read."""
-    if s_out < prpd.s_out or s_in < prpd.s_in:
-        raise InputError(
-            f"cannot shrink seeds: have ({prpd.s_out}, {prpd.s_in}), asked ({s_out}, {s_in})"
-        )
-    if s_out == prpd.s_out and s_in == prpd.s_in:
-        return prpd
-    inner = prpd
-    ox, oy = prpd.s_out, prpd.s_in
-
-    def gen(x: str, y: str, i: int):
-        return inner.gen(x[:ox], y[:oy], i)
-
-    return RobustPrpd(out_len=prpd.out_len, s_out=s_out, s_in=s_in, mu=prpd.mu, gen=gen)
+    cut, inner = prpd.s_out, prpd.bundle
+    return RobustPrpd(out_len=prpd.out_len, s_out=prpd.seed_len, s_in=0, mu=prpd.mu,
+                      bundle=lambda x, y: inner(x[:cut], x[cut:]))
 
 
 def seed_bundles(prpd: RobustPrpd, site: str) -> Iterator[Tuple[str, str, list]]:
-    """Every (x, y, bundle), x outer; the capacity of all (x, y, i) is checked at the call."""
+    """Every (x, y, bundle), x outer; the capacity of all (x, y, i) is checked at the call.
+
+    A bundle whose length is not mu raises ContractError.
+    """
     check_capacity((1 << prpd.seed_len) * prpd.mu, site)
-    return ((x, y, prpd.bundle(x, y)) for x in all_bits(prpd.s_out) for y in all_bits(prpd.s_in))
+    return _checked_bundles(prpd)
+
+
+def _checked_bundles(prpd: RobustPrpd) -> Iterator[Tuple[str, str, list]]:
+    for x in all_bits(prpd.s_out):
+        for y in all_bits(prpd.s_in):
+            bundle = prpd.bundle(x, y)
+            if len(bundle) != prpd.mu:
+                raise ContractError(f"bundle at x={x!r} y={y!r} has {len(bundle)} entries, "
+                                    f"mu is {prpd.mu}")
+            yield x, y, bundle
 
 
 def to_pseudodist(prpd: RobustPrpd) -> PseudoDist:
@@ -191,53 +179,30 @@ def dump_prpd(prpd: RobustPrpd) -> str:
 
 
 # ---------------------------------------------------------------------------
-# matrix forms on a fixed program segment
+# matrix forms on a fixed program segment: dicts from a seed to a w x w matrix
 
 
-@dataclass(frozen=True)
-class MatrixForm:
-    """Seed-indexed family of w x w matrices, stored as an exact table."""
-
-    w: int
-    s_out: int
-    s_in: int
-    table: Dict[Tuple[str, str], Mat]
-
-    def at(self, x: str, y: str = "") -> Mat:
-        return self.table[(x, y)]
-
-    def flat_at(self, z: str) -> Mat:
-        if self.s_in != 0:
-            raise ContractError("flat lookup on a non-flattened form; flatten first")
-        return self.table[(z, "")]
-
-    def average(self) -> Mat:
-        return mat_scale(Fraction(1, len(self.table)), reduce(mat_add, self.table.values()))
-
-    @classmethod
-    def from_flat(cls, table: Dict[str, Mat]) -> "MatrixForm":
-        some = next(iter(table.values()))
-        keys = next(iter(table.keys()))
-        return cls(w=len(some), s_out=len(keys), s_in=0,
-                   table={(z, ""): m for z, m in table.items()})
-
-
-def matrix_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> MatrixForm:
-    """A(x, y) = sum over the bundle of sign * walk matrix; exact table."""
+def robust_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
+    """x -> E_y A(x, y), A(x, y) the sum over the bundle of sign * walk matrix; exact."""
     if prpd.out_len != (b - a) * robp.d_step:
         raise InputError(
             f"generator emits {prpd.out_len} bits, segment consumes {(b - a) * robp.d_step}"
         )
-    table = {(x, y): signed_walk_sum(robp, a, bundle)
-             for x, y, bundle in seed_bundles(prpd, "matrix form enumeration")}
-    return MatrixForm(w=robp.w, s_out=prpd.s_out, s_in=prpd.s_in, table=table)
+    inv = Fraction(1, 1 << prpd.s_in)
+    per_x = groupby(seed_bundles(prpd, "matrix form enumeration"), key=itemgetter(0))
+    return {x: mat_scale(inv, signed_walk_sum(robp, a, (e for _, _, bundle in group
+                                                         for e in bundle)))
+            for x, group in per_x}
 
 
-def robust_form(mf: MatrixForm) -> Dict[str, Mat]:
-    """Average the inner seed out: x -> E_y[A(x, y)]."""
-    inv = Fraction(1, 1 << mf.s_in)
-    return {x: mat_scale(inv, reduce(mat_add, (mf.table[(x, y)] for y in all_bits(mf.s_in))))
-            for x in all_bits(mf.s_out)}
+def matrix_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
+    """x||y -> A(x, y): the robust form of the flattened generator, one matrix per seed."""
+    return robust_form(flatten(prpd), robp, a, b)
+
+
+def average(form: Dict[str, Mat]) -> Mat:
+    """The mean of a form's matrices over its seeds."""
+    return mat_scale(Fraction(1, len(form)), reduce(mat_add, form.values()))
 
 
 @dataclass(frozen=True)
@@ -247,14 +212,11 @@ class FormStats:
     weight: Fraction
 
 
-def form_stats(mf: MatrixForm) -> FormStats:
-    """Exact norm / robust norm / weight of the robust mapping x -> E_y A(x, y)."""
-    rf = robust_form(mf)
-    norms = [inf_norm(m) for m in rf.values()]
-    inv = Fraction(1, len(norms))
-    avg = mf.average()
+def form_stats(form: Dict[str, Mat]) -> FormStats:
+    """Exact norm / robust norm / weight of a form, e.g. x -> E_y A(x, y)."""
+    norms = [inf_norm(m) for m in form.values()]
     return FormStats(
-        norm=inf_norm(avg),
-        robust_norm=sum(norms) * inv,
+        norm=inf_norm(average(form)),
+        robust_norm=sum(norms) * Fraction(1, len(norms)),
         weight=max(norms),
     )

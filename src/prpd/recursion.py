@@ -11,7 +11,6 @@ weight actually used next to the inductive bounds they must stay under.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -20,14 +19,20 @@ from math import comb
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
                     get_args, get_origin, get_type_hints)
 
-from .bits import all_bits, suffix
+from .bits import suffix
 from .errors import ConstructionError, ContractError, InputError, ParseError
-from .pdist import RobustPrpd, flatten, matrix_form, pad_seeds, robust_form, uniform_prpd
+from .pdist import RobustPrpd, average, robust_form, uniform_prpd
 from .robp import Mat, Robp, exact_average, inf_norm, mat_add, mat_mul, mat_sub, zeros
 from .sampler import Sampler, certify, enumeration_sampler
 
 MODE_EXACT = "exact-enumeration"
 MODE_CERTIFIED = "certified-backend"
+
+# Largest accepted k and c. The exact cascade arithmetic of a ledger grows with k;
+# c enters the seed bounds through int products such as 4*c*k, converted to float,
+# which up to 2^64 stay finite for every ledger within Python's int digit limit.
+K_MAX = 4096
+C_MAX = 2 ** 64
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +109,8 @@ class CkBuild:
     len_a: Tuple[int, ...]
     len_b: Tuple[int, ...]
     slots: Tuple[SamplerSlot, ...]
-    a_entry: Callable = field(repr=False)     # (i, x, y, t) -> t-th (string, sign) of A_i
-    b_entry: Callable = field(repr=False)
+    a_bundle: Callable = field(repr=False)    # (i, x, y) -> the bundle of A_i read at (x, y)
+    b_bundle: Callable = field(repr=False)
 
 
 def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
@@ -119,6 +124,7 @@ def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
     ConstructionError naming the inequality. Passing samplers=None installs
     exact enumeration samplers (certified at (0, 0) analytically).
     """
+    a_children, b_children = tuple(a_children), tuple(b_children)
     k = len(a_children) - 1
     if k < 0 or len(b_children) != k + 1:
         raise InputError("need approximation families A_0..A_k and B_0..B_k")
@@ -168,8 +174,6 @@ def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
                 f"{g.cert.delta} > {delta_req}"
             )
 
-    flat_a = [flatten(a_children[i]) for i in range(split + 1)]
-    flat_b = [flatten(b_children[i]) for i in range(split + 1)]
     len_a = tuple(samplers[i].d if i <= split else a_children[i].s_in for i in range(k + 1))
     len_b = tuple(samplers[j].d if j <= split else b_children[j].s_in for j in range(k + 1))
     terms = merge_terms(k)
@@ -179,57 +183,43 @@ def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
     s_out_needs += [b_children[j].s_out for j in range(split + 1, k + 1)]
     s_out = max(s_out_needs) if s_out_needs else 0
 
-    mu_a = [c.mu for c in a_children]
-    mu_b = [c.mu for c in b_children]
-    blocks = [mu_a[i] * mu_b[j] for i, j, _ in terms]
-    starts = [0]
-    for width in blocks:
-        starts.append(starts[-1] + width)
-    mu_total = starts[-1]
+    mu_total = sum(a_children[i].mu * b_children[j].mu for i, j, _ in terms)
     mu_cap = comb(2 * m_bits - 1, k)
     if mu_total > mu_cap:
         raise ConstructionError(
             f"weight conclusion fails mu <= binom(2m-1, k): {mu_total} > {mu_cap}"
         )
 
-    sampler_tuple = tuple(samplers)
-    # pass-through children read prefixes of the longer merged seeds
-    a_kids = tuple(a_children[i] if i <= split else pad_seeds(a_children[i], s_out, s_in)
-                   for i in range(k + 1))
-    b_kids = tuple(b_children)
-
-    def a_entry(i: int, x: str, y: str, t: int):
+    def child_bundle(child: RobustPrpd, i: int, x: str, y_part: str):
+        # a sampled child reads the sampler's selection as its flat seed; a
+        # pass-through child reads a prefix of x and its own part of y
         if i <= split:
-            g = sampler_tuple[i]
-            z = g.sample(x[:g.n], y[:len_a[i]])
-            return flat_a[i].gen(z, "", t)
-        return a_kids[i].gen(x, y, t)
+            g = samplers[i]
+            z = g.sample(x[:g.n], y_part)
+            return child.bundle(z[:child.s_out], z[child.s_out:])
+        return child.bundle(x[:child.s_out], y_part)
 
-    def b_entry(j: int, x: str, y: str, t: int):
-        if j <= split:
-            g = sampler_tuple[j]
-            z = g.sample(x[:g.n], suffix(y, len_b[j]))
-            return flat_b[j].gen(z, "", t)
-        child = b_kids[j]
-        return child.gen(x[:child.s_out], suffix(y, child.s_in), t)
+    def a_bundle(i: int, x: str, y: str):
+        return child_bundle(a_children[i], i, x, y[:len_a[i]])
 
-    def gen(x: str, y: str, idx: int):
-        t = bisect_right(starts, idx) - 1
-        i, j, sign = terms[t]
-        ta, tb = divmod(idx - starts[t], mu_b[j])
-        sa, na = a_entry(i, x, y, ta)
-        sb, nb = b_entry(j, x, y, tb)
-        return sa + sb, sign * na * nb
+    def b_bundle(j: int, x: str, y: str):
+        return child_bundle(b_children[j], j, x, suffix(y, len_b[j]))
 
-    prpd = RobustPrpd(out_len=2 * m_bits, s_out=s_out, s_in=s_in, mu=mu_total, gen=gen)
+    def bundle(x: str, y: str):
+        a = [a_bundle(i, x, y) for i in range(k + 1)]
+        b = [b_bundle(j, x, y) for j in range(k + 1)]
+        return [(sa + sb, sign * na * nb) for i, j, sign in terms
+                for sa, na in a[i] for sb, nb in b[j]]
+
+    prpd = RobustPrpd(out_len=2 * m_bits, s_out=s_out, s_in=s_in, mu=mu_total, bundle=bundle)
     slots = tuple(
         SamplerSlot(i=i, out_bits=g.m, n=g.n, d=g.d,
                     eps_required=eps_req[i], delta_required=delta_req,
                     cert_method=g.cert.method, cert_eps=g.cert.eps, cert_delta=g.cert.delta)
-        for i, g in enumerate(sampler_tuple)
+        for i, g in enumerate(samplers)
     )
     return CkBuild(prpd=prpd, len_a=len_a, len_b=len_b, slots=slots,
-                   a_entry=a_entry, b_entry=b_entry)
+                   a_bundle=a_bundle, b_bundle=b_bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +304,7 @@ def derive_k(n_padded: int, gamma: Fraction, eps: Fraction) -> int:
     k = 0
     while cascade_bound(h, k, gamma) > eps:
         k += 1
-        if k > 4096:
+        if k > K_MAX:
             raise InputError("eps unreachable at these parameters")
     return k
 
@@ -365,15 +355,15 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
     """
     params = params or RecursionParams()
     n_pad = next_power_of_two(n)
-    if w < 1 or params.c < 1:
-        raise InputError(f"w and c must be at least 1, got w={w} c={params.c}")
+    if w < 1 or not 1 <= params.c <= C_MAX:
+        raise InputError(f"w must be at least 1 and c in [1, 2^64], got w={w} c={params.c}")
     gamma = Fraction(params.gamma) if params.gamma is not None else Fraction(1, n_pad ** 4)
     if not (0 < gamma < 1):
         raise InputError("gamma must lie strictly between 0 and 1")
     if params.k is not None:
         k_top = params.k
-        if k_top < 0:
-            raise InputError("k must be non-negative")
+        if not 0 <= k_top <= K_MAX:
+            raise InputError(f"k must lie in [0, {K_MAX}], got {k_top}")
     else:
         if eps is None:
             raise InputError("give either eps or params.k")
@@ -484,8 +474,8 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
     side computed through log2 gets _TOL.
     """
     cc = c if c is not None else ledger.c
-    if cc < 1:
-        raise InputError(f"c must be at least 1, got {cc}")
+    if not 1 <= cc <= C_MAX:
+        raise InputError(f"c must lie in [1, 2^64], got {cc}")
     n, w, gamma = ledger.n_padded, ledger.w, ledger.gamma
     plan = ledger_plan(n, ledger.k, w, gamma)
     recorded: Dict[Tuple[int, int], List[LedgerNode]] = {}
@@ -587,21 +577,16 @@ def measure_robust_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[i
     """E_x || E_y A(x, y) - exact average ||, by full enumeration."""
     if b is None:
         b = robp.n
-    mf = matrix_form(prpd, robp, a, b)
-    rf = robust_form(mf)
     target = exact_average(robp, a, b)
-    total = Fraction(0)
-    for x in all_bits(prpd.s_out):
-        total += inf_norm(mat_sub(rf[x], target))
-    return total / (1 << prpd.s_out)
+    total = sum(inf_norm(mat_sub(m, target)) for m in robust_form(prpd, robp, a, b).values())
+    return Fraction(total, 1 << prpd.s_out)
 
 
 def measure_average_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[int] = None) -> Fraction:
     """|| <A> - exact average ||, the plain (non-robust) approximation error."""
     if b is None:
         b = robp.n
-    mf = matrix_form(prpd, robp, a, b)
-    return inf_norm(mat_sub(mf.average(), exact_average(robp, a, b)))
+    return inf_norm(mat_sub(average(robust_form(prpd, robp, a, b)), exact_average(robp, a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +669,7 @@ def ledger_from_dict(data: dict) -> SeedLedger:
     except KeyError as exc:
         raise ParseError(f"ledger is missing key {exc}") from None
     if not (ledger.n >= 1 and ledger.n_padded == next_power_of_two(ledger.n) and ledger.w >= 1
-            and ledger.k >= 0 and 0 < ledger.gamma < 1 and ledger.c >= 1):
+            and 0 <= ledger.k <= K_MAX and 0 < ledger.gamma < 1 and 1 <= ledger.c <= C_MAX):
         raise ParseError(f"ledger header out of range: n={ledger.n} n_padded={ledger.n_padded} "
                          f"w={ledger.w} k={ledger.k} gamma={ledger.gamma} c={ledger.c}")
     for nd in ledger.nodes:

@@ -162,8 +162,7 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) ->
     check_capacity((1 << samp.d) * prpd.mu * w, "offline power estimate")
     cut = prpd.s_out
     seeds = (samp.sample(y, z) for z in all_bits(samp.d))
-    acc = signed_walk_sum(program, 0, (prpd.gen(r[:cut], r[cut:], i)
-                                       for r in seeds for i in range(prpd.mu)))
+    acc = signed_walk_sum(program, 0, (e for r in seeds for e in prpd.bundle(r[:cut], r[cut:])))
     # state w is the absorbing dummy; M^n1 lives on the real states only
     return mat_scale(Fraction(1, 1 << samp.d), tuple(row[:w] for row in acc[:w]))
 

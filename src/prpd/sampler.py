@@ -18,7 +18,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .bits import all_bits, bits_to_int, int_to_bits
 from .errors import ContractError, InputError, check_capacity
-from .pdist import FormStats, MatrixForm
+from .pdist import FormStats
 from .robp import Mat, inf_norm, mat_add, mat_mul, mat_scale
 
 METHOD_BRUTE = "brute-force"
@@ -179,16 +179,14 @@ def estimate_scalar(g: Sampler, f: Callable[[str], object], x: str):
     return total / (1 << g.d)
 
 
-def estimate_matrix(g: Sampler, flat: MatrixForm, x: str) -> Mat:
-    """E_s[A(g(x, s))] for a flattened form over {0,1}^m.
+def estimate_matrix(g: Sampler, flat: Dict[str, Mat], x: str) -> Mat:
+    """E_s[A(g(x, s))] for a form over {0,1}^m.
 
     For all but a w^2*delta fraction of x the result is within
     2*w*mu(A)*eps of the true average, in infinity norm.
     """
-    if flat.s_in != 0:
-        raise ContractError("estimate_matrix consumes flattened forms only; flatten first")
-    if flat.s_out != g.m:
-        raise InputError(f"form indexed by {flat.s_out} bits, sampler emits {g.m}")
+    if len(next(iter(flat))) != g.m:
+        raise InputError(f"form indexed by {len(next(iter(flat)))} bits, sampler emits {g.m}")
     if g.cert is None:
         raise ContractError("estimate_matrix needs a certified sampler")
     return sampled_average(flat, g, x)
@@ -200,9 +198,9 @@ def estimate_matrix(g: Sampler, flat: MatrixForm, x: str) -> Mat:
 # bounds below are the certified-parameter forms the construction relies on.
 
 
-def sampled_average(mapping: MatrixForm, g: Sampler, z: str) -> Mat:
+def sampled_average(mapping: Dict[str, Mat], g: Sampler, z: str) -> Mat:
     """E_over_seed[A(g(z, seed))] without certificate checks (analysis helper)."""
-    total = reduce(mat_add, (mapping.flat_at(g.sample(z, s)) for s in all_bits(g.d)))
+    total = reduce(mat_add, (mapping[g.sample(z, s)] for s in all_bits(g.d)))
     return mat_scale(Fraction(1, 1 << g.d), total)
 
 
@@ -231,7 +229,7 @@ def right_product_bound(stats_a: FormStats, stats_b: FormStats,
     return fail + good_a * stats_b.robust_norm
 
 
-def symmetric_product_error(map_a: MatrixForm, map_b: MatrixForm,
+def symmetric_product_error(map_a: Dict[str, Mat], map_b: Dict[str, Mat],
                             f: Sampler, g: Sampler) -> Fraction:
     """E_z || E_x[A(f(z,x))] * E_y[B(g(z,y))] ||, exact."""
     if f.n != g.n:
@@ -242,21 +240,21 @@ def symmetric_product_error(map_a: MatrixForm, map_b: MatrixForm,
     return total / (1 << f.n)
 
 
-def left_product_error(map_a: MatrixForm, map_b: MatrixForm, g: Sampler) -> Fraction:
+def left_product_error(map_a: Dict[str, Mat], map_b: Dict[str, Mat], g: Sampler) -> Fraction:
     """E_z || A(z) * E_y[B(g(z,y))] ||, exact; A is indexed by z directly."""
-    if map_a.s_out != g.n:
+    if len(next(iter(map_a))) != g.n:
         raise InputError("left mapping must be indexed by the sampler's outer input")
     total = Fraction(0)
     for z in all_bits(g.n):
-        total += inf_norm(mat_mul(map_a.flat_at(z), sampled_average(map_b, g, z)))
+        total += inf_norm(mat_mul(map_a[z], sampled_average(map_b, g, z)))
     return total / (1 << g.n)
 
 
-def right_product_error(map_a: MatrixForm, map_b: MatrixForm, f: Sampler) -> Fraction:
+def right_product_error(map_a: Dict[str, Mat], map_b: Dict[str, Mat], f: Sampler) -> Fraction:
     """E_z || E_x[A(f(z,x))] * B(z) ||, exact; B is indexed by z directly."""
-    if map_b.s_out != f.n:
+    if len(next(iter(map_b))) != f.n:
         raise InputError("right mapping must be indexed by the sampler's outer input")
     total = Fraction(0)
     for z in all_bits(f.n):
-        total += inf_norm(mat_mul(sampled_average(map_a, f, z), map_b.flat_at(z)))
+        total += inf_norm(mat_mul(sampled_average(map_a, f, z), map_b[z]))
     return total / (1 << f.n)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from prpd import MatrixForm, PseudoDist, RobustPrpd, Sampler, inf_norm
+from prpd import PseudoDist, RobustPrpd, Sampler, inf_norm
 from prpd.bits import all_bits, int_to_bits
 
 
@@ -64,8 +64,8 @@ def rand_pdist(rng: random.Random, out_len: int, size: int) -> PseudoDist:
     return PseudoDist(out_len, entries)
 
 
-def rand_flat_map(rng: random.Random, m_bits: int, w: int, lo=-1, hi=1) -> MatrixForm:
-    return MatrixForm.from_flat({z: rand_matrix(rng, w, lo, hi) for z in all_bits(m_bits)})
+def rand_flat_map(rng: random.Random, m_bits: int, w: int, lo=-1, hi=1) -> dict:
+    return {z: rand_matrix(rng, w, lo, hi) for z in all_bits(m_bits)}
 
 
 def rand_table_sampler(rng: random.Random, n: int, d: int, m: int) -> Sampler:
@@ -84,16 +84,15 @@ def rand_table_sampler(rng: random.Random, n: int, d: int, m: int) -> Sampler:
 def rand_prpd(rng: random.Random, out_len: int, s_out: int, s_in: int, mu: int) -> RobustPrpd:
     """Frozen random generator table with random strings and signs."""
     table = {
-        (x, y, i): (rand_bits(rng, out_len), rng.choice((1, -1)))
+        (x, y): [(rand_bits(rng, out_len), rng.choice((1, -1))) for _ in range(mu)]
         for x in all_bits(s_out)
         for y in all_bits(s_in)
-        for i in range(mu)
     }
 
-    def gen(x: str, y: str, i: int):
-        return table[(x, y, i)]
+    def bundle(x: str, y: str):
+        return table[(x, y)]
 
-    return RobustPrpd(out_len=out_len, s_out=s_out, s_in=s_in, mu=mu, gen=gen)
+    return RobustPrpd(out_len=out_len, s_out=s_out, s_in=s_in, mu=mu, bundle=bundle)
 
 
 def corrupted_uniform_prpd(out_len: int, s_in: int, corrupt_at: int = 0,
@@ -108,12 +107,10 @@ def corrupted_uniform_prpd(out_len: int, s_in: int, corrupt_at: int = 0,
     bad_y = int_to_bits(corrupt_at, s_in)
     repl = replacement if replacement is not None else "1" * out_len
 
-    def gen(x: str, y: str, i: int):
-        if y == bad_y:
-            return repl, 1
-        return y[:out_len], 1
+    def bundle(x: str, y: str):
+        return [(repl if y == bad_y else y[:out_len], 1)]
 
-    return RobustPrpd(out_len=out_len, s_out=0, s_in=s_in, mu=1, gen=gen)
+    return RobustPrpd(out_len=out_len, s_out=0, s_in=s_in, mu=1, bundle=bundle)
 
 
 def weighted_exact_prpd(out_len: int, mu: int) -> RobustPrpd:
@@ -121,10 +118,8 @@ def weighted_exact_prpd(out_len: int, mu: int) -> RobustPrpd:
     if mu % 2 != 1:
         raise ValueError("cancelling pairs need odd mu")
 
-    def gen(x: str, y: str, i: int):
+    def bundle(x: str, y: str):
         # entries 1..(mu-1) cancel in +/- pairs; entry 0 carries the value
-        if i == 0:
-            return y, 1
-        return y, 1 if i % 2 == 1 else -1
+        return [(y, 1)] + [(y, 1 if i % 2 == 1 else -1) for i in range(1, mu)]
 
-    return RobustPrpd(out_len=out_len, s_out=0, s_in=out_len, mu=mu, gen=gen)
+    return RobustPrpd(out_len=out_len, s_out=0, s_in=out_len, mu=mu, bundle=bundle)

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from prpd import (ConstructionError, SzSchedule, build_ck, certify, concat,
-                  dump_prpd, enumeration_sampler, estimate_matrix,
+                  average, dump_prpd, enumeration_sampler, estimate_matrix,
                   expander_walk_sampler, form_stats,
                   grid_bits, inf_norm, ledger_check, mat_add, mat_mul, mat_scale,
                   mat_sub, matrix_form, max_norm, measure_robust_error, random_robp,
@@ -159,7 +159,7 @@ def test_c04_matrix_sampler_deviation():
         for w in (1, 2, 3):
             flat = rand_flat_map(rng, g.m, w)
             stats = form_stats(flat)
-            truth = flat.average()
+            truth = average(flat)
             eps, delta = g.cert.eps, g.cert.delta
             threshold = 2 * w * stats.weight * eps
             bad = 0
@@ -218,8 +218,8 @@ def test_c06_one_level_construction():
             worst = max(worst, err)
         for x in all_bits(build.prpd.s_out):
             for y in all_bits(build.prpd.s_in):
-                for i in range(build.prpd.mu):
-                    assert build.prpd.gen(x, y, i)[1] in (1, -1)
+                for _, sign in build.prpd.bundle(x, y):
+                    assert sign in (1, -1)
         rows.append((m_bits, k, build.prpd.mu, worst))
     # infeasible grid points refuse, naming the violated inequality
     for m_bits, k in [(1, 1), (1, 2), (2, 2)]:

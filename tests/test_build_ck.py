@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from prpd import (ConstructionError, ContractError, build_ck, certify, dump_prpd,
+from prpd import (ConstructionError, ContractError, average, build_ck, certify, dump_prpd,
                   exact_average, expander_walk_sampler, inf_norm, mat_mul, mat_scale,
                   mat_sub, matrix_form, measure_robust_error, merge_terms, random_robp,
                   signed_walk_sum, uniform_prpd)
@@ -16,17 +16,11 @@ from helpers import corrupted_uniform_prpd, weighted_exact_prpd
 GAMMA = Fraction(1, 256)
 
 
-def bundle(entry, children, i, y):
-    """The weighted strings of child index i at outer seed '' and inner seed y."""
-    return [entry(i, "", y, t) for t in range(children[i].mu)]
-
-
 def test_k0_exact_children_collapse_to_product():
     children = [uniform_prpd(2)]
     build = build_ck(children, children, w=2, gamma=GAMMA)
     program = random_robp(4, 2, seed=1)
-    mf = matrix_form(build.prpd, program, 0, 4)
-    lhs = mf.average()
+    lhs = average(matrix_form(build.prpd, program, 0, 4))
     rhs = mat_mul(exact_average(program, 0, 2), exact_average(program, 2, 4))
     assert lhs == rhs
     assert build.prpd.mu == 1 == comb(3, 0)
@@ -83,8 +77,8 @@ def test_bundle_decomposes_into_terms():
         whole = signed_walk_sum(program, 0, build.prpd.bundle("", y))
         total = zeros(2)
         for i, j, sign in merge_terms(1):
-            a_mat = signed_walk_sum(program, 0, bundle(build.a_entry, [a0, a1], i, y))
-            b_mat = signed_walk_sum(program, 2, bundle(build.b_entry, [a0, a1], j, y))
+            a_mat = signed_walk_sum(program, 0, build.a_bundle(i, "", y))
+            b_mat = signed_walk_sum(program, 2, build.b_bundle(j, "", y))
             term = mat_scale(sign, mat_mul(a_mat, b_mat))
             total = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(total, term))
         assert whole == total
@@ -106,10 +100,8 @@ def test_termwise_decomposition_bounds():
     for i, j, _ in merge_terms(k):
         acc = zeros(2)
         for y in all_bits(s_in):
-            a_mat = mat_sub(signed_walk_sum(program, 0, bundle(build.a_entry, [a0, a1], i, y)),
-                            a_target)
-            b_mat = mat_sub(signed_walk_sum(program, 2, bundle(build.b_entry, [a0, a1], j, y)),
-                            b_target)
+            a_mat = mat_sub(signed_walk_sum(program, 0, build.a_bundle(i, "", y)), a_target)
+            b_mat = mat_sub(signed_walk_sum(program, 2, build.b_bundle(j, "", y)), b_target)
             prod = mat_mul(a_mat, b_mat)
             acc = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(acc, prod))
         term_err = inf_norm(mat_scale(inv, acc))
@@ -118,8 +110,7 @@ def test_termwise_decomposition_bounds():
     # last-term rule: || E_y[A_k - A] * B || <= 3 * gamma^(k+1) at delta = 0
     acc = zeros(2)
     for y in all_bits(s_in):
-        a_mat = mat_sub(signed_walk_sum(program, 0, bundle(build.a_entry, [a0, a1], k, y)),
-                        a_target)
+        a_mat = mat_sub(signed_walk_sum(program, 0, build.a_bundle(k, "", y)), a_target)
         acc = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(acc, a_mat))
     last = inf_norm(mat_mul(mat_scale(inv, acc), b_target))
     assert last <= 3 * gamma ** (k + 1)
@@ -131,8 +122,7 @@ def test_sign_structure_all_plus_minus_one():
     prpd = build.prpd
     for x in all_bits(prpd.s_out):
         for y in all_bits(prpd.s_in):
-            for i in range(prpd.mu):
-                _, sign = prpd.gen(x, y, i)
+            for _, sign in prpd.bundle(x, y):
                 assert sign in (1, -1)
 
 

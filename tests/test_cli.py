@@ -1,4 +1,7 @@
 import json
+import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -50,6 +53,9 @@ def test_ledger_check_roundtrip(tmp_path):
     records = read_records(check_out)
     assert records[-1]["record"] == "summary" and records[-1]["ok"]
     assert main(["ledger-check", "--ledger", str(ledger_path), "--c", "3"]) == 0
+    # the records file build-prpd wrote holds exactly one ledger record
+    assert main(["ledger-check", "--ledger", str(build_out), "--out", str(check_out)]) == 0
+    assert read_records(check_out) == records
 
 
 def test_verify_error_within_bound(tmp_path):
@@ -247,6 +253,14 @@ def _edited_ledger(edit):
     return json.dumps(data)
 
 
+def _records(*ledger_texts):
+    """A records file: a config line, then one ledger record per ledger."""
+    lines = [json.dumps({"record": "config", "command": "build-prpd"})]
+    lines += [json.dumps({"record": "ledger", "ledger": json.loads(t)}) for t in ledger_texts]
+    return "\n".join(lines) + "\n"
+
+
+HONEST_LEDGER = _edited_ledger(lambda data: None)
 BAD_FRACTION_LEDGER = json.dumps({"n": 4, "n_padded": 4, "w": 2, "gamma": "1/0", "k": 1,
                                   "c": 1, "sampler_mode": "exact-enumeration", "nodes": []})
 
@@ -278,11 +292,38 @@ BAD_INPUTS = {
     "ledger-header-c-zero": (["ledger-check", "--ledger", "ledger.json"],
                              _edited_ledger(lambda data: data.update(c=0))),
     "ledger-check-c-zero": (["ledger-check", "--ledger", "ledger.json", "--c", "0"],
-                            _edited_ledger(lambda data: None)),
+                            HONEST_LEDGER),
     "build-c-negative": (["build-prpd", "--n", "8", "--w", "2", "--k", "1", "--c", "-1"], None),
+    "build-c-huge": (["build-prpd", "--n", "8", "--w", "2", "--k", "1", "--c", str(10 ** 400)],
+                     None),
+    "build-k-huge": (["build-prpd", "--n", "8", "--w", "2", "--k", "4097"], None),
+    "ledger-check-c-huge": (["ledger-check", "--ledger", "ledger.json", "--c", str(10 ** 400)],
+                            HONEST_LEDGER),
+    "ledger-header-c-huge": (["ledger-check", "--ledger", "ledger.json"],
+                             _edited_ledger(lambda data: data.update(c=10 ** 400))),
+    "ledger-header-k-huge": (["ledger-check", "--ledger", "ledger.json"],
+                             _edited_ledger(lambda data: data.update(k=10 ** 6))),
+    "ledger-records-without-ledger": (["ledger-check", "--ledger", "ledger.json"], _records()),
+    "ledger-records-two-ledgers": (["ledger-check", "--ledger", "ledger.json"],
+                                   _records(HONEST_LEDGER, HONEST_LEDGER)),
     "certify-n-negative": (["certify-sampler", "--kind", "enumeration", "--m", "4", "--n", "-1",
                             "--eps", "0", "--delta", "0"], None),
 }
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run for `seconds`."""
+    def time_out(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, time_out)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -292,7 +333,47 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, case):
     if ledger_text is not None:
         (tmp_path / "ledger.json").write_text(ledger_text)
     try:
-        code = main(argv)
+        with deadline(10):
+            code = main(argv)
     except SystemExit as exc:    # argparse rejects bad flags before any command runs
         code = exc.code
     assert code == 2
+
+
+FUZZ_VALUES = {"0": 0, "-1": -1, "2": 2, "1e6": 10 ** 6, "1e400": 10 ** 400, "-1e400": -10 ** 400,
+               "0.5": 0.5, "true": True, "x": "x", "1/0": "1/0", "-1/2": "-1/2", "null": None,
+               "[]": [], "{}": {}}
+
+
+def _fuzz_fields():
+    """Every header field of the honest ledger, then a fixed sample of 100 node fields."""
+    data = json.loads(HONEST_LEDGER)
+
+    def walk(value, path):
+        yield path
+        items = (value.items() if isinstance(value, dict) else
+                 enumerate(value) if isinstance(value, list) else ())
+        for key, item in items:
+            yield from walk(item, path + (key,))
+
+    node_fields = list(walk(data["nodes"], ("nodes",)))[1:]
+    return [(key,) for key in data] + random.Random(0).sample(node_fields, 100)
+
+
+FUZZ_FIELDS = _fuzz_fields()
+
+
+@pytest.mark.parametrize("value", FUZZ_VALUES)
+def test_ledger_check_exit_contract_fuzz(tmp_path, value):
+    # one value replaced: the verdict is an exit code, in seconds, never a traceback
+    path, out = tmp_path / "ledger.json", tmp_path / "checks.jsonl"
+    for fields in FUZZ_FIELDS:
+        data = json.loads(HONEST_LEDGER)
+        target = data
+        for key in fields[:-1]:
+            target = target[key]
+        target[fields[-1]] = FUZZ_VALUES[value]
+        path.write_text(json.dumps(data))
+        with deadline(10):
+            code = main(["ledger-check", "--ledger", str(path), "--out", str(out)])
+        assert code in (0, 1, 2), fields

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from prpd import (InputError, MatrixForm, exact_average, flatten, form_stats,
-                  identity, inf_norm, mat_scale, matrix_form, pad_seeds,
+from prpd import (ContractError, InputError, RobustPrpd, average, dump_prpd, exact_average,
+                  flatten, form_stats, identity, inf_norm, mat_add, mat_scale, matrix_form,
                   random_robp, realize, robust_form, to_pseudodist, uniform_prpd,
                   walk_matrix)
 from prpd.bits import all_bits
@@ -17,8 +17,8 @@ def test_uniform_prpd_matrix_form_is_walk():
     program = random_robp(3, 2, seed=1)
     mf = matrix_form(uniform_prpd(3), program, 0, 3)
     for y in all_bits(3):
-        assert mf.at("", y) == walk_matrix(program, 0, 3, y)
-    assert mf.average() == exact_average(program, 0, 3)
+        assert mf[y] == walk_matrix(program, 0, 3, y)
+    assert average(mf) == exact_average(program, 0, 3)
 
 
 def test_matrix_form_weight_bound():
@@ -26,7 +26,7 @@ def test_matrix_form_weight_bound():
     program = random_robp(4, 3, seed=2)
     prpd = rand_prpd(rng, 4, 2, 1, 3)
     mf = matrix_form(prpd, program, 0, 4)
-    for m in mf.table.values():
+    for m in mf.values():
         assert inf_norm(m) <= prpd.mu
 
 
@@ -38,11 +38,10 @@ def test_matrix_form_matches_weighted_sum_oracle():
     for x in all_bits(1):
         for y in all_bits(2):
             total = zeros(2)
-            for i in range(prpd.mu):
-                s, sign = prpd.gen(x, y, i)
+            for s, sign in prpd.bundle(x, y):
                 m = mat_scale(sign, walk_matrix(program, 0, 3, s))
                 total = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(total, m))
-            assert mf.at(x, y) == total
+            assert mf[x + y] == total
 
 
 def test_matrix_form_length_mismatch():
@@ -56,22 +55,21 @@ def test_robust_form_trivial_cases():
     program = random_robp(2, 2, seed=4)
     flat = rand_prpd(rng, 2, 2, 0, 2)
     mf = matrix_form(flat, program, 0, 2)
-    rf = robust_form(mf)
+    rf = robust_form(flat, program, 0, 2)
     for x in all_bits(2):
-        assert rf[x] == mf.at(x, "")
+        assert rf[x] == mf[x]
 
 
 def test_robust_form_matches_enumeration():
     rng = random.Random(5)
     program = random_robp(3, 2, seed=5)
     prpd = rand_prpd(rng, 3, 1, 2, 1)
-    mf = matrix_form(prpd, program, 0, 3)
-    rf = robust_form(mf)
+    rf = robust_form(prpd, program, 0, 3)
     for x in all_bits(1):
         acc = zeros(2)
         for y in all_bits(2):
-            m = mf.at(x, y)
-            acc = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(acc, m))
+            for s, sign in prpd.bundle(x, y):
+                acc = mat_add(acc, mat_scale(sign, walk_matrix(program, 0, 3, s)))
         assert rf[x] == mat_scale(Fraction(1, 4), acc)
 
 
@@ -81,9 +79,7 @@ def test_flatten_preserves_average_and_weight():
     prpd = rand_prpd(rng, 3, 2, 2, 2)
     flat = flatten(prpd)
     assert flat.s_out == 4 and flat.s_in == 0 and flat.mu == prpd.mu
-    mf = matrix_form(prpd, program, 0, 3)
-    ff = matrix_form(flat, program, 0, 3)
-    assert ff.average() == mf.average()
+    assert average(robust_form(flat, program, 0, 3)) == average(robust_form(prpd, program, 0, 3))
     # bundles stay bundled: the flat seed x||y reproduces the original bundle
     for x in all_bits(2):
         for y in all_bits(2):
@@ -96,31 +92,16 @@ def test_flatten_identity_when_already_flat():
     assert flatten(prpd) is prpd
 
 
-def test_pad_seeds_behavior():
-    rng = random.Random(8)
-    program = random_robp(3, 2, seed=8)
-    prpd = rand_prpd(rng, 3, 1, 2, 2)
-    assert pad_seeds(prpd, 1, 2) is prpd
-    padded = pad_seeds(prpd, 2, 5)
-    assert (padded.s_out, padded.s_in, padded.mu) == (2, 5, 2)
-    rf = robust_form(matrix_form(prpd, program, 0, 3))
-    rf_pad = robust_form(matrix_form(padded, program, 0, 3))
-    for x in all_bits(2):
-        assert rf_pad[x] == rf[x[:1]]
-    with pytest.raises(InputError):
-        pad_seeds(prpd, 0, 2)
-
-
 def test_form_stats_constant_identity():
     table = {z: identity(2) for z in all_bits(2)}
-    stats = form_stats(MatrixForm.from_flat(table))
+    stats = form_stats(table)
     assert (stats.norm, stats.robust_norm, stats.weight) == (1, 1, 1)
 
 
 def test_form_stats_cancellation():
     plus = identity(2)
     minus = mat_scale(Fraction(-1), identity(2))
-    stats = form_stats(MatrixForm.from_flat({"0": plus, "1": minus}))
+    stats = form_stats({"0": plus, "1": minus})
     assert stats.norm == 0
     assert stats.robust_norm == 1
     assert stats.weight == 1
@@ -131,7 +112,7 @@ def test_form_stats_chain():
     program = random_robp(3, 3, seed=9)
     for _ in range(20):
         prpd = rand_prpd(rng, 3, rng.randint(0, 2), rng.randint(0, 2), rng.randint(1, 3))
-        stats = form_stats(matrix_form(prpd, program, 0, 3))
+        stats = form_stats(robust_form(prpd, program, 0, 3))
         assert stats.norm <= stats.robust_norm <= stats.weight
 
 
@@ -140,7 +121,7 @@ def test_robust_weight_never_exceeds_generator_weight():
     program = random_robp(3, 2, seed=10)
     for _ in range(10):
         prpd = rand_prpd(rng, 3, 1, 2, rng.randint(1, 3))
-        stats = form_stats(matrix_form(prpd, program, 0, 3))
+        stats = form_stats(robust_form(prpd, program, 0, 3))
         assert stats.weight <= prpd.mu
 
 
@@ -150,15 +131,18 @@ def test_to_pseudodist_realizes_average():
     prpd = rand_prpd(rng, 3, 1, 1, 2)
     pd = to_pseudodist(prpd)
     assert all(abs(c) == prpd.mu for _, c in pd.entries)
-    mf = matrix_form(prpd, program, 0, 3)
-    assert realize(pd, program, 0, 3) == mf.average()
+    assert realize(pd, program, 0, 3) == average(matrix_form(prpd, program, 0, 3))
 
 
-def test_flat_lookup_contract():
+def test_bundle_length_must_be_mu():
+    # a bundle of mu - 1 entries at one seed pair is refused wherever bundles are read
     rng = random.Random(12)
     program = random_robp(2, 2, seed=12)
-    prpd = rand_prpd(rng, 2, 1, 1, 1)
-    mf = matrix_form(prpd, program, 0, 2)
-    from prpd import ContractError
-    with pytest.raises(ContractError):
-        mf.flat_at("01")
+    good = rand_prpd(rng, 2, 1, 1, 2)
+    short = RobustPrpd(out_len=2, s_out=1, s_in=1, mu=2,
+                       bundle=lambda x, y: good.bundle(x, y)[:1 if x + y == "10" else 2])
+    for read in (dump_prpd, to_pseudodist, lambda p: robust_form(p, program, 0, 2),
+                 lambda p: matrix_form(p, program, 0, 2)):
+        read(good)
+        with pytest.raises(ContractError, match="has 1 entries, mu is 2"):
+            read(short)

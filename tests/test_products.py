@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from prpd import (certify, enumeration_sampler, expander_walk_sampler, form_stats,
+from prpd import (average, certify, enumeration_sampler, expander_walk_sampler, form_stats,
                   inf_norm, left_product_bound, left_product_error, mat_mul,
                   right_product_bound, right_product_error, symmetric_product_bound,
                   symmetric_product_error, tv_profile)
@@ -68,6 +68,6 @@ def test_symmetric_product_exact_samplers_collapse():
     f = enumeration_sampler(2, n=3)
     g = enumeration_sampler(2, n=3)
     lhs = symmetric_product_error(map_a, map_b, f, g)
-    assert lhs == inf_norm(mat_mul(map_a.average(), map_b.average()))
+    assert lhs == inf_norm(mat_mul(average(map_a), average(map_b)))
     rhs = symmetric_product_bound(form_stats(map_a), form_stats(map_b), f.cert, g.cert, w)
     assert lhs <= rhs

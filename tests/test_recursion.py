@@ -1,14 +1,16 @@
+import hashlib
+import math
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from prpd import (ConstructionError, InputError, MODE_CERTIFIED, RecursionParams,
-                  Robp, brute_certified_enumeration_factory, certify, exact_average, expander_walk_sampler, identity_robp,
-                  inf_norm, ledger_check, ledger_from_dict, ledger_to_dict, mat_sub,
-                  matrix_form, measure_robust_error, random_robp, recursive_prpd,
-                  robust_form)
-from prpd.recursion import derive_k, is_terminal, next_power_of_two
+                  Robp, brute_certified_enumeration_factory, certify, dump_prpd,
+                  exact_average, expander_walk_sampler, identity_robp, inf_norm,
+                  ledger_check, ledger_from_dict, ledger_to_dict, mat_sub,
+                  measure_robust_error, random_robp, recursive_prpd, robust_form)
+from prpd.recursion import C_MAX, K_MAX, derive_k, is_terminal, next_power_of_two
 
 
 def test_terminal_h0_is_uniform_bit():
@@ -25,8 +27,7 @@ def test_terminal_when_2k_covers_segment():
     assert ledger.top.kind == "terminal"
     assert prpd.s_out == 0 and prpd.s_in == 4
     program = random_robp(4, 2, seed=1)
-    mf = matrix_form(prpd, program, 0, 4)
-    rf = robust_form(mf)
+    rf = robust_form(prpd, program, 0, 4)
     assert rf[""] == exact_average(program, 0, 4)
 
 
@@ -150,6 +151,35 @@ def test_bad_params_rejected():
         recursive_prpd(8, 0, params=RecursionParams(k=1))
     with pytest.raises(InputError):
         recursive_prpd(8, 2, params=RecursionParams(k=1, c=0))
+    with pytest.raises(InputError):
+        recursive_prpd(8, 2, params=RecursionParams(k=1, c=C_MAX + 1))
+    with pytest.raises(InputError):
+        recursive_prpd(8, 2, params=RecursionParams(k=K_MAX + 1))
     _, ledger = recursive_prpd(8, 2, params=RecursionParams(k=1))
     with pytest.raises(InputError):
         ledger_check(ledger, c=0)
+    with pytest.raises(InputError):
+        ledger_check(ledger, c=C_MAX + 1)
+    # the largest c keeps every seed bound finite
+    _, ledger = recursive_prpd(8, 2, params=RecursionParams(k=2, c=C_MAX))
+    assert all(math.isfinite(chk.rhs) for chk in ledger_check(ledger).checks
+               if isinstance(chk.rhs, float))
+
+
+# sha256 of dump_prpd at fixed builds: a change to any bundle of the table shows here
+PINNED_DUMPS = {
+    (4, 2, 1, False): "4765cac7d66d9e9f2bd4a28f5876fc07a4357c07bda29a700ba23db7f75f50ac",
+    (8, 2, 1, False): "36fb327d4fe4a49b78b330b3f5176cdb8d204bd5c787bbe103fffe519adb1df9",
+    (8, 3, 2, False): "ea12a6850685bd7abc7d0b549e2c2caede3b4d1ab669c84a48e66a824e7d5533",
+    (8, 2, 0, False): "8bb554325bf66791656d4a3bf2d8f8461ceacdbec3f94de28c24e038fd49d272",
+    (4, 3, 2, False): "767c1d51062348e543231b08beff4142a204becb59ab471a3dc95d52018fdf20",
+    (4, 2, 1, True): "4765cac7d66d9e9f2bd4a28f5876fc07a4357c07bda29a700ba23db7f75f50ac",
+}
+
+
+@pytest.mark.parametrize("n,w,k,certified", PINNED_DUMPS)
+def test_dump_prpd_pinned(n, w, k, certified):
+    factory = brute_certified_enumeration_factory if certified else None
+    prpd, _ = recursive_prpd(n, w, params=RecursionParams(k=k, sampler_factory=factory))
+    digest = hashlib.sha256(dump_prpd(prpd).encode()).hexdigest()
+    assert digest == PINNED_DUMPS[(n, w, k, certified)]

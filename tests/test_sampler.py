@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from prpd import (Certificate, ContractError, InputError, MatrixForm, Sampler,
+from prpd import (Certificate, ContractError, InputError, Sampler, average,
                   certify, enumeration_sampler, estimate_matrix, estimate_scalar,
                   expander_walk_sampler, form_stats, inf_norm, mat_sub, tv_profile)
 from prpd.bits import all_bits
@@ -126,15 +126,15 @@ def test_estimate_matrix_enumeration_exact():
     rng = random.Random(5)
     flat = rand_flat_map(rng, 3, 2)
     g = enumeration_sampler(3, n=2)
-    truth = flat.average()
+    truth = average(flat)
     for x in all_bits(2):
         assert estimate_matrix(g, flat, x) == truth
 
 
 def test_estimate_matrix_constant_form_exact():
     rng = random.Random(6)
-    m = rand_flat_map(rng, 1, 2).flat_at("0")
-    flat = MatrixForm.from_flat({z: m for z in all_bits(3)})
+    m = rand_flat_map(rng, 1, 2)["0"]
+    flat = {z: m for z in all_bits(3)}
     g = expander_walk_sampler(5, 2, 3, seed=6)
     certify(g, Fraction(1), Fraction(1))
     for x in all_bits(5):
@@ -148,11 +148,6 @@ def test_estimate_matrix_contract_errors():
     with pytest.raises(ContractError):
         estimate_matrix(g, flat, "0000")  # uncertified
     certify(g, Fraction(1), Fraction(1))
-    from prpd import matrix_form, random_robp, uniform_prpd
-    program = random_robp(2, 2, seed=8)
-    two_level = matrix_form(uniform_prpd(2), program, 0, 2)
-    with pytest.raises(ContractError):
-        estimate_matrix(g, MatrixForm(w=2, s_out=1, s_in=1, table=two_level.table), "0000")
     with pytest.raises(InputError):
         estimate_matrix(g, rand_flat_map(rng, 2, 2), "0000")  # wrong output width
 
@@ -168,7 +163,7 @@ def test_matrix_estimate_deviation_bound():
     delta = profile.bad_fraction(eps)
     assert certify(g, eps, delta)[0]
     stats = form_stats(flat)
-    truth = flat.average()
+    truth = average(flat)
     threshold = 2 * w * stats.weight * eps
     bad = sum(1 for x in all_bits(6)
               if inf_norm(mat_sub(estimate_matrix(g, flat, x), truth)) > threshold)
