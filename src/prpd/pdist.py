@@ -10,16 +10,19 @@ the inner seed into the outer one without touching averages or weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .bits import all_bits
 from .errors import ContractError, InputError, check_capacity
 from .robp import Mat, Robp, inf_norm, mat_add, mat_scale, signed_walk_sum
+
+if TYPE_CHECKING:
+    from .recursion import MergeNode
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +110,9 @@ class RobustPrpd:
     """Generator (x, y) -> bundle of mu (string, sign) pairs; coefficients are sign * mu.
 
     x has s_out bits, y has s_in bits. The per-seed matrix A(x, y) is the
-    plain sum of signed walk matrices over the bundle.
+    plain sum of signed walk matrices over the bundle. A generator built by
+    merging children also carries its layout, which the bundle reads and
+    recursion.merge_tree_form evaluates through.
     """
 
     out_len: int
@@ -115,6 +120,7 @@ class RobustPrpd:
     s_in: int
     mu: int
     bundle: Bundle
+    merge: Optional[MergeNode] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mu < 1:

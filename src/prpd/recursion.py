@@ -11,19 +11,22 @@ weight actually used next to the inductive bounds they must stay under.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import repeat
 from math import comb
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
                     get_args, get_origin, get_type_hints)
 
-from .bits import suffix
-from .errors import ConstructionError, ContractError, InputError, ParseError
-from .pdist import RobustPrpd, average, robust_form, uniform_prpd
-from .robp import Mat, Robp, exact_average, inf_norm, mat_add, mat_mul, mat_sub, zeros
-from .sampler import Sampler, certify, enumeration_sampler
+from .bits import all_bits, suffix
+from .errors import (ConstructionError, ContractError, InputError, ParseError,
+                     check_capacity)
+from .pdist import RobustPrpd, average, robust_form, seed_bundles, uniform_prpd
+from .robp import (Mat, Robp, exact_average, inf_norm, mat_add, mat_mul, mat_scale, mat_sub,
+                   signed_walk_sum)
+from .sampler import Sampler, certify, enumeration_sampler, pass_seed, sampled_average
 
 MODE_EXACT = "exact-enumeration"
 MODE_CERTIFIED = "certified-backend"
@@ -44,6 +47,11 @@ def merge_terms(k: int) -> Tuple[Tuple[int, int, int], ...]:
     return tuple([(i, k - i, 1) for i in range(k + 1)] + [(i, k - 1 - i, -1) for i in range(k)])
 
 
+def _term_sum(terms, left: Sequence[Mat], right: Sequence[Mat]) -> Mat:
+    """sum sign * left[i] * right[j] over the merge terms (i, j, sign)."""
+    return reduce(mat_add, (mat_scale(sign, mat_mul(left[i], right[j])) for i, j, sign in terms))
+
+
 def telescoping_product(a: Mat, b: Mat, a_approx: Sequence[Mat], b_approx: Sequence[Mat], k: int) -> Mat:
     """sum_{i+j=k} A_i B_j - sum_{i+j=k-1} A_i B_j.
 
@@ -57,10 +65,7 @@ def telescoping_product(a: Mat, b: Mat, a_approx: Sequence[Mat], b_approx: Seque
     w = len(a)
     if len(b) != w or any(len(m) != w for m in list(a_approx[:k + 1]) + list(b_approx[:k + 1])):
         raise InputError("all matrices must share the same width")
-    total = zeros(w)
-    for i, j, sign in merge_terms(k):
-        total = (mat_add if sign > 0 else mat_sub)(total, mat_mul(a_approx[i], b_approx[j]))
-    return total
+    return _term_sum(merge_terms(k), a_approx, b_approx)
 
 
 def telescoping_error_bound(k: int, gamma) -> Fraction:
@@ -99,6 +104,37 @@ class SamplerSlot:
     cert_method: str
     cert_eps: Fraction
     cert_delta: Fraction
+
+
+@dataclass(frozen=True)
+class MergeNode:
+    """How a merged generator reads its children: the layout build_ck fixes.
+
+    Index i <= split of either side is sampled through samplers[i]; a higher
+    index passes a prefix of the outer seed through. A_i reads the prefix
+    y[:len_a[i]] of the inner seed and B_j the suffix of length len_b[j].
+    """
+
+    a_children: Tuple[RobustPrpd, ...]
+    b_children: Tuple[RobustPrpd, ...]
+    samplers: Tuple[Sampler, ...]
+    len_a: Tuple[int, ...]
+    len_b: Tuple[int, ...]
+    terms: Tuple[Tuple[int, int, int], ...]
+
+    def flat_seed(self, side: str, i: int, x: str, y: str) -> str:
+        """The flat seed child i of `side` ("A" or "B") reads at the node's seed (x, y)."""
+        y_part = y[:self.len_a[i]] if side == "A" else suffix(y, self.len_b[i])
+        if i < len(self.samplers):
+            g = self.samplers[i]
+            return g.sample(x[:g.n], y_part)
+        child = (self.a_children if side == "A" else self.b_children)[i]
+        return x[:child.s_out] + y_part
+
+
+def _bundle_at(child: RobustPrpd, z: str):
+    """The child's bundle at flat seed z."""
+    return child.bundle(z[:child.s_out], z[child.s_out:])
 
 
 @dataclass
@@ -190,20 +226,14 @@ def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
             f"weight conclusion fails mu <= binom(2m-1, k): {mu_total} > {mu_cap}"
         )
 
-    def child_bundle(child: RobustPrpd, i: int, x: str, y_part: str):
-        # a sampled child reads the sampler's selection as its flat seed; a
-        # pass-through child reads a prefix of x and its own part of y
-        if i <= split:
-            g = samplers[i]
-            z = g.sample(x[:g.n], y_part)
-            return child.bundle(z[:child.s_out], z[child.s_out:])
-        return child.bundle(x[:child.s_out], y_part)
+    node = MergeNode(a_children=a_children, b_children=b_children, samplers=tuple(samplers),
+                     len_a=len_a, len_b=len_b, terms=terms)
 
     def a_bundle(i: int, x: str, y: str):
-        return child_bundle(a_children[i], i, x, y[:len_a[i]])
+        return _bundle_at(a_children[i], node.flat_seed("A", i, x, y))
 
     def b_bundle(j: int, x: str, y: str):
-        return child_bundle(b_children[j], j, x, suffix(y, len_b[j]))
+        return _bundle_at(b_children[j], node.flat_seed("B", j, x, y))
 
     def bundle(x: str, y: str):
         a = [a_bundle(i, x, y) for i in range(k + 1)]
@@ -211,7 +241,8 @@ def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
         return [(sa + sb, sign * na * nb) for i, j, sign in terms
                 for sa, na in a[i] for sb, nb in b[j]]
 
-    prpd = RobustPrpd(out_len=2 * m_bits, s_out=s_out, s_in=s_in, mu=mu_total, bundle=bundle)
+    prpd = RobustPrpd(out_len=2 * m_bits, s_out=s_out, s_in=s_in, mu=mu_total, bundle=bundle,
+                      merge=node)
     slots = tuple(
         SamplerSlot(i=i, out_bits=g.m, n=g.n, d=g.d,
                     eps_required=eps_req[i], delta_required=delta_req,
@@ -327,12 +358,22 @@ class NodePlan:
 
 
 def ledger_plan(n_padded: int, k: int, w: int, gamma: Fraction) -> Dict[Tuple[int, int], NodePlan]:
-    """Every node (h, k) the recursion for (n_padded, k) builds, h ascending, then k."""
-    needed = [(n_padded.bit_length() - 1, k)]
-    for h in range(needed[0][0], 0, -1):
+    """Every node (h, k) the recursion for (n_padded, k) builds, h ascending, then k.
+
+    The plan's size, its node count times the digits of the top node's
+    error bound, is checked against the enumeration budget before it is
+    built; a plan holding an exact value past Python's int-to-str digit limit
+    raises InputError, since no record or ledger could render it.
+    """
+    top = n_padded.bit_length() - 1
+    needed, level = [], [k]
+    for h in range(top, -1, -1):
+        needed += [(h, kk) for kk in level]
         # a merge node (h, kk) needs (h-1, 0..kk), so level h-1 is 0..the largest such kk
-        last = max((kk for hh, kk in needed if hh == h and not is_terminal(h, kk)), default=-1)
-        needed += [(h - 1, i) for i in range(last + 1)]
+        level = range(max((kk for kk in level if not is_terminal(h, kk)), default=-1) + 1)
+    num, den = gamma.as_integer_ratio()
+    digits = (k + 1) * math.log10(max(11 ** top * num, den))
+    check_capacity(len(needed) * math.ceil(digits), "ledger plan (nodes x bound digits)")
     plan = {}
     for h, kk in sorted(needed):
         cap, bound = max(1, comb((1 << h) - 1, kk)), cascade_bound(h, kk, gamma)
@@ -342,7 +383,29 @@ def ledger_plan(n_padded: int, k: int, w: int, gamma: Fraction) -> Dict[Tuple[in
         merge_gamma = cascade_bound(h - 1, 0, gamma)
         eps_req, delta_req, binding = ck_requirements(1 << (h - 1), w, kk, merge_gamma)
         plan[(h, kk)] = NodePlan("merge", cap, bound, merge_gamma, eps_req, delta_req, binding)
+    # a requirement's denominator adds at most w^2 * binom(2^top, k/2) to the top bound's;
+    # a weight cap binom(2^h - 1, k) has at most the digits of 2^(top*k)
+    log2 = math.log10(2)
+    _check_renders(plan, max(digits + 2 * math.log10(w) + (k + 1) // 2 * top * log2,
+                             k * top * log2))
     return plan
+
+
+def _check_renders(plan: Dict[Tuple[int, int], NodePlan], most_digits: float) -> None:
+    """InputError if a plan value has more digits than str(int) renders.
+
+    most_digits bounds the digits of every value, so the values themselves
+    are compared only when it comes near the limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or most_digits + 2 < limit:         # 0: no limit
+        return
+    too_long = 10 ** limit
+    for (h, k), p in plan.items():
+        for value in (p.mu_cap, p.error_bound, p.merge_gamma, p.delta_required, *p.eps_required):
+            if value is not None and max(value.as_integer_ratio()) >= too_long:
+                raise InputError(f"node ({h},{k}) holds an exact value of more than {limit} "
+                                 "digits, past the int-to-str limit of this Python")
 
 
 def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] = None
@@ -573,12 +636,133 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
 # exact error measurement
 
 
+FORM, TABLE = "form", "table"
+
+
+def _passes_seeds(g: Sampler) -> bool:
+    """Whether g's samples are every flat seed once: told by its function, not its certificate."""
+    return g.sample is pass_seed and g.d == g.m
+
+
+def _child_need(node: MergeNode, i: int, want: str) -> str:
+    """What the node's form (or per-seed table) needs of its children at index i.
+
+    A table reads every child at single flat seeds. A form averages: a
+    pass-through child over its own inner seed (its form), a sampled child
+    over the sampler's selection (its table, or its form when every flat
+    seed is selected once).
+    """
+    if want == TABLE or (i < len(node.samplers) and not _passes_seeds(node.samplers[i])):
+        return TABLE
+    return FORM
+
+
+class _MergeTree:
+    """Forms and per-seed tables of one generator tree on one program.
+
+    A form maps an outer seed x to E_y A(x, y); a per-seed table maps a flat
+    seed to the int matrix A(x, y). Both are memoised per (node, segment
+    start) for one evaluation only.
+    """
+
+    def __init__(self, robp: Robp):
+        self.robp = robp
+        self.memo: Dict[Tuple[str, int, int], Dict[str, Mat]] = {}
+
+    def layout(self, prpd: RobustPrpd, a: int) -> Tuple[Optional[MergeNode], int]:
+        """The node's layout and the start of its B half; None for a node read from its bundles."""
+        node = prpd.merge
+        if node is None or node.a_children[0].out_len % self.robp.d_step:
+            return None, a
+        for i, j, _ in node.terms:
+            if node.len_a[i] + node.len_b[j] > prpd.s_in:
+                raise ContractError(f"merge term ({i}, {j}) reads {node.len_a[i]} + "
+                                    f"{node.len_b[j]} inner seed bits, the node has {prpd.s_in}")
+        return node, a + node.a_children[0].out_len // self.robp.d_step
+
+    def cost(self, prpd: RobustPrpd, a: int, want: str, seen: set) -> int:
+        """Matrix products, sampled reads and leaf strings the evaluation makes, memo hits free."""
+        if (want, id(prpd), a) in seen:
+            return 0
+        seen.add((want, id(prpd), a))
+        node, mid = self.layout(prpd, a)
+        if node is None:
+            return (1 << prpd.seed_len) * prpd.mu
+        total = (1 << (prpd.s_out if want == FORM else prpd.seed_len)) * len(node.terms)
+        for i in range(len(node.len_a)):
+            need = _child_need(node, i, want)
+            for child, start in ((node.a_children[i], a), (node.b_children[i], mid)):
+                total += self.cost(child, start, need, seen)
+                if want == FORM and i < len(node.samplers):
+                    g = node.samplers[i]
+                    total += 1 << (child.s_out if need == FORM else g.n + g.d)
+        return total
+
+    def get(self, prpd: RobustPrpd, a: int, want: str) -> Dict[str, Mat]:
+        key = (want, id(prpd), a)
+        if key not in self.memo:
+            self.memo[key] = (self.form if want == FORM else self.table)(prpd, a)
+        return self.memo[key]
+
+    def form(self, prpd: RobustPrpd, a: int) -> Dict[str, Mat]:
+        node, mid = self.layout(prpd, a)
+        if node is None:
+            return robust_form(prpd, self.robp, a, a + prpd.out_len // self.robp.d_step)
+        a_means = [self.mean(node, i, node.a_children[i], a) for i in range(len(node.len_a))]
+        b_means = [self.mean(node, j, node.b_children[j], mid) for j in range(len(node.len_b))]
+        return {x: _term_sum(node.terms, [f(x) for f in a_means], [f(x) for f in b_means])
+                for x in all_bits(prpd.s_out)}
+
+    def mean(self, node: MergeNode, i: int, child: RobustPrpd, start: int) -> Callable[[str], Mat]:
+        """x -> E[child i | x]: the mean of its matrix over the part of y it reads."""
+        need = _child_need(node, i, FORM)
+        values = self.get(child, start, need)
+        if i >= len(node.samplers):
+            return lambda x: values[x[:child.s_out]]
+        if need == FORM:
+            mean = average(values)
+            return lambda x: mean
+        g = node.samplers[i]
+        per_input = cache(partial(sampled_average, values, g))
+        return lambda x: per_input(x[:g.n])
+
+    def table(self, prpd: RobustPrpd, a: int) -> Dict[str, Mat]:
+        node, mid = self.layout(prpd, a)
+        if node is None:
+            return {x + y: signed_walk_sum(self.robp, a, bundle)
+                    for x, y, bundle in seed_bundles(prpd, "per-seed table")}
+        a_tables = [self.get(child, a, TABLE) for child in node.a_children]
+        b_tables = [self.get(child, mid, TABLE) for child in node.b_children]
+        return {x + y: _term_sum(node.terms,
+                                 [t[node.flat_seed("A", i, x, y)] for i, t in enumerate(a_tables)],
+                                 [t[node.flat_seed("B", j, x, y)] for j, t in enumerate(b_tables)])
+                for x in all_bits(prpd.s_out) for y in all_bits(prpd.s_in)}
+
+
+def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
+    """robust_form(prpd, robp, a, b), evaluated node by node through build_ck's layout.
+
+    A merge term reads A_i from a prefix of y and B_j from a disjoint suffix,
+    so E_y A(x, y) = sum sign * E[A_i | x] * E[B_j | x] exactly. A term that
+    reads more inner seed bits than the node has raises ContractError. The
+    evaluation's matrix products, sampled reads and leaf strings are counted
+    against the enumeration budget before any is made.
+    """
+    if prpd.out_len != (b - a) * robp.d_step:
+        raise InputError(
+            f"generator emits {prpd.out_len} bits, segment consumes {(b - a) * robp.d_step}"
+        )
+    tree = _MergeTree(robp)
+    check_capacity(tree.cost(prpd, a, FORM, set()), "merge tree evaluation")
+    return tree.get(prpd, a, FORM)
+
+
 def measure_robust_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[int] = None) -> Fraction:
-    """E_x || E_y A(x, y) - exact average ||, by full enumeration."""
+    """E_x || E_y A(x, y) - exact average ||, exactly, through the merge tree."""
     if b is None:
         b = robp.n
     target = exact_average(robp, a, b)
-    total = sum(inf_norm(mat_sub(m, target)) for m in robust_form(prpd, robp, a, b).values())
+    total = sum(inf_norm(mat_sub(m, target)) for m in merge_tree_form(prpd, robp, a, b).values())
     return Fraction(total, 1 << prpd.s_out)
 
 
@@ -586,7 +770,7 @@ def measure_average_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[
     """|| <A> - exact average ||, the plain (non-robust) approximation error."""
     if b is None:
         b = robp.n
-    return inf_norm(mat_sub(average(robust_form(prpd, robp, a, b)), exact_average(robp, a, b)))
+    return inf_norm(mat_sub(average(merge_tree_form(prpd, robp, a, b)), exact_average(robp, a, b)))
 
 
 # ---------------------------------------------------------------------------

@@ -66,17 +66,18 @@ class TvProfile:
         return Fraction(self.bad_count(eps), len(self.per_x))
 
 
+def pass_seed(x: str, s: str) -> str:
+    """g(x, s) = s: with d = m every seed is selected once, whatever x is."""
+    return s
+
+
 def enumeration_sampler(m: int, n: int = 0) -> Sampler:
     """d = m and g(x, s) = s: exact for every x, a (0, 0)-sampler."""
     if n < 0 or m < 0:
         raise InputError("enumeration_sampler needs n, m >= 0")
-
-    def sample(x: str, s: str) -> str:
-        return s
-
     cert = Certificate(eps=Fraction(0), delta=Fraction(0), method=METHOD_ANALYTIC,
                        max_tv=Fraction(0), bad_x_count=0)
-    return Sampler(n=n, d=m, m=m, sample=sample, cert=cert)
+    return Sampler(n=n, d=m, m=m, sample=pass_seed, cert=cert)
 
 
 def expander_walk_sampler(n: int, d: int, m: int, seed: int = 0) -> Sampler:
@@ -91,9 +92,7 @@ def expander_walk_sampler(n: int, d: int, m: int, seed: int = 0) -> Sampler:
     salt = (seed * 0x9E3779B1 + 0x85EBCA77) % size
 
     if d == m:
-        def sample(x: str, s: str) -> str:
-            return s
-        return Sampler(n=n, d=d, m=m, sample=sample, cert=None)
+        return Sampler(n=n, d=d, m=m, sample=pass_seed, cert=None)
 
     def fold(x: str) -> int:
         v = salt
@@ -199,7 +198,7 @@ def estimate_matrix(g: Sampler, flat: Dict[str, Mat], x: str) -> Mat:
 
 
 def sampled_average(mapping: Dict[str, Mat], g: Sampler, z: str) -> Mat:
-    """E_over_seed[A(g(z, seed))] without certificate checks (analysis helper)."""
+    """E_over_seed[A(g(z, seed))] without certificate checks."""
     total = reduce(mat_add, (mapping[g.sample(z, s)] for s in all_bits(g.d)))
     return mat_scale(Fraction(1, 1 << g.d), total)
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
-from prpd import PseudoDist, RobustPrpd, Sampler, inf_norm
+from prpd import Certificate, PseudoDist, RobustPrpd, Sampler, build_ck, inf_norm
 from prpd.bits import all_bits, int_to_bits
 
 
@@ -123,3 +124,59 @@ def weighted_exact_prpd(out_len: int, mu: int) -> RobustPrpd:
         return [(y, 1)] + [(y, 1 if i % 2 == 1 else -1) for i in range(1, mu)]
 
     return RobustPrpd(out_len=out_len, s_out=0, s_in=out_len, mu=mu, bundle=bundle)
+
+
+def assumed_sampler(g: Sampler) -> Sampler:
+    """g with an assumed (0, 0) certificate, so build_ck installs it.
+
+    For tests that judge how a generator is evaluated, not how accurate its
+    samplers are.
+    """
+    g.cert = Certificate(eps=Fraction(0), delta=Fraction(0), method="assumed")
+    return g
+
+
+def rand_child(rng: random.Random, m_bits: int, i: int, s_out: int, s_in: int) -> RobustPrpd:
+    """A random index-i child: a random table within weight binom(m-1, i), or, when its
+    seed allows, a corrupted uniform generator."""
+    if s_out == 0 and s_in >= m_bits and rng.random() < 0.4:
+        return corrupted_uniform_prpd(m_bits, s_in, rng.randrange(1 << s_in),
+                                      rand_bits(rng, m_bits))
+    return rand_prpd(rng, m_bits, s_out, s_in, rng.randint(1, comb(m_bits - 1, i)))
+
+
+def rand_merge(rng: random.Random, a_children, b_children, n_max: int) -> RobustPrpd:
+    """build_ck over the children with random-table samplers: outer input up to n_max
+    bits, seed up to 2 bits."""
+    k = len(a_children) - 1
+    samplers = [assumed_sampler(rand_table_sampler(rng, rng.randint(0, n_max),
+                                                   rng.randint(0, 2), a_children[i].seed_len))
+                for i in range((k + 1) // 2 + 1)]
+    return build_ck(a_children, b_children, w=2, gamma=Fraction(1, 2), samplers=samplers).prpd
+
+
+def rand_depth1_tree(rng: random.Random, m_bits: int, k: int, n_max: int = 2) -> RobustPrpd:
+    """One merge of independent random children: a sampled index gets equal flat seed
+    lengths on both sides, a pass-through index children with s_out > 0."""
+    a_children, b_children = [], []
+    for i in range(k + 1):
+        if i <= (k + 1) // 2:
+            seed = rng.randint(0, 3)
+            s_out_a, s_out_b = rng.randint(0, min(seed, 1)), rng.randint(0, min(seed, 1))
+            a_children.append(rand_child(rng, m_bits, i, s_out_a, seed - s_out_a))
+            b_children.append(rand_child(rng, m_bits, i, s_out_b, seed - s_out_b))
+        else:
+            a_children.append(rand_child(rng, m_bits, i, rng.randint(1, 2), rng.randint(0, 2)))
+            b_children.append(rand_child(rng, m_bits, i, rng.randint(1, 2), rng.randint(0, 2)))
+    return rand_merge(rng, a_children, b_children, n_max)
+
+
+def rand_depth2_tree(rng: random.Random, m_bits: int, k: int, n_max: int = 2) -> RobustPrpd:
+    """A merge of depth-1 merges: child i is a depth-1 tree with k = i, shared by both
+    sides at a sampled index as in the recursion, and drawn twice at a pass-through one."""
+    a_children, b_children = [], []
+    for i in range(k + 1):
+        child = rand_depth1_tree(rng, m_bits, i, n_max)
+        a_children.append(child)
+        b_children.append(child if i <= (k + 1) // 2 else rand_depth1_tree(rng, m_bits, i, n_max))
+    return rand_merge(rng, a_children, b_children, n_max)

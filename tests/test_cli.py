@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import signal
@@ -112,9 +113,35 @@ def test_build_prpd_certified_mode(tmp_path):
 
 
 def test_cli_reports_capacity_error(capsys):
-    code = main(["verify-error", "--n", "64", "--w", "2", "--k", "0", "--robps", "1"])
+    # node (5, 16) is the 32-bit uniform terminal, a pass-through child of the top
+    code = main(["verify-error", "--n", "64", "--w", "2", "--k", "16", "--robps", "1"])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: merge tree evaluation needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--n", "16", "--w", "2", "--k", "3"],
+                                  ["--n", "64", "--w", "2", "--k", "0"]])
+def test_verify_error_reaches_past_flat_enumeration(tmp_path, argv):
+    # flat enumeration of every (x, y, i) refuses both; the merge tree measures them
+    out = tmp_path / "verify.jsonl"
+    assert main(["verify-error", *argv, "--robps", "2", "--out", str(out)]) == 0
+    assert [r["measured"] for r in read_records(out) if r["record"] == "instance"] == ["0/1"] * 2
+
+
+# sha256 of verify-error --out files: measuring through the merge tree writes the same records
+VERIFY_OUT_SHA256 = {
+    ("8", "3", "2", "5"): "c632ac181e1cf19207fc9fecb4eefd9a4c0ea4cd3e2e16f9c6c81bdc8efffb2d",
+    ("8", "2", "1", "20"): "6044b7044b077153f8c036d0eb024b9b3020d74a3e0476e2df48821014c70c97",
+}
+
+
+@pytest.mark.parametrize("n,w,k,robps", VERIFY_OUT_SHA256)
+def test_verify_error_out_pinned(tmp_path, n, w, k, robps):
+    out = tmp_path / "verify.jsonl"
+    assert main(["verify-error", "--n", n, "--w", w, "--k", k, "--robps", robps,
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == VERIFY_OUT_SHA256[(n, w, k, robps)]
 
 
 def test_ledger_check_rejects_cert_delta_just_over_requirement(tmp_path):
@@ -297,12 +324,18 @@ BAD_INPUTS = {
     "build-c-huge": (["build-prpd", "--n", "8", "--w", "2", "--k", "1", "--c", str(10 ** 400)],
                      None),
     "build-k-huge": (["build-prpd", "--n", "8", "--w", "2", "--k", "4097"], None),
+    # the top bound (11^3/4096)^1201 has more digits than str(int) renders
+    "build-k-past-digit-limit": (["build-prpd", "--n", "8", "--w", "2", "--k", "1200"], None),
     "ledger-check-c-huge": (["ledger-check", "--ledger", "ledger.json", "--c", str(10 ** 400)],
                             HONEST_LEDGER),
     "ledger-header-c-huge": (["ledger-check", "--ledger", "ledger.json"],
                              _edited_ledger(lambda data: data.update(c=10 ** 400))),
     "ledger-header-k-huge": (["ledger-check", "--ledger", "ledger.json"],
                              _edited_ledger(lambda data: data.update(k=10 ** 6))),
+    # three consistent edits: a plan of 2^20 steps at k = 4096
+    "ledger-header-plan-huge": (["ledger-check", "--ledger", "ledger.json"],
+                                _edited_ledger(lambda data: data.update(
+                                    n=1 << 20, n_padded=1 << 20, k=4096))),
     "ledger-records-without-ledger": (["ledger-check", "--ledger", "ledger.json"], _records()),
     "ledger-records-two-ledgers": (["ledger-check", "--ledger", "ledger.json"],
                                    _records(HONEST_LEDGER, HONEST_LEDGER)),

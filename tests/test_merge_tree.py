@@ -1,0 +1,137 @@
+"""The merge-tree evaluator against the flat enumeration it replaces.
+
+merge_tree_form must equal robust_form as a dict of exact Fractions on every
+generator: random one- and two-level build_ck trees with random-table
+samplers, random signed and lossy children, and the pinned recursive builds.
+"""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prpd import (CapacityError, ContractError, RecursionParams, RobustPrpd, Sampler,
+                  brute_certified_enumeration_factory, build_ck, enumeration_sampler,
+                  measure_average_error, measure_robust_error, random_robp, recursive_prpd,
+                  robust_form)
+from prpd.recursion import merge_tree_form
+
+from helpers import assumed_sampler, corrupted_uniform_prpd, rand_depth1_tree, rand_depth2_tree
+from test_recursion import PINNED_DUMPS
+
+
+def rand_program(data, out_len, seed):
+    # with two bits a step, a half of odd length splits a label: that node is read flat
+    d_step = data.draw(st.sampled_from([1, 2]))
+    return random_robp(out_len // d_step, data.draw(st.integers(1, 3)), d_step=d_step, seed=seed)
+
+
+def assert_same_forms(prpd, program):
+    assert merge_tree_form(prpd, program, 0, program.n) == robust_form(prpd, program, 0, program.n)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_depth1_trees_match_flat(data):
+    seed = data.draw(st.integers(0, 10 ** 6))
+    rng = random.Random(seed)
+    m_bits = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(0, m_bits - 1))
+    prpd = rand_depth1_tree(rng, m_bits, k)
+    assert_same_forms(prpd, rand_program(data, prpd.out_len, seed))
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_depth2_trees_match_flat(data):
+    seed = data.draw(st.integers(0, 10 ** 6))
+    rng = random.Random(seed)
+    m_bits = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(0, m_bits - 1))
+    prpd = rand_depth2_tree(rng, m_bits, k)
+    assert_same_forms(prpd, rand_program(data, prpd.out_len, seed))
+
+
+def test_random_trees_have_outer_seeds_and_error():
+    # the differential above is not vacuous: the trees read outer seeds and miss the target
+    rng = random.Random(5)
+    trees = [rand_depth2_tree(rng, 2, 1) for _ in range(4)]
+    assert all(t.s_out > 0 for t in trees)
+    assert any(measure_robust_error(t, random_robp(t.out_len, 2, seed=1)) > 0 for t in trees)
+
+
+@pytest.mark.parametrize("n,w,k,certified", PINNED_DUMPS)
+def test_pinned_builds_match_flat(n, w, k, certified):
+    factory = brute_certified_enumeration_factory if certified else None
+    prpd, _ = recursive_prpd(n, w, params=RecursionParams(k=k, sampler_factory=factory))
+    for seed in range(3):
+        assert_same_forms(prpd, random_robp(n, w, seed=seed))
+
+
+def test_identity_shortcut_matches_table_path():
+    # the same tree twice: enumeration samplers are averaged through the child's form,
+    # the same selection behind another function through the child's per-seed table
+    rng = random.Random(3)
+    children = [rand_depth1_tree(rng, 2, i, n_max=1) for i in range(2)]
+    enumerated = [enumeration_sampler(c.seed_len) for c in children]
+    wrapped = [assumed_sampler(Sampler(n=g.n, d=g.d, m=g.m,
+                                       sample=lambda x, s, g=g: g.sample(x, s)))
+               for g in enumerated]
+    trees = [build_ck(children, children, w=2, gamma=Fraction(1, 2), samplers=samplers).prpd
+             for samplers in (enumerated, wrapped)]
+    for seed in range(3):
+        program = random_robp(trees[0].out_len, 2, seed=seed)
+        forms = [merge_tree_form(t, program, 0, program.n) for t in trees]
+        assert forms[0] == forms[1] == robust_form(trees[0], program, 0, program.n)
+
+
+def test_errors_measured_through_tree_equal_flat():
+    rng = random.Random(8)
+    prpd = rand_depth1_tree(rng, 2, 1)
+    flat = replace(prpd, merge=None)        # evaluated from its bundles alone
+    for seed in range(3):
+        program = random_robp(prpd.out_len, 2, seed=seed)
+        assert measure_robust_error(prpd, program) == measure_robust_error(flat, program)
+        assert measure_average_error(prpd, program) == measure_average_error(flat, program)
+
+
+def test_lossy_children_measured_through_tree():
+    lossy = [corrupted_uniform_prpd(2, 3, 5), corrupted_uniform_prpd(2, 3, 2, "10")]
+    prpd = build_ck(lossy, lossy, w=2, gamma=Fraction(1, 2)).prpd
+    errors = []
+    for seed in range(3):
+        program = random_robp(4, 2, seed=seed)
+        assert_same_forms(prpd, program)
+        errors.append(measure_robust_error(prpd, program))
+    assert max(errors) > 0
+
+
+def test_overlapping_layout_refused():
+    leaves = [corrupted_uniform_prpd(2, 2), corrupted_uniform_prpd(2, 2)]
+    prpd = build_ck(leaves, leaves, w=2, gamma=Fraction(1, 2)).prpd
+    short = replace(prpd, s_in=prpd.s_in - 1)
+    with pytest.raises(ContractError, match="inner seed bits"):
+        merge_tree_form(short, random_robp(prpd.out_len, 2), 0, prpd.out_len)
+
+
+def test_capacity_counted_before_evaluation(monkeypatch):
+    calls = []
+
+    def bundle(x, y):
+        calls.append(y)
+        return [(y, 1)]
+
+    leaf = RobustPrpd(out_len=2, s_out=0, s_in=2, mu=1, bundle=bundle)
+    g = assumed_sampler(Sampler(n=0, d=2, m=2, sample=lambda x, s: s))
+    prpd = build_ck([leaf], [leaf], w=2, gamma=Fraction(1, 2), samplers=[g]).prpd
+    program = random_robp(4, 2, seed=0)
+    # one product at the top; per side a 4-string leaf table and 4 sampled reads
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "16")
+    with pytest.raises(CapacityError, match="merge tree evaluation needs 17"):
+        merge_tree_form(prpd, program, 0, 4)
+    assert calls == []
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "17")
+    assert merge_tree_form(prpd, program, 0, 4) == robust_form(prpd, program, 0, 4)

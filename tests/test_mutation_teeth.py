@@ -1,0 +1,61 @@
+"""Measurements and ledger checks that a fault in the merge layout cannot pass.
+
+Each test holds for build_ck as written and fails if the layout
+(1) drops the -1 terms of merge_terms: the exact recursion then measures a
+    non-zero error (the ledger derives its weights from the same terms and
+    does not see it);
+(2) lets a term's A prefix overlap its B suffix: measurement refuses the
+    layout or sees correlated halves, and the ledger's non-overlap check fails;
+(3) reads a sampled child by pass-through instead of through its sampler:
+    only a sampler that does not pass its seed through tells the two reads
+    apart, so exact-enumeration builds cannot show it.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from prpd import (RecursionParams, Sampler, build_ck, exact_average, inf_norm, ledger_check,
+                  mat_sub, measure_robust_error, random_robp, recursive_prpd, uniform_prpd,
+                  walk_matrix)
+from prpd.cli import main
+
+from helpers import assumed_sampler
+
+
+@pytest.mark.parametrize("n,w,k", [(8, 2, 1), (8, 3, 2)])
+def test_exact_recursion_measures_zero_and_checks(n, w, k):
+    prpd, ledger = recursive_prpd(n, w, params=RecursionParams(k=k))
+    assert ledger_check(ledger).ok
+    for seed in range(3):
+        assert measure_robust_error(prpd, random_robp(n, w, seed=seed)) == 0
+
+
+def test_exact_recursion_cli_exit_codes(tmp_path, capsys):
+    out = tmp_path / "verify.jsonl"
+    assert main(["verify-error", "--n", "8", "--w", "2", "--k", "1", "--robps", "3",
+                 "--out", str(out)]) == 0
+    assert out.read_text().count('"measured": "0/1"') == 4        # three instances, the worst
+    assert main(["build-prpd", "--n", "8", "--w", "2", "--k", "1",
+                 "--out", str(tmp_path / "build.jsonl")]) == 0
+    assert "0 failures -> ok" in capsys.readouterr().out
+
+
+def test_sampled_child_is_read_through_its_sampler():
+    # g selects "1" whatever its seed, so the sampled child always emits 1; read by
+    # pass-through it would emit its uniform inner seed and measure zero error
+    leaf = uniform_prpd(1)
+    g = assumed_sampler(Sampler(n=1, d=1, m=1, sample=lambda x, s: "1"))
+    one = build_ck([leaf], [leaf], w=2, gamma=Fraction(1, 2), samplers=[g]).prpd
+    # every flat seed of `one` once, behind a function that does not pass seeds through
+    g2 = assumed_sampler(Sampler(n=0, d=one.seed_len, m=one.seed_len, sample=lambda x, s: s))
+    two = build_ck([one], [one], w=2, gamma=Fraction(1, 2), samplers=[g2]).prpd
+    errors = []
+    for seed in range(4):
+        program = random_robp(4, 2, seed=seed)
+        for prpd, steps in ((one, 2), (two, 4)):
+            ones = walk_matrix(program, 0, steps, "1" * steps)
+            expected = inf_norm(mat_sub(ones, exact_average(program, 0, steps)))
+            assert measure_robust_error(prpd, program, 0, steps) == expected
+            errors.append(expected)
+    assert max(errors) > 0

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -10,7 +11,8 @@ from prpd import (ConstructionError, InputError, MODE_CERTIFIED, RecursionParams
                   exact_average, expander_walk_sampler, identity_robp, inf_norm,
                   ledger_check, ledger_from_dict, ledger_to_dict, mat_sub,
                   measure_robust_error, random_robp, recursive_prpd, robust_form)
-from prpd.recursion import C_MAX, K_MAX, derive_k, is_terminal, next_power_of_two
+from prpd.recursion import (C_MAX, K_MAX, cascade_bound, derive_k, is_terminal, ledger_plan,
+                            next_power_of_two)
 
 
 def test_terminal_h0_is_uniform_bit():
@@ -49,6 +51,21 @@ def test_ledger_check_passes(n, k, c):
     _, ledger = recursive_prpd(n, 2, params=RecursionParams(k=k, c=c))
     report = ledger_check(ledger)
     assert report.ok, [f"({f.h},{f.k}) {f.name}: lhs={f.lhs} rhs={f.rhs}" for f in report.failures()]
+
+
+def test_plan_value_past_digit_limit_refused():
+    # at n = 1024, k = 52 the top bound has 639 digits, within the smallest limit Python
+    # accepts, but the sampler requirement of node (7, 51) has more
+    gamma = Fraction(1, 2 ** 40)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert len(str(cascade_bound(10, 52, gamma).denominator)) == 639
+        with pytest.raises(InputError, match=r"node \(7,51\).*int-to-str limit"):
+            ledger_plan(1024, 52, 2, gamma)
+        assert len(ledger_plan(1024, 45, 2, gamma)) > 0
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_ledger_mu_caps():
