@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import re
 import sys
@@ -44,8 +45,13 @@ def _positive(text: str) -> int:
 
 
 def _fmt(q) -> str:
+    """q as 'num/den'; InputError if a part has more digits than str(int) renders."""
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise InputError(f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
+                         "past the int-to-str limit of this Python") from None
 
 
 def _build_id(args: argparse.Namespace) -> str:
@@ -135,6 +141,10 @@ def cmd_certify_sampler(args, emit):
 
 def cmd_sz_demo(args, emit):
     rng = random.Random(args.seed)
+    limit = sys.get_int_max_str_digits()
+    if limit and args.n2 * math.log10(args.n1) >= limit:
+        raise InputError(f"n1^n2 has more than {limit} digits, past the int-to-str limit "
+                         "of this Python")
     n = args.n1 ** args.n2
     bound = sz_error_bound(n, args.w, args.d)
     emit({"record": "config", "command": "sz-demo", "build_id": _build_id(args),

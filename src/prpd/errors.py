@@ -57,7 +57,9 @@ def enum_limit() -> int:
 def check_capacity(count: int, what: str) -> None:
     limit = enum_limit()
     if count > limit:
+        # a count of thousands of digits is shown by its size: str() would refuse it
+        shown = count if count.bit_length() <= 64 else f"about 2^{count.bit_length() - 1}"
         raise CapacityError(
-            f"{what} needs {count} evaluations, over the limit {limit} "
+            f"{what} needs {shown} evaluations, over the limit {limit} "
             f"(set {ENUM_LIMIT_ENV} to override)"
         )

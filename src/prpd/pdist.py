@@ -1,11 +1,10 @@
-"""Pseudodistributions and their matrix-form machinery.
+"""Pseudodistributions, robust generators and their matrix forms.
 
 A pseudodistribution is a finite weighted list of output strings; realized
 on a program segment it becomes the coefficient-weighted average of walk
-matrices. Scaling / union / concatenation mirror matrix scaling / sum /
-product exactly. Robust generators carry a two-level seed (outer x, inner
-y) and a bundle of mu signed strings per seed pair; flattening promotes
-the inner seed into the outer one without touching averages or weight.
+matrices. Robust generators carry a two-level seed (outer x, inner y) and a
+bundle of mu signed strings per seed pair; flattening promotes the inner
+seed into the outer one without touching averages or weight.
 """
 
 from __future__ import annotations
@@ -15,11 +14,11 @@ from fractions import Fraction
 from functools import reduce
 from itertools import groupby
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .bits import all_bits
 from .errors import ContractError, InputError, check_capacity
-from .robp import Mat, Robp, inf_norm, mat_add, mat_scale, signed_walk_sum
+from .robp import Mat, Robp, mat_add, mat_scale, signed_walk_sum
 
 if TYPE_CHECKING:
     from .recursion import MergeNode
@@ -46,56 +45,6 @@ class PseudoDist:
     @property
     def size(self) -> int:
         return len(self.entries)
-
-
-def pdist(out_len: int, entries: Iterable[Tuple[str, object]]) -> PseudoDist:
-    return PseudoDist(out_len, tuple((s, Fraction(c)) for s, c in entries))
-
-
-def uniform_pdist(out_len: int) -> PseudoDist:
-    check_capacity(1 << out_len, "uniform pseudodistribution")
-    one = Fraction(1)
-    return PseudoDist(out_len, tuple((s, one) for s in all_bits(out_len)))
-
-
-def realize(pd: PseudoDist, robp: Robp, a: int, b: int) -> Mat:
-    """E_i[coeff_i * walk(string_i)] on the segment [a, b], exact."""
-    if pd.out_len != (b - a) * robp.d_step:
-        raise InputError(
-            f"pseudodistribution emits {pd.out_len} bits, segment consumes {(b - a) * robp.d_step}"
-        )
-    return mat_scale(Fraction(1, pd.size), signed_walk_sum(robp, a, pd.entries))
-
-
-def scale(pd: PseudoDist, c) -> PseudoDist:
-    c = Fraction(c)
-    return PseudoDist(pd.out_len, tuple((s, coeff * c) for s, coeff in pd.entries))
-
-
-def union(pd_a: PseudoDist, pd_b: PseudoDist) -> PseudoDist:
-    """Disjoint union reweighted so realization adds exactly."""
-    if pd_a.out_len != pd_b.out_len:
-        raise InputError("union needs equal output lengths")
-    total = pd_a.size + pd_b.size
-    fa = Fraction(total, pd_a.size)
-    fb = Fraction(total, pd_b.size)
-    entries = tuple((s, c * fa) for s, c in pd_a.entries) + tuple((s, c * fb) for s, c in pd_b.entries)
-    return PseudoDist(pd_a.out_len, entries)
-
-
-def concat(pd_a: PseudoDist, pd_b: PseudoDist) -> PseudoDist:
-    """Row-major pairing (a, b) -> a * size_b + b; realization multiplies."""
-    entries = tuple(
-        (sa + sb, ca * cb)
-        for sa, ca in pd_a.entries
-        for sb, cb in pd_b.entries
-    )
-    return PseudoDist(pd_a.out_len + pd_b.out_len, entries)
-
-
-def dump_pdist(pd: PseudoDist) -> str:
-    lines = [f"{s} {c.numerator}/{c.denominator}" for s, c in pd.entries]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +158,3 @@ def matrix_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
 def average(form: Dict[str, Mat]) -> Mat:
     """The mean of a form's matrices over its seeds."""
     return mat_scale(Fraction(1, len(form)), reduce(mat_add, form.values()))
-
-
-@dataclass(frozen=True)
-class FormStats:
-    norm: Fraction
-    robust_norm: Fraction
-    weight: Fraction
-
-
-def form_stats(form: Dict[str, Mat]) -> FormStats:
-    """Exact norm / robust norm / weight of a form, e.g. x -> E_y A(x, y)."""
-    norms = [inf_norm(m) for m in form.values()]
-    return FormStats(
-        norm=inf_norm(average(form)),
-        robust_norm=sum(norms) * Fraction(1, len(norms)),
-        weight=max(norms),
-    )

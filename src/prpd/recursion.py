@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
 from itertools import repeat
@@ -131,26 +131,20 @@ class MergeNode:
         child = (self.a_children if side == "A" else self.b_children)[i]
         return x[:child.s_out] + y_part
 
+    def bundle(self, x: str, y: str) -> List[Tuple[str, int]]:
+        """The merged generator's bundle at (x, y): each term's products of child bundles."""
+        def read(side, i, child):
+            z = self.flat_seed(side, i, x, y)
+            return child.bundle(z[:child.s_out], z[child.s_out:])
 
-def _bundle_at(child: RobustPrpd, z: str):
-    """The child's bundle at flat seed z."""
-    return child.bundle(z[:child.s_out], z[child.s_out:])
-
-
-@dataclass
-class CkBuild:
-    """One merge level: the generator, its seed layout and its sampler slots."""
-
-    prpd: RobustPrpd
-    len_a: Tuple[int, ...]
-    len_b: Tuple[int, ...]
-    slots: Tuple[SamplerSlot, ...]
-    a_bundle: Callable = field(repr=False)    # (i, x, y) -> the bundle of A_i read at (x, y)
-    b_bundle: Callable = field(repr=False)
+        a = [read("A", i, child) for i, child in enumerate(self.a_children)]
+        b = [read("B", j, child) for j, child in enumerate(self.b_children)]
+        return [(sa + sb, sign * na * nb) for i, j, sign in self.terms
+                for sa, na in a[i] for sb, nb in b[j]]
 
 
 def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
-             w: int, gamma, samplers: Optional[Sequence[Sampler]] = None) -> CkBuild:
+             w: int, gamma, samplers: Optional[Sequence[Sampler]] = None) -> RobustPrpd:
     """Merge graded half-segment generators into one for the doubled segment.
 
     a_children[i] and b_children[i] must be gamma^(i+1)-robust generators
@@ -158,7 +152,9 @@ def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
     result approximates the product with robust error (11*gamma)^(k+1) and
     weight at most binom(2m-1, k). Every violated hypothesis raises a
     ConstructionError naming the inequality. Passing samplers=None installs
-    exact enumeration samplers (certified at (0, 0) analytically).
+    exact enumeration samplers (certified at (0, 0) analytically). The
+    generator returned carries its layout as `merge`; the layout's bundle is
+    the generator's bundle.
     """
     a_children, b_children = tuple(a_children), tuple(b_children)
     k = len(a_children) - 1
@@ -228,29 +224,8 @@ def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
 
     node = MergeNode(a_children=a_children, b_children=b_children, samplers=tuple(samplers),
                      len_a=len_a, len_b=len_b, terms=terms)
-
-    def a_bundle(i: int, x: str, y: str):
-        return _bundle_at(a_children[i], node.flat_seed("A", i, x, y))
-
-    def b_bundle(j: int, x: str, y: str):
-        return _bundle_at(b_children[j], node.flat_seed("B", j, x, y))
-
-    def bundle(x: str, y: str):
-        a = [a_bundle(i, x, y) for i in range(k + 1)]
-        b = [b_bundle(j, x, y) for j in range(k + 1)]
-        return [(sa + sb, sign * na * nb) for i, j, sign in terms
-                for sa, na in a[i] for sb, nb in b[j]]
-
-    prpd = RobustPrpd(out_len=2 * m_bits, s_out=s_out, s_in=s_in, mu=mu_total, bundle=bundle,
+    return RobustPrpd(out_len=2 * m_bits, s_out=s_out, s_in=s_in, mu=mu_total, bundle=node.bundle,
                       merge=node)
-    slots = tuple(
-        SamplerSlot(i=i, out_bits=g.m, n=g.n, d=g.d,
-                    eps_required=eps_req[i], delta_required=delta_req,
-                    cert_method=g.cert.method, cert_eps=g.cert.eps, cert_delta=g.cert.delta)
-        for i, g in enumerate(samplers)
-    )
-    return CkBuild(prpd=prpd, len_a=len_a, len_b=len_b, slots=slots,
-                   a_bundle=a_bundle, b_bundle=b_bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +419,14 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
             samplers = None if factory is None else [
                 factory(children[i].seed_len, eps_i, p.delta_required)
                 for i, eps_i in enumerate(p.eps_required)]
-            build = build_ck(children, children, w=w, gamma=p.merge_gamma, samplers=samplers)
-            prpd = build.prpd
+            prpd = build_ck(children, children, w=w, gamma=p.merge_gamma, samplers=samplers)
+            slots = tuple(SamplerSlot(i=i, out_bits=g.m, n=g.n, d=g.d, eps_required=eps_i,
+                                      delta_required=p.delta_required, cert_method=g.cert.method,
+                                      cert_eps=g.cert.eps, cert_delta=g.cert.delta)
+                          for i, (g, eps_i) in enumerate(zip(prpd.merge.samplers, p.eps_required)))
             merge = dict(merge_gamma=p.merge_gamma, delta_binding_i=p.delta_binding_i,
                          children=tuple((i, c.s_out, c.s_in, c.mu) for i, c in enumerate(children)),
-                         len_a=build.len_a, len_b=build.len_b, samplers=build.slots)
+                         len_a=prpd.merge.len_a, len_b=prpd.merge.len_b, samplers=slots)
         nodes.append(LedgerNode(h=h, k=kk, kind=p.kind, s_out=prpd.s_out, s_in=prpd.s_in,
                                 mu=prpd.mu, mu_cap=p.mu_cap, error_bound=p.error_bound, **merge))
         table[(h, kk)] = prpd
@@ -764,13 +742,6 @@ def measure_robust_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[i
     target = exact_average(robp, a, b)
     total = sum(inf_norm(mat_sub(m, target)) for m in merge_tree_form(prpd, robp, a, b).values())
     return Fraction(total, 1 << prpd.s_out)
-
-
-def measure_average_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[int] = None) -> Fraction:
-    """|| <A> - exact average ||, the plain (non-robust) approximation error."""
-    if b is None:
-        b = robp.n
-    return inf_norm(mat_sub(average(merge_tree_form(prpd, robp, a, b)), exact_average(robp, a, b)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ helpers run exactly on Fractions and approximately on floats.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -21,11 +22,6 @@ Mat = tuple  # w-tuple of w-tuples of numbers
 
 # ---------------------------------------------------------------------------
 # exact matrix helpers
-
-
-def rational(rows: Iterable[Iterable]) -> Mat:
-    """Coerce every entry to Fraction (the verification backend)."""
-    return tuple(tuple(Fraction(e) for e in row) for row in rows)
 
 
 def identity(w: int) -> Mat:
@@ -56,14 +52,30 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def mat_pow(a: Mat, e: int) -> Mat:
+    """a^e by repeated squaring.
+
+    An exact power gains digits with every product, so once an entry has more
+    digits than Python's int-to-str limit, which no record could render, the
+    power is refused with InputError instead of computed in full.
+    """
     if e < 0:
         raise InputError("matrix power must be non-negative")
+    limit = sys.get_int_max_str_digits()
+    too_long = 10 ** limit if limit else None       # 0: no limit
+
+    def checked(m: Mat) -> Mat:
+        if too_long is not None and any(max(map(abs, v.as_integer_ratio())) >= too_long
+                                        for row in m for v in row):
+            raise InputError(f"matrix power has an entry of more than {limit} digits, "
+                             "past the int-to-str limit of this Python")
+        return m
+
     result = identity(len(a))
     base = a
     while e:
         if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if e > 1 else base
+            result = checked(mat_mul(result, base))
+        base = checked(mat_mul(base, base)) if e > 1 else base
         e >>= 1
     return result
 
@@ -199,17 +211,6 @@ def random_robp(n: int, w: int, d_step: int = 1, seed: int = 0) -> Robp:
         for _ in range(n)
     )
     return Robp(n=n, w=w, d_step=d_step, transitions=steps)
-
-
-def identity_robp(n: int, w: int, d_step: int = 1) -> Robp:
-    step = tuple(tuple(range(w)) for _ in range(1 << d_step))
-    return Robp(n=n, w=w, d_step=d_step, transitions=tuple(step for _ in range(n)))
-
-
-def swap_on_one_robp(n: int) -> Robp:
-    """Width-2 program where label 1 swaps the two states."""
-    step = ((0, 1), (1, 0))
-    return Robp(n=n, w=2, d_step=1, transitions=tuple(step for _ in range(n)))
 
 
 def serialize_robp(robp: Robp) -> str:

@@ -56,10 +56,6 @@ def snap_collision_bound(w: int, eps, d: int) -> Fraction:
     return w * w * ((1 << d) * Fraction(eps) + Fraction(1, 1 << d))
 
 
-def snap_error_bound(d: int) -> Fraction:
-    return Fraction(2, 1 << d)
-
-
 # ---------------------------------------------------------------------------
 # step program realizing a grid matrix
 
@@ -148,8 +144,6 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) ->
     w = len(m)
     _check_substochastic(m, "input matrix")
     d = grid_bits(n1, w, eps)
-    m_grid = round_to_grid(m, d)
-    program = robp_from_matrix(m_grid, n1, d)
     if prpd.out_len != n1 * d:
         raise ContractError(
             f"generator emits {prpd.out_len} bits, the step program consumes {n1 * d}"
@@ -160,6 +154,7 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) ->
     if len(y) != samp.n:
         raise InputError(f"offline randomness must be {samp.n} bits")
     check_capacity((1 << samp.d) * prpd.mu * w, "offline power estimate")
+    program = robp_from_matrix(round_to_grid(m, d), n1, d)
     cut = prpd.s_out
     seeds = (samp.sample(y, z) for z in all_bits(samp.d))
     acc = signed_walk_sum(program, 0, (e for r in seeds for e in prpd.bundle(r[:cut], r[cut:])))
@@ -210,9 +205,3 @@ def sz_power(m: Mat, schedule: SzSchedule, approximator: Callable[[Mat, str], Ma
 def sz_error_bound(n: int, w: int, d: int) -> Fraction:
     """Final accuracy of the snapped chain: n*w*2^(-d+1)."""
     return Fraction(2 * n * w, 1 << d)
-
-
-def sz_failure_bound(w: int, n2: int, d: int, eps) -> Fraction:
-    """Explicit two-events-per-level union bound over (y, z_1..z_n2)."""
-    eps = Fraction(eps)
-    return n2 * (eps + w * w * ((1 << d) * eps + Fraction(1, 1 << d)))

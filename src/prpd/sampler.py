@@ -18,8 +18,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .bits import all_bits, bits_to_int, int_to_bits
 from .errors import ContractError, InputError, check_capacity
-from .pdist import FormStats
-from .robp import Mat, inf_norm, mat_add, mat_mul, mat_scale
+from .robp import Mat, mat_add, mat_scale
 
 METHOD_BRUTE = "brute-force"
 METHOD_ANALYTIC = "analytic"
@@ -168,92 +167,7 @@ def require_certified(g: Sampler, eps, delta, what: str = "sampler") -> None:
         )
 
 
-def estimate_scalar(g: Sampler, f: Callable[[str], object], x: str):
-    """E_s[f(g(x, s))]; within eps*(range width) of the true mean off a delta set."""
-    if g.cert is None:
-        raise ContractError("estimate_scalar needs a certified sampler")
-    total = Fraction(0)
-    for s in all_bits(g.d):
-        total += Fraction(f(g.sample(x, s)))
-    return total / (1 << g.d)
-
-
-def estimate_matrix(g: Sampler, flat: Dict[str, Mat], x: str) -> Mat:
-    """E_s[A(g(x, s))] for a form over {0,1}^m.
-
-    For all but a w^2*delta fraction of x the result is within
-    2*w*mu(A)*eps of the true average, in infinity norm.
-    """
-    if len(next(iter(flat))) != g.m:
-        raise InputError(f"form indexed by {len(next(iter(flat)))} bits, sampler emits {g.m}")
-    if g.cert is None:
-        raise ContractError("estimate_matrix needs a certified sampler")
-    return sampled_average(flat, g, x)
-
-
-# ---------------------------------------------------------------------------
-# product rules: worst-case bounds for sampler-estimated matrix products.
-# LHS quantities are computed exactly by enumeration in the tests; the
-# bounds below are the certified-parameter forms the construction relies on.
-
-
 def sampled_average(mapping: Dict[str, Mat], g: Sampler, z: str) -> Mat:
-    """E_over_seed[A(g(z, seed))] without certificate checks."""
+    """E_s[A(g(z, s))]: the mean of the mapping over g's samples for input z; no certificate check."""
     total = reduce(mat_add, (mapping[g.sample(z, s)] for s in all_bits(g.d)))
     return mat_scale(Fraction(1, 1 << g.d), total)
-
-
-def symmetric_product_bound(stats_a: FormStats, stats_b: FormStats,
-                            cert_a: Certificate, cert_b: Certificate, w: int) -> Fraction:
-    """Sampler on both sides: failure mass + product of inflated norms."""
-    fail = w * w * (cert_a.delta + cert_b.delta) * stats_a.weight * stats_b.weight
-    good_a = stats_a.norm + 2 * w * stats_a.weight * cert_a.eps
-    good_b = stats_b.norm + 2 * w * stats_b.weight * cert_b.eps
-    return fail + good_a * good_b
-
-
-def left_product_bound(stats_a: FormStats, stats_b: FormStats,
-                       cert_b: Certificate, w: int) -> Fraction:
-    """Sampler on the right side only; the left side contributes its robust norm."""
-    fail = w * w * cert_b.delta * stats_a.weight * stats_b.weight
-    good_b = stats_b.norm + 2 * w * stats_b.weight * cert_b.eps
-    return fail + stats_a.robust_norm * good_b
-
-
-def right_product_bound(stats_a: FormStats, stats_b: FormStats,
-                        cert_a: Certificate, w: int) -> Fraction:
-    """Sampler on the left side only; mirror of the left rule."""
-    fail = w * w * cert_a.delta * stats_a.weight * stats_b.weight
-    good_a = stats_a.norm + 2 * w * stats_a.weight * cert_a.eps
-    return fail + good_a * stats_b.robust_norm
-
-
-def symmetric_product_error(map_a: Dict[str, Mat], map_b: Dict[str, Mat],
-                            f: Sampler, g: Sampler) -> Fraction:
-    """E_z || E_x[A(f(z,x))] * E_y[B(g(z,y))] ||, exact."""
-    if f.n != g.n:
-        raise InputError("both samplers must share the outer seed length")
-    total = Fraction(0)
-    for z in all_bits(f.n):
-        total += inf_norm(mat_mul(sampled_average(map_a, f, z), sampled_average(map_b, g, z)))
-    return total / (1 << f.n)
-
-
-def left_product_error(map_a: Dict[str, Mat], map_b: Dict[str, Mat], g: Sampler) -> Fraction:
-    """E_z || A(z) * E_y[B(g(z,y))] ||, exact; A is indexed by z directly."""
-    if len(next(iter(map_a))) != g.n:
-        raise InputError("left mapping must be indexed by the sampler's outer input")
-    total = Fraction(0)
-    for z in all_bits(g.n):
-        total += inf_norm(mat_mul(map_a[z], sampled_average(map_b, g, z)))
-    return total / (1 << g.n)
-
-
-def right_product_error(map_a: Dict[str, Mat], map_b: Dict[str, Mat], f: Sampler) -> Fraction:
-    """E_z || E_x[A(f(z,x))] * B(z) ||, exact; B is indexed by z directly."""
-    if len(next(iter(map_b))) != f.n:
-        raise InputError("right mapping must be indexed by the sampler's outer input")
-    total = Fraction(0)
-    for z in all_bits(f.n):
-        total += inf_norm(mat_mul(sampled_average(map_a, f, z), map_b[z]))
-    return total / (1 << f.n)

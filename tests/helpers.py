@@ -152,7 +152,7 @@ def rand_merge(rng: random.Random, a_children, b_children, n_max: int) -> Robust
     samplers = [assumed_sampler(rand_table_sampler(rng, rng.randint(0, n_max),
                                                    rng.randint(0, 2), a_children[i].seed_len))
                 for i in range((k + 1) // 2 + 1)]
-    return build_ck(a_children, b_children, w=2, gamma=Fraction(1, 2), samplers=samplers).prpd
+    return build_ck(a_children, b_children, w=2, gamma=Fraction(1, 2), samplers=samplers)
 
 
 def rand_depth1_tree(rng: random.Random, m_bits: int, k: int, n_max: int = 2) -> RobustPrpd:

@@ -1,0 +1,190 @@
+"""Paper lemmas and oracles that only the tests call.
+
+The pseudodistribution algebra (realization turns scale / union / concat
+into matrix scale / sum / product exactly), the norm statistics of a matrix
+form and the three sampler-product rules with their worst-case bounds, the
+plain average error of a generator, the snap and Saks-Zhou failure bounds,
+and two example programs. The package keeps what its commands, scripts and
+benchmark call; these stay next to the assertions that check them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Dict, Iterable, Optional, Tuple
+
+from prpd import (Certificate, InputError, Mat, PseudoDist, Robp, RobustPrpd, Sampler, average,
+                  exact_average, inf_norm, mat_mul, mat_scale, mat_sub, sampled_average,
+                  signed_walk_sum)
+from prpd.bits import all_bits
+from prpd.errors import check_capacity
+from prpd.recursion import merge_tree_form
+
+
+# ---------------------------------------------------------------------------
+# the pseudodistribution algebra
+
+
+def pdist(out_len: int, entries: Iterable[Tuple[str, object]]) -> PseudoDist:
+    return PseudoDist(out_len, tuple((s, Fraction(c)) for s, c in entries))
+
+
+def uniform_pdist(out_len: int) -> PseudoDist:
+    check_capacity(1 << out_len, "uniform pseudodistribution")
+    one = Fraction(1)
+    return PseudoDist(out_len, tuple((s, one) for s in all_bits(out_len)))
+
+
+def realize(pd: PseudoDist, robp: Robp, a: int, b: int) -> Mat:
+    """E_i[coeff_i * walk(string_i)] on the segment [a, b], exact."""
+    if pd.out_len != (b - a) * robp.d_step:
+        raise InputError(
+            f"pseudodistribution emits {pd.out_len} bits, segment consumes {(b - a) * robp.d_step}"
+        )
+    return mat_scale(Fraction(1, pd.size), signed_walk_sum(robp, a, pd.entries))
+
+
+def scale(pd: PseudoDist, c) -> PseudoDist:
+    c = Fraction(c)
+    return PseudoDist(pd.out_len, tuple((s, coeff * c) for s, coeff in pd.entries))
+
+
+def union(pd_a: PseudoDist, pd_b: PseudoDist) -> PseudoDist:
+    """Disjoint union reweighted so realization adds exactly."""
+    if pd_a.out_len != pd_b.out_len:
+        raise InputError("union needs equal output lengths")
+    total = pd_a.size + pd_b.size
+    fa = Fraction(total, pd_a.size)
+    fb = Fraction(total, pd_b.size)
+    entries = tuple((s, c * fa) for s, c in pd_a.entries) + tuple((s, c * fb) for s, c in pd_b.entries)
+    return PseudoDist(pd_a.out_len, entries)
+
+
+def concat(pd_a: PseudoDist, pd_b: PseudoDist) -> PseudoDist:
+    """Row-major pairing (a, b) -> a * size_b + b; realization multiplies."""
+    entries = tuple(
+        (sa + sb, ca * cb)
+        for sa, ca in pd_a.entries
+        for sb, cb in pd_b.entries
+    )
+    return PseudoDist(pd_a.out_len + pd_b.out_len, entries)
+
+
+def dump_pdist(pd: PseudoDist) -> str:
+    lines = [f"{s} {c.numerator}/{c.denominator}" for s, c in pd.entries]
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# form statistics and the sampler-product rules: worst-case bounds for
+# sampler-estimated matrix products, next to their exact left-hand sides
+
+
+@dataclass(frozen=True)
+class FormStats:
+    norm: Fraction
+    robust_norm: Fraction
+    weight: Fraction
+
+
+def form_stats(form: Dict[str, Mat]) -> FormStats:
+    """Exact norm / robust norm / weight of a form, e.g. x -> E_y A(x, y)."""
+    norms = [inf_norm(m) for m in form.values()]
+    return FormStats(
+        norm=inf_norm(average(form)),
+        robust_norm=sum(norms) * Fraction(1, len(norms)),
+        weight=max(norms),
+    )
+
+
+def symmetric_product_bound(stats_a: FormStats, stats_b: FormStats,
+                            cert_a: Certificate, cert_b: Certificate, w: int) -> Fraction:
+    """Sampler on both sides: failure mass + product of inflated norms."""
+    fail = w * w * (cert_a.delta + cert_b.delta) * stats_a.weight * stats_b.weight
+    good_a = stats_a.norm + 2 * w * stats_a.weight * cert_a.eps
+    good_b = stats_b.norm + 2 * w * stats_b.weight * cert_b.eps
+    return fail + good_a * good_b
+
+
+def left_product_bound(stats_a: FormStats, stats_b: FormStats,
+                       cert_b: Certificate, w: int) -> Fraction:
+    """Sampler on the right side only; the left side contributes its robust norm."""
+    fail = w * w * cert_b.delta * stats_a.weight * stats_b.weight
+    good_b = stats_b.norm + 2 * w * stats_b.weight * cert_b.eps
+    return fail + stats_a.robust_norm * good_b
+
+
+def right_product_bound(stats_a: FormStats, stats_b: FormStats,
+                        cert_a: Certificate, w: int) -> Fraction:
+    """Sampler on the left side only; mirror of the left rule."""
+    fail = w * w * cert_a.delta * stats_a.weight * stats_b.weight
+    good_a = stats_a.norm + 2 * w * stats_a.weight * cert_a.eps
+    return fail + good_a * stats_b.robust_norm
+
+
+def symmetric_product_error(map_a: Dict[str, Mat], map_b: Dict[str, Mat],
+                            f: Sampler, g: Sampler) -> Fraction:
+    """E_z || E_x[A(f(z,x))] * E_y[B(g(z,y))] ||, exact."""
+    if f.n != g.n:
+        raise InputError("both samplers must share the outer seed length")
+    total = Fraction(0)
+    for z in all_bits(f.n):
+        total += inf_norm(mat_mul(sampled_average(map_a, f, z), sampled_average(map_b, g, z)))
+    return total / (1 << f.n)
+
+
+def left_product_error(map_a: Dict[str, Mat], map_b: Dict[str, Mat], g: Sampler) -> Fraction:
+    """E_z || A(z) * E_y[B(g(z,y))] ||, exact; A is indexed by z directly."""
+    if len(next(iter(map_a))) != g.n:
+        raise InputError("left mapping must be indexed by the sampler's outer input")
+    total = Fraction(0)
+    for z in all_bits(g.n):
+        total += inf_norm(mat_mul(map_a[z], sampled_average(map_b, g, z)))
+    return total / (1 << g.n)
+
+
+def right_product_error(map_a: Dict[str, Mat], map_b: Dict[str, Mat], f: Sampler) -> Fraction:
+    """E_z || E_x[A(f(z,x))] * B(z) ||, exact; B is indexed by z directly."""
+    if len(next(iter(map_b))) != f.n:
+        raise InputError("right mapping must be indexed by the sampler's outer input")
+    total = Fraction(0)
+    for z in all_bits(f.n):
+        total += inf_norm(mat_mul(sampled_average(map_a, f, z), map_b[z]))
+    return total / (1 << f.n)
+
+
+# ---------------------------------------------------------------------------
+# error measurement and bounds
+
+
+def measure_average_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[int] = None) -> Fraction:
+    """|| <A> - exact average ||, the plain (non-robust) approximation error."""
+    if b is None:
+        b = robp.n
+    return inf_norm(mat_sub(average(merge_tree_form(prpd, robp, a, b)), exact_average(robp, a, b)))
+
+
+def snap_error_bound(d: int) -> Fraction:
+    return Fraction(2, 1 << d)
+
+
+def sz_failure_bound(w: int, n2: int, d: int, eps) -> Fraction:
+    """Explicit two-events-per-level union bound over (y, z_1..z_n2)."""
+    eps = Fraction(eps)
+    return n2 * (eps + w * w * ((1 << d) * eps + Fraction(1, 1 << d)))
+
+
+# ---------------------------------------------------------------------------
+# example programs
+
+
+def identity_robp(n: int, w: int, d_step: int = 1) -> Robp:
+    step = tuple(tuple(range(w)) for _ in range(1 << d_step))
+    return Robp(n=n, w=w, d_step=d_step, transitions=tuple(step for _ in range(n)))
+
+
+def swap_on_one_robp(n: int) -> Robp:
+    """Width-2 program where label 1 swaps the two states."""
+    step = ((0, 1), (1, 0))
+    return Robp(n=n, w=2, d_step=1, transitions=tuple(step for _ in range(n)))

@@ -10,21 +10,20 @@ from math import comb
 
 import pytest
 
-from prpd import (ConstructionError, SzSchedule, build_ck, certify, concat,
-                  average, dump_prpd, enumeration_sampler, estimate_matrix,
-                  expander_walk_sampler, form_stats,
+from prpd import (ConstructionError, SzSchedule, build_ck, certify,
+                  average, dump_prpd, enumeration_sampler, expander_walk_sampler,
                   grid_bits, inf_norm, ledger_check, mat_add, mat_mul, mat_scale,
                   mat_sub, matrix_form, max_norm, measure_robust_error, random_robp,
-                  realize, recursive_prpd, round_to_grid, scale, snap_collision_bound,
-                  snap_collision_rate, snap_error_bound, snap_value, sz_error_bound,
-                  sz_failure_bound, sz_power, telescoping_error_bound,
-                  telescoping_product, tv_profile, union, armoni_pow, mat_pow,
-                  RecursionParams)
+                  recursive_prpd, round_to_grid, sampled_average, snap_collision_bound,
+                  snap_collision_rate, snap_value, sz_error_bound, sz_power,
+                  telescoping_error_bound, telescoping_product, tv_profile, armoni_pow,
+                  mat_pow, RecursionParams)
 from prpd.bits import all_bits, int_to_bits
 
 from helpers import (corrupted_uniform_prpd, perturbed, rand_flat_map, rand_pdist,
                      rand_matrix, rand_stochastic, rand_substochastic,
                      rand_table_sampler, weighted_exact_prpd)
+from lemmas import concat, form_stats, realize, scale, snap_error_bound, sz_failure_bound, union
 
 
 def _report(num, text):
@@ -164,12 +163,12 @@ def test_c04_matrix_sampler_deviation():
             threshold = 2 * w * stats.weight * eps
             bad = 0
             for x in all_bits(g.n):
-                deviation = inf_norm(mat_sub(estimate_matrix(g, flat, x), truth))
+                deviation = inf_norm(mat_sub(sampled_average(flat, g, x), truth))
                 if deviation > threshold:
                     bad += 1
                 else:
                     # corollary on the good set: estimate norm stays bounded
-                    assert inf_norm(estimate_matrix(g, flat, x)) <= stats.norm + threshold
+                    assert inf_norm(sampled_average(flat, g, x)) <= stats.norm + threshold
             assert Fraction(bad, 1 << g.n) <= w * w * delta
             pairs += 1
     _report(4, f"bad-x fraction <= w^2*delta and good-x deviation <= 2*w*mu*eps "
@@ -207,20 +206,20 @@ def test_c06_one_level_construction():
     # vanishes, so k <= m-1; k=2 is exercised honestly at m=4 below
     for m_bits, k in [(1, 0), (2, 0), (2, 1), (4, 2)]:
         children = [weighted_exact_prpd(m_bits, comb(m_bits - 1, i)) for i in range(k + 1)]
-        build = build_ck(children, children, w=2, gamma=gamma)
-        assert build.prpd.mu == comb(2 * m_bits - 1, k)
+        prpd = build_ck(children, children, w=2, gamma=gamma)
+        assert prpd.mu == comb(2 * m_bits - 1, k)
         bound = (11 * gamma) ** (k + 1)
         worst = Fraction(0)
         for seed in range(20):
             program = random_robp(2 * m_bits, 2, seed=1000 * m_bits + 100 * k + seed)
-            err = measure_robust_error(build.prpd, program)
+            err = measure_robust_error(prpd, program)
             assert err <= bound
             worst = max(worst, err)
-        for x in all_bits(build.prpd.s_out):
-            for y in all_bits(build.prpd.s_in):
-                for _, sign in build.prpd.bundle(x, y):
+        for x in all_bits(prpd.s_out):
+            for y in all_bits(prpd.s_in):
+                for _, sign in prpd.bundle(x, y):
                     assert sign in (1, -1)
-        rows.append((m_bits, k, build.prpd.mu, worst))
+        rows.append((m_bits, k, prpd.mu, worst))
     # infeasible grid points refuse, naming the violated inequality
     for m_bits, k in [(1, 1), (1, 2), (2, 2)]:
         children = [weighted_exact_prpd(m_bits, max(1, comb(m_bits - 1, i)))
@@ -230,11 +229,11 @@ def test_c06_one_level_construction():
     # genuinely lossy children keep the cascade bound with nonzero error
     lossy_gamma = Fraction(1, 16)
     lossy = [corrupted_uniform_prpd(2, 5), corrupted_uniform_prpd(2, 9)]
-    build = build_ck(lossy, lossy, w=2, gamma=lossy_gamma)
+    prpd = build_ck(lossy, lossy, w=2, gamma=lossy_gamma)
     lossy_bound = (11 * lossy_gamma) ** 2
     nonzero = Fraction(0)
     for seed in range(20):
-        err = measure_robust_error(build.prpd, random_robp(4, 2, seed=seed))
+        err = measure_robust_error(prpd, random_robp(4, 2, seed=seed))
         assert err <= lossy_bound
         nonzero = max(nonzero, err)
     assert nonzero > 0

@@ -16,14 +16,21 @@ from helpers import corrupted_uniform_prpd, weighted_exact_prpd
 GAMMA = Fraction(1, 256)
 
 
+def child_bundle(node, side, i, x, y):
+    """The bundle of child i of `side` read at the merged seed (x, y), through flat_seed."""
+    child = (node.a_children if side == "A" else node.b_children)[i]
+    z = node.flat_seed(side, i, x, y)
+    return child.bundle(z[:child.s_out], z[child.s_out:])
+
+
 def test_k0_exact_children_collapse_to_product():
     children = [uniform_prpd(2)]
-    build = build_ck(children, children, w=2, gamma=GAMMA)
+    prpd = build_ck(children, children, w=2, gamma=GAMMA)
     program = random_robp(4, 2, seed=1)
-    lhs = average(matrix_form(build.prpd, program, 0, 4))
+    lhs = average(matrix_form(prpd, program, 0, 4))
     rhs = mat_mul(exact_average(program, 0, 2), exact_average(program, 2, 4))
     assert lhs == rhs
-    assert build.prpd.mu == 1 == comb(3, 0)
+    assert prpd.mu == 1 == comb(3, 0)
 
 
 def test_weight_equality_and_vandermonde():
@@ -31,26 +38,26 @@ def test_weight_equality_and_vandermonde():
     # meet its cap binom(2m-1, k) with equality
     m_bits, k = 4, 2
     children = [weighted_exact_prpd(m_bits, comb(m_bits - 1, i)) for i in range(k + 1)]
-    build = build_ck(children, children, w=2, gamma=GAMMA)
-    assert build.prpd.mu == comb(2 * m_bits - 1, k) == 21
+    prpd = build_ck(children, children, w=2, gamma=GAMMA)
+    assert prpd.mu == comb(2 * m_bits - 1, k) == 21
     total = sum(comb(m_bits - 1, i) * comb(m_bits - 1, k - i) for i in range(k + 1))
     total += sum(comb(m_bits - 1, i) * comb(m_bits - 1, k - 1 - i) for i in range(k))
-    assert build.prpd.mu == total
+    assert prpd.mu == total
 
 
 def test_exact_children_zero_error():
     children = [uniform_prpd(2), uniform_prpd(2)]
-    build = build_ck(children, children, w=2, gamma=GAMMA)
+    prpd = build_ck(children, children, w=2, gamma=GAMMA)
     for seed in range(5):
         program = random_robp(4, 2, seed=seed)
-        assert measure_robust_error(build.prpd, program) == 0
+        assert measure_robust_error(prpd, program) == 0
 
 
 def test_lossy_children_error_within_cascade_bound():
     gamma = Fraction(1, 16)
     a0 = corrupted_uniform_prpd(2, 5)        # robust error <= 2/32 = gamma
     a1 = corrupted_uniform_prpd(2, 9)        # robust error <= 2/512 = gamma^2
-    build = build_ck([a0, a1], [a0, a1], w=2, gamma=gamma)
+    prpd = build_ck([a0, a1], [a0, a1], w=2, gamma=gamma)
     bound = (11 * gamma) ** 2
     saw_nonzero = False
     for seed in range(3):
@@ -59,7 +66,7 @@ def test_lossy_children_error_within_cascade_bound():
             for (a, b) in ((0, 2), (2, 4)):
                 err = measure_robust_error(child, program, a, b)
                 assert err <= gamma ** (i + 1)
-        err = measure_robust_error(build.prpd, program)
+        err = measure_robust_error(prpd, program)
         assert err <= bound
         saw_nonzero = saw_nonzero or err > 0
     assert saw_nonzero
@@ -69,16 +76,17 @@ def test_bundle_decomposes_into_terms():
     gamma = Fraction(1, 16)
     a0 = corrupted_uniform_prpd(2, 5)
     a1 = corrupted_uniform_prpd(2, 9)
-    build = build_ck([a0, a1], [a0, a1], w=2, gamma=gamma)
+    prpd = build_ck([a0, a1], [a0, a1], w=2, gamma=gamma)
+    assert prpd.bundle == prpd.merge.bundle
     program = random_robp(4, 2, seed=7)
     rng = random.Random(0)
     for _ in range(25):
-        y = format(rng.randrange(1 << build.prpd.s_in), f"0{build.prpd.s_in}b")
-        whole = signed_walk_sum(program, 0, build.prpd.bundle("", y))
+        y = format(rng.randrange(1 << prpd.s_in), f"0{prpd.s_in}b")
+        whole = signed_walk_sum(program, 0, prpd.bundle("", y))
         total = zeros(2)
         for i, j, sign in merge_terms(1):
-            a_mat = signed_walk_sum(program, 0, build.a_bundle(i, "", y))
-            b_mat = signed_walk_sum(program, 2, build.b_bundle(j, "", y))
+            a_mat = signed_walk_sum(program, 0, child_bundle(prpd.merge, "A", i, "", y))
+            b_mat = signed_walk_sum(program, 2, child_bundle(prpd.merge, "B", j, "", y))
             term = mat_scale(sign, mat_mul(a_mat, b_mat))
             total = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(total, term))
         assert whole == total
@@ -90,36 +98,42 @@ def test_termwise_decomposition_bounds():
     gamma = Fraction(1, 16)
     a0 = corrupted_uniform_prpd(2, 5)
     a1 = corrupted_uniform_prpd(2, 9)
-    build = build_ck([a0, a1], [a0, a1], w=2, gamma=gamma)
-    program = random_robp(4, 2, seed=3)
-    a_target = exact_average(program, 0, 2)
-    b_target = exact_average(program, 2, 4)
-    s_in = build.prpd.s_in
-    inv = Fraction(1, 1 << s_in)
+    prpd = build_ck([a0, a1], [a0, a1], w=2, gamma=gamma)
+    node = prpd.merge
     k = 1
-    for i, j, _ in merge_terms(k):
-        acc = zeros(2)
-        for y in all_bits(s_in):
-            a_mat = mat_sub(signed_walk_sum(program, 0, build.a_bundle(i, "", y)), a_target)
-            b_mat = mat_sub(signed_walk_sum(program, 2, build.b_bundle(j, "", y)), b_target)
-            prod = mat_mul(a_mat, b_mat)
-            acc = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(acc, prod))
-        term_err = inf_norm(mat_scale(inv, acc))
-        # symmetric rule at delta = 0: 9 * gamma^(i+j+2)
-        assert term_err <= 9 * gamma ** (i + j + 2)
-    # last-term rule: || E_y[A_k - A] * B || <= 3 * gamma^(k+1) at delta = 0
-    acc = zeros(2)
-    for y in all_bits(s_in):
-        a_mat = mat_sub(signed_walk_sum(program, 0, build.a_bundle(k, "", y)), a_target)
-        acc = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(acc, a_mat))
-    last = inf_norm(mat_mul(mat_scale(inv, acc), b_target))
-    assert last <= 3 * gamma ** (k + 1)
+    measured = []
+    # on the width-2 program every term is 0 (each of its first three steps maps both
+    # states to one); on the width-3 programs every term and the last term are non-zero
+    for program in [random_robp(4, 2, seed=3)] + [random_robp(4, 3, seed=s) for s in range(3)]:
+        targets = {"A": exact_average(program, 0, 2), "B": exact_average(program, 2, 4)}
+
+        def mean_error(side, i):
+            """E_y[child i - target] over the part of y it reads, one read per flat seed."""
+            length = (node.len_a if side == "A" else node.len_b)[i]
+            pad = "0" * (prpd.s_in - length)
+            ys = [u + pad if side == "A" else pad + u for u in all_bits(length)]
+            walks = signed_walk_sum(program, 0 if side == "A" else 2,
+                                    (e for y in ys for e in child_bundle(node, side, i, "", y)))
+            return mat_sub(mat_scale(Fraction(1, len(ys)), walks), targets[side])
+
+        for i, j, _ in merge_terms(k):
+            # A_i reads a prefix of y and B_j a disjoint suffix, so the mean over y
+            # of the product of their errors is the product of their mean errors
+            assert node.len_a[i] + node.len_b[j] <= prpd.s_in
+            term_err = inf_norm(mat_mul(mean_error("A", i), mean_error("B", j)))
+            # symmetric rule at delta = 0: 9 * gamma^(i+j+2)
+            assert term_err <= 9 * gamma ** (i + j + 2)
+            measured.append(term_err)
+        # last-term rule: || E_y[A_k - A] * B || <= 3 * gamma^(k+1) at delta = 0
+        last = inf_norm(mat_mul(mean_error("A", k), targets["B"]))
+        assert last <= 3 * gamma ** (k + 1)
+        measured.append(last)
+    assert measured[:4] == [0] * 4 and all(measured[4:])
 
 
 def test_sign_structure_all_plus_minus_one():
     children = [uniform_prpd(2), uniform_prpd(2)]
-    build = build_ck(children, children, w=2, gamma=GAMMA)
-    prpd = build.prpd
+    prpd = build_ck(children, children, w=2, gamma=GAMMA)
     for x in all_bits(prpd.s_out):
         for y in all_bits(prpd.s_in):
             for _, sign in prpd.bundle(x, y):
@@ -129,9 +143,9 @@ def test_sign_structure_all_plus_minus_one():
 def test_non_overlap_structural():
     m_bits, k = 4, 2
     children = [weighted_exact_prpd(m_bits, comb(m_bits - 1, i)) for i in range(k + 1)]
-    build = build_ck(children, children, w=2, gamma=GAMMA)
+    prpd = build_ck(children, children, w=2, gamma=GAMMA)
     for i, j, _ in merge_terms(k):
-        assert build.len_a[i] + build.len_b[j] <= build.prpd.s_in
+        assert prpd.merge.len_a[i] + prpd.merge.len_b[j] <= prpd.s_in
 
 
 def test_oblivious_construction():
@@ -140,12 +154,12 @@ def test_oblivious_construction():
         return build_ck(children, children, w=2, gamma=GAMMA)
 
     first = fresh()
-    dump_before = dump_prpd(first.prpd)
+    dump_before = dump_prpd(first)
     # evaluating against two different programs must not disturb the generator
-    matrix_form(first.prpd, random_robp(4, 2, seed=11), 0, 4)
-    matrix_form(first.prpd, random_robp(4, 2, seed=12), 0, 4)
-    assert dump_prpd(first.prpd) == dump_before
-    assert dump_prpd(fresh().prpd) == dump_before
+    matrix_form(first, random_robp(4, 2, seed=11), 0, 4)
+    matrix_form(first, random_robp(4, 2, seed=12), 0, 4)
+    assert dump_prpd(first) == dump_before
+    assert dump_prpd(fresh()) == dump_before
 
 
 def test_refuses_unsatisfiable_weight_hypothesis():

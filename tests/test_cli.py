@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -303,6 +304,18 @@ BAD_INPUTS = {
                            "--matrices", "-1"], None),
     "armoni-eps-zero": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "1", "--d", "6",
                          "--approximator", "armoni", "--eps", "0"], None),
+    # the exact 2048th power has entries past the int-to-str digit limit
+    "sz-power-past-digit-limit": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "11", "--d", "6",
+                                   "--matrices", "1"], None),
+    # the bound 2*n*w/2^d has a denominator of about 6000 digits
+    "sz-bound-past-digit-limit": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "1", "--d",
+                                   "20000"], None),
+    # the exact 2^60th power would take hours: refused once its entries pass the limit
+    "sz-power-huge": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "60", "--d", "6"], None),
+    # 2^51001 offline seeds: refused before the 2^15-label step program is built, and the
+    # refusal's count has more digits than str(int) renders
+    "sz-armoni-seed-huge": (["sz-demo", "--w", "2", "--n1", "3000", "--n2", "1", "--d", "6",
+                             "--approximator", "armoni", "--eps", "1/4"], None),
     "ledger-missing-file": (["ledger-check", "--ledger", "missing.json"], None),
     "ledger-missing-key": (["ledger-check", "--ledger", "ledger.json"], '{"nodes": [{"h": 0}]}'),
     "ledger-not-json": (["ledger-check", "--ledger", "ledger.json"], "{"),
@@ -396,17 +409,39 @@ def _fuzz_fields():
 FUZZ_FIELDS = _fuzz_fields()
 
 
+def _fuzz_exit_code(tmp_path, edits):
+    """ledger-check's exit code on the honest ledger with each (fields, value) edit made."""
+    path, out = tmp_path / "ledger.json", tmp_path / "checks.jsonl"
+    data = json.loads(HONEST_LEDGER)
+    for fields, value in edits:
+        target = data
+        try:
+            for key in fields[:-1]:
+                target = target[key]
+            target[fields[-1]] = copy.deepcopy(FUZZ_VALUES[value])
+        except (KeyError, IndexError, TypeError):
+            pass                        # an earlier edit replaced a parent of this field
+    path.write_text(json.dumps(data))
+    with deadline(10):
+        return main(["ledger-check", "--ledger", str(path), "--out", str(out)])
+
+
 @pytest.mark.parametrize("value", FUZZ_VALUES)
 def test_ledger_check_exit_contract_fuzz(tmp_path, value):
     # one value replaced: the verdict is an exit code, in seconds, never a traceback
-    path, out = tmp_path / "ledger.json", tmp_path / "checks.jsonl"
     for fields in FUZZ_FIELDS:
-        data = json.loads(HONEST_LEDGER)
-        target = data
-        for key in fields[:-1]:
-            target = target[key]
-        target[fields[-1]] = FUZZ_VALUES[value]
-        path.write_text(json.dumps(data))
-        with deadline(10):
-            code = main(["ledger-check", "--ledger", str(path), "--out", str(out)])
-        assert code in (0, 1, 2), fields
+        assert _fuzz_exit_code(tmp_path, [(fields, value)]) in (0, 1, 2), fields
+
+
+def _multi_edits(count):
+    """A fixed sample of `count` edits, each two or three (field, value) pairs at once."""
+    rng = random.Random(0)
+    return [[(rng.choice(FUZZ_FIELDS), rng.choice(list(FUZZ_VALUES)))
+             for _ in range(rng.choice((2, 3)))] for _ in range(count)]
+
+
+def test_ledger_check_exit_contract_multi_edit_fuzz(tmp_path):
+    # two or three values replaced at once, as a header edited in several places is:
+    # the verdict is still an exit code, in seconds, never a traceback
+    for edits in _multi_edits(600):
+        assert _fuzz_exit_code(tmp_path, edits) in (0, 1, 2), edits

@@ -1,0 +1,59 @@
+"""The package exports what its commands, scripts and benchmark call, and little else."""
+
+import ast
+import re
+import types
+from pathlib import Path
+
+import prpd
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "prpd"
+
+# exported with no caller outside the tests, each for a reason
+ALLOWED = {
+    "walk_matrix": "the brute-force oracle every walk kernel is tested against",
+    "dump_prpd": "the text format that compares generator tables byte for byte",
+    "parse_robp": "reads the text format serialize_robp writes; its caller would be a new flag",
+}
+
+
+def exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def referenced_names():
+    """Every name, attribute and dotted string ('pdist.matrix_form') in the package's
+    modules other than __init__.py, in scripts/ and in bench/.
+
+    A def or class statement does not reference its own name.
+    """
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and re.fullmatch(r"\w+(\.\w+)+", node.value)):
+                names.update(node.value.split("."))        # a traced "module.function"
+    return names
+
+
+def test_exports_have_non_test_callers():
+    exported, referenced = exported_names(), referenced_names()
+    unused = [name for name in exported if name not in referenced and name not in ALLOWED]
+    assert unused == [], "exported, but called only by tests: move them to tests/lemmas.py"
+    for name in ALLOWED:
+        assert name in exported and name not in referenced, f"{name} needs no allowance"
+    assert len(exported) == len(set(exported))
+
+
+def test_pdist_is_the_module():
+    # the package re-exports no function called pdist, so its attribute is the module
+    assert isinstance(prpd.pdist, types.ModuleType)

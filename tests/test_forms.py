@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from prpd import (ContractError, InputError, RobustPrpd, average, dump_prpd, exact_average,
-                  flatten, form_stats, identity, inf_norm, mat_add, mat_scale, matrix_form,
-                  random_robp, realize, robust_form, to_pseudodist, uniform_prpd,
-                  walk_matrix)
+                  flatten, identity, inf_norm, mat_add, mat_scale, matrix_form, random_robp,
+                  robust_form, to_pseudodist, uniform_prpd, walk_matrix)
 from prpd.bits import all_bits
 from prpd.robp import zeros
 
 from helpers import rand_prpd
+from lemmas import form_stats, realize
 
 
 def test_uniform_prpd_matrix_form_is_walk():

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from prpd import (CapacityError, ContractError, RecursionParams, RobustPrpd, Sampler,
                   brute_certified_enumeration_factory, build_ck, enumeration_sampler,
-                  measure_average_error, measure_robust_error, random_robp, recursive_prpd,
-                  robust_form)
+                  measure_robust_error, random_robp, recursive_prpd, robust_form)
 from prpd.recursion import merge_tree_form
 
 from helpers import assumed_sampler, corrupted_uniform_prpd, rand_depth1_tree, rand_depth2_tree
+from lemmas import measure_average_error
 from test_recursion import PINNED_DUMPS
 
 
@@ -80,7 +80,7 @@ def test_identity_shortcut_matches_table_path():
     wrapped = [assumed_sampler(Sampler(n=g.n, d=g.d, m=g.m,
                                        sample=lambda x, s, g=g: g.sample(x, s)))
                for g in enumerated]
-    trees = [build_ck(children, children, w=2, gamma=Fraction(1, 2), samplers=samplers).prpd
+    trees = [build_ck(children, children, w=2, gamma=Fraction(1, 2), samplers=samplers)
              for samplers in (enumerated, wrapped)]
     for seed in range(3):
         program = random_robp(trees[0].out_len, 2, seed=seed)
@@ -100,7 +100,7 @@ def test_errors_measured_through_tree_equal_flat():
 
 def test_lossy_children_measured_through_tree():
     lossy = [corrupted_uniform_prpd(2, 3, 5), corrupted_uniform_prpd(2, 3, 2, "10")]
-    prpd = build_ck(lossy, lossy, w=2, gamma=Fraction(1, 2)).prpd
+    prpd = build_ck(lossy, lossy, w=2, gamma=Fraction(1, 2))
     errors = []
     for seed in range(3):
         program = random_robp(4, 2, seed=seed)
@@ -111,7 +111,7 @@ def test_lossy_children_measured_through_tree():
 
 def test_overlapping_layout_refused():
     leaves = [corrupted_uniform_prpd(2, 2), corrupted_uniform_prpd(2, 2)]
-    prpd = build_ck(leaves, leaves, w=2, gamma=Fraction(1, 2)).prpd
+    prpd = build_ck(leaves, leaves, w=2, gamma=Fraction(1, 2))
     short = replace(prpd, s_in=prpd.s_in - 1)
     with pytest.raises(ContractError, match="inner seed bits"):
         merge_tree_form(short, random_robp(prpd.out_len, 2), 0, prpd.out_len)
@@ -126,7 +126,7 @@ def test_capacity_counted_before_evaluation(monkeypatch):
 
     leaf = RobustPrpd(out_len=2, s_out=0, s_in=2, mu=1, bundle=bundle)
     g = assumed_sampler(Sampler(n=0, d=2, m=2, sample=lambda x, s: s))
-    prpd = build_ck([leaf], [leaf], w=2, gamma=Fraction(1, 2), samplers=[g]).prpd
+    prpd = build_ck([leaf], [leaf], w=2, gamma=Fraction(1, 2), samplers=[g])
     program = random_robp(4, 2, seed=0)
     # one product at the top; per side a 4-string leaf table and 4 sampled reads
     monkeypatch.setenv("PRPD_ENUM_LIMIT", "16")

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prpd import (InputError, concat, dump_pdist, exact_average, identity_robp,
-                  mat_add, mat_mul, mat_scale, pdist, random_robp, realize, scale,
-                  uniform_pdist, union, walk_matrix)
+from prpd import InputError, exact_average, mat_add, mat_mul, mat_scale, random_robp, walk_matrix
 from prpd.robp import zeros as mat_zeros
 
 from helpers import rand_pdist
+from lemmas import (concat, dump_pdist, identity_robp, pdist, realize, scale, uniform_pdist,
+                    union)
 
 ZERO2 = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
 

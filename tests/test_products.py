@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from prpd import (average, certify, enumeration_sampler, expander_walk_sampler, form_stats,
-                  inf_norm, left_product_bound, left_product_error, mat_mul,
-                  right_product_bound, right_product_error, symmetric_product_bound,
-                  symmetric_product_error, tv_profile)
+from prpd import (average, certify, enumeration_sampler, expander_walk_sampler, inf_norm, mat_mul,
+                  tv_profile)
 
 from helpers import rand_flat_map
+from lemmas import (form_stats, left_product_bound, left_product_error, right_product_bound,
+                    right_product_error, symmetric_product_bound, symmetric_product_error)
 
 
 def certified_at_profile(g, quantile=Fraction(3, 4)):

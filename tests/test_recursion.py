@@ -8,11 +8,13 @@ import pytest
 
 from prpd import (ConstructionError, InputError, MODE_CERTIFIED, RecursionParams,
                   Robp, brute_certified_enumeration_factory, certify, dump_prpd,
-                  exact_average, expander_walk_sampler, identity_robp, inf_norm,
+                  exact_average, expander_walk_sampler, inf_norm,
                   ledger_check, ledger_from_dict, ledger_to_dict, mat_sub,
                   measure_robust_error, random_robp, recursive_prpd, robust_form)
 from prpd.recursion import (C_MAX, K_MAX, cascade_bound, derive_k, is_terminal, ledger_plan,
                             next_power_of_two)
+
+from lemmas import identity_robp, measure_average_error
 
 
 def test_terminal_h0_is_uniform_bit():
@@ -155,7 +157,6 @@ def test_same_generator_reused_for_both_halves():
 
 def test_measure_average_error_zero_for_exact_builds():
     prpd, _ = recursive_prpd(4, 2, params=RecursionParams(k=1))
-    from prpd import measure_average_error
     assert measure_average_error(prpd, random_robp(4, 2, seed=9)) == 0
 
 

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prpd import (InputError, ParseError, exact_average, identity, identity_robp,
-                  inf_norm, mat_add, mat_mul, mat_scale, max_norm, parse_robp,
-                  random_robp, serialize_robp, signed_walk_sum, step_matrix,
-                  swap_on_one_robp, walk_matrix)
+from prpd import (InputError, ParseError, exact_average, identity, inf_norm, mat_add, mat_mul,
+                  mat_pow, mat_scale, max_norm, parse_robp, random_robp, serialize_robp,
+                  signed_walk_sum, step_matrix, walk_matrix)
 from prpd.bits import all_bits
 
 from helpers import rand_matrix
+from lemmas import identity_robp, swap_on_one_robp
 
 HALF = Fraction(1, 2)
 
@@ -117,6 +117,16 @@ def test_exact_average_wide_step():
         m = walk_matrix(program, 0, 2, r)
         total = m if total is None else mat_add(total, m)
     assert exact_average(program, 0, 2) == mat_scale(Fraction(1, 16), total)
+
+
+def test_mat_pow_refuses_entries_past_digit_limit():
+    third = ((Fraction(1, 3),),)
+    assert mat_pow(third, 9000) == ((Fraction(1, 3 ** 9000),),)     # 4295 digits
+    with pytest.raises(InputError, match="more than 4300 digits"):
+        mat_pow(third, 9100)                                        # 4342 digits
+    # a 0/1 matrix stays small at any exponent: its power is computed, not refused
+    swap = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+    assert mat_pow(swap, 1 << 60) == identity(2)
 
 
 def test_inf_norm_examples():

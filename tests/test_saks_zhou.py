@@ -9,12 +9,13 @@ from prpd import (ContractError, InputError, SzSchedule, armoni_pow, certify,
                   enumeration_sampler, exact_average,
                   expander_walk_sampler, grid_bits, identity, inf_norm, mat_pow,
                   mat_sub, max_norm, robp_from_matrix, round_to_grid,
-                  snap_collision_bound, snap_collision_rate, snap_error_bound,
-                  snap_matrix, snap_value, sz_error_bound, sz_failure_bound, sz_power,
+                  snap_collision_bound, snap_collision_rate,
+                  snap_matrix, snap_value, sz_error_bound, sz_power,
                   uniform_prpd)
 from prpd.bits import all_bits, int_to_bits
 
 from helpers import corrupted_uniform_prpd, rand_substochastic
+from lemmas import snap_error_bound, sz_failure_bound
 
 
 def test_snap_value_on_grid_unchanged():
@@ -166,8 +167,7 @@ def test_armoni_honest_generator_bad_y_fraction():
     d = grid_bits(n1, w, eps)  # 6 bits per step
     child = corrupted_uniform_prpd(d, d + 2)  # robust error <= 2^-(d+1)
     from prpd import build_ck
-    build = build_ck([child], [child], w=w + 1, gamma=Fraction(1, 64))
-    gen = build.prpd
+    gen = build_ck([child], [child], w=w + 1, gamma=Fraction(1, 64))
     assert gen.out_len == n1 * d
     program = robp_from_matrix(round_to_grid(m, d), n1, d)
     from prpd import measure_robust_error

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from prpd import (Certificate, ContractError, InputError, Sampler, average,
-                  certify, enumeration_sampler, estimate_matrix, estimate_scalar,
-                  expander_walk_sampler, form_stats, inf_norm, mat_sub, tv_profile)
+from prpd import (Certificate, Sampler, average, certify, enumeration_sampler,
+                  expander_walk_sampler, inf_norm, mat_sub, sampled_average, tv_profile)
 from prpd.bits import all_bits
 
 from helpers import rand_flat_map, rand_table_sampler
+from lemmas import form_stats
+
+
+def sampled_mean(g, f, x):
+    """E_s[f(g(x, s))]: g's estimate of the mean of f at outer input x."""
+    return sum(Fraction(f(g.sample(x, s))) for s in all_bits(g.d)) / (1 << g.d)
 
 
 def exhaustive_f_verdict(g, eps, delta):
@@ -34,7 +37,7 @@ def test_enumeration_sampler_exact():
     f = {y: Fraction(rng.randint(0, 8), 8) for y in all_bits(3)}
     mean = sum(f.values()) / 8
     for x in all_bits(2):
-        assert estimate_scalar(g, lambda y: f[y], x) == mean
+        assert sampled_mean(g, lambda y: f[y], x) == mean
 
 
 def test_enumeration_sampler_certifies_at_zero_zero():
@@ -95,12 +98,6 @@ def test_certify_soundness_small_grid():
                     assert exhaustive_f_verdict(g, eps, delta)
 
 
-def test_estimate_scalar_requires_certificate():
-    g = expander_walk_sampler(4, 2, 3, seed=2)
-    with pytest.raises(ContractError):
-        estimate_scalar(g, lambda y: 0, "0000")
-
-
 def test_estimate_scalar_general_range():
     g = expander_walk_sampler(6, 3, 3, seed=3)
     profile = tv_profile(g)
@@ -111,7 +108,7 @@ def test_estimate_scalar_general_range():
     mean = sum(f.values()) / 8
     eps, delta = g.cert.eps, g.cert.delta
     bad = sum(1 for x in all_bits(6)
-              if abs(estimate_scalar(g, lambda y: f[y], x) - mean) > eps * (hi - lo))
+              if abs(sampled_mean(g, lambda y: f[y], x) - mean) > eps * (hi - lo))
     assert Fraction(bad, 64) <= delta
 
 
@@ -119,7 +116,7 @@ def test_estimate_scalar_constant_function_exact():
     g = expander_walk_sampler(5, 2, 3, seed=11)
     certify(g, Fraction(1), Fraction(1))
     for x in all_bits(5):
-        assert estimate_scalar(g, lambda y: Fraction(3, 7), x) == Fraction(3, 7)
+        assert sampled_mean(g, lambda y: Fraction(3, 7), x) == Fraction(3, 7)
 
 
 def test_estimate_matrix_enumeration_exact():
@@ -128,7 +125,7 @@ def test_estimate_matrix_enumeration_exact():
     g = enumeration_sampler(3, n=2)
     truth = average(flat)
     for x in all_bits(2):
-        assert estimate_matrix(g, flat, x) == truth
+        assert sampled_average(flat, g, x) == truth
 
 
 def test_estimate_matrix_constant_form_exact():
@@ -138,18 +135,7 @@ def test_estimate_matrix_constant_form_exact():
     g = expander_walk_sampler(5, 2, 3, seed=6)
     certify(g, Fraction(1), Fraction(1))
     for x in all_bits(5):
-        assert estimate_matrix(g, flat, x) == m
-
-
-def test_estimate_matrix_contract_errors():
-    rng = random.Random(8)
-    flat = rand_flat_map(rng, 3, 2)
-    g = expander_walk_sampler(4, 2, 3, seed=8)
-    with pytest.raises(ContractError):
-        estimate_matrix(g, flat, "0000")  # uncertified
-    certify(g, Fraction(1), Fraction(1))
-    with pytest.raises(InputError):
-        estimate_matrix(g, rand_flat_map(rng, 2, 2), "0000")  # wrong output width
+        assert sampled_average(flat, g, x) == m
 
 
 def test_matrix_estimate_deviation_bound():
@@ -166,5 +152,5 @@ def test_matrix_estimate_deviation_bound():
     truth = average(flat)
     threshold = 2 * w * stats.weight * eps
     bad = sum(1 for x in all_bits(6)
-              if inf_norm(mat_sub(estimate_matrix(g, flat, x), truth)) > threshold)
+              if inf_norm(mat_sub(sampled_average(flat, g, x), truth)) > threshold)
     assert Fraction(bad, 64) <= w * w * delta
