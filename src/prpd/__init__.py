@@ -5,12 +5,11 @@ from .errors import (CapacityError, ConstructionError, ContractError, InputError
 from .robp import (Mat, Robp, exact_average, identity, inf_norm, mat_add, mat_mul, mat_pow,
                    mat_scale, mat_sub, max_norm, parse_robp, random_robp, serialize_robp,
                    signed_walk_sum, step_matrix, walk_matrix)
-from .pdist import (PseudoDist, RobustPrpd, average, dump_prpd, flatten, matrix_form,
-                    robust_form, to_pseudodist, uniform_prpd)
+from .pdist import (PseudoDist, RobustPrpd, average, dump_prpd, matrix_form, robust_form,
+                    to_pseudodist, uniform_prpd)
 from .sampler import (Certificate, Sampler, TvProfile, certify, enumeration_sampler,
                       expander_walk_sampler, require_certified, sampled_average, tv_profile)
-from .recursion import (LedgerNode, LedgerReport, RecursionParams, SeedLedger,
-                        MODE_CERTIFIED, MODE_EXACT, brute_certified_enumeration_factory,
+from .recursion import (LedgerNode, LedgerReport, RecursionParams, SeedLedger, MODE_EXACT,
                         build_ck, ledger_check, ledger_from_dict, ledger_to_dict, merge_terms,
                         measure_robust_error, recursive_prpd, telescoping_error_bound,
                         telescoping_product, inductive_seed_bounds)

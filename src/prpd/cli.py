@@ -21,10 +21,8 @@ from fractions import Fraction
 from .bits import int_to_bits
 from .errors import InputError, PrpdError
 from .pdist import uniform_prpd
-from .recursion import (MODE_CERTIFIED, MODE_EXACT, RecursionParams,
-                        brute_certified_enumeration_factory, inductive_seed_bounds,
-                        ledger_check, ledger_from_dict, ledger_to_dict, measure_robust_error,
-                        recursive_prpd)
+from .recursion import (RecursionParams, frac_str, inductive_seed_bounds, ledger_check,
+                        ledger_from_dict, ledger_to_dict, measure_robust_error, recursive_prpd)
 from .robp import inf_norm, mat_pow, mat_sub, random_robp, serialize_robp
 from .saks_zhou import SzSchedule, armoni_pow, grid_bits, sz_error_bound, sz_power
 from .sampler import certify, enumeration_sampler, expander_walk_sampler
@@ -44,16 +42,6 @@ def _positive(text: str) -> int:
     return value
 
 
-def _fmt(q) -> str:
-    """q as 'num/den'; InputError if a part has more digits than str(int) renders."""
-    q = Fraction(q)
-    try:
-        return f"{q.numerator}/{q.denominator}"
-    except ValueError:
-        raise InputError(f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
-                         "past the int-to-str limit of this Python") from None
-
-
 def _build_id(args: argparse.Namespace) -> str:
     """Hash of every flag that determines the records; main has removed the others."""
     blob = json.dumps({k: str(v) for k, v in sorted(vars(args).items())}, sort_keys=True)
@@ -61,8 +49,7 @@ def _build_id(args: argparse.Namespace) -> str:
 
 
 def _params_from_args(args) -> RecursionParams:
-    factory = brute_certified_enumeration_factory if args.sampler_mode == MODE_CERTIFIED else None
-    return RecursionParams(gamma=args.gamma, k=args.k, c=args.c, sampler_factory=factory)
+    return RecursionParams(gamma=args.gamma, k=args.k, c=args.c)
 
 
 def _ledger_lines(report) -> list:
@@ -77,9 +64,9 @@ def cmd_build_prpd(args, emit):
     prpd, ledger = recursive_prpd(args.n, args.w, eps=args.eps, params=_params_from_args(args))
     report = ledger_check(ledger)
     emit({"record": "config", "command": "build-prpd", "build_id": _build_id(args),
-          "n": args.n, "w": args.w, "k": ledger.k, "gamma": _fmt(ledger.gamma),
+          "n": args.n, "w": args.w, "k": ledger.k, "gamma": frac_str(ledger.gamma),
           "c": ledger.c, "sampler_mode": ledger.sampler_mode})
-    lines = [f"build-prpd n={args.n} w={args.w} k={ledger.k} gamma={_fmt(ledger.gamma)} "
+    lines = [f"build-prpd n={args.n} w={args.w} k={ledger.k} gamma={frac_str(ledger.gamma)} "
              f"mode={ledger.sampler_mode}",
              f"{'h':>3} {'k':>3} {'kind':>8} {'s_out':>6} {'s_in':>6} {'mu':>6} "
              f"{'s_out_bound':>12} {'s_in_bound':>11} {'mu_cap':>7}"]
@@ -89,7 +76,7 @@ def cmd_build_prpd(args, emit):
         emit({"record": "node", "h": node.h, "k": node.k, "kind": node.kind,
               "s_out": node.s_out, "s_in": node.s_in, "mu": node.mu,
               "s_out_bound": round(so_b, 3), "s_in_bound": round(si_b, 3),
-              "mu_cap": node.mu_cap, "error_bound": _fmt(node.error_bound)})
+              "mu_cap": node.mu_cap, "error_bound": frac_str(node.error_bound)})
         lines.append(f"{node.h:>3} {node.k:>3} {node.kind:>8} {node.s_out:>6} {node.s_in:>6} "
                      f"{node.mu:>6} {so_b:>12.1f} {si_b:>11.1f} {node.mu_cap:>7}")
     emit({"record": "ledger", "ledger": ledger_to_dict(ledger)})
@@ -103,21 +90,22 @@ def cmd_verify_error(args, emit):
     prpd, ledger = recursive_prpd(args.n, args.w, eps=args.eps, params=_params_from_args(args))
     bound = ledger.top.error_bound
     emit({"record": "config", "command": "verify-error", "build_id": _build_id(args),
-          "n": args.n, "w": args.w, "k": ledger.k, "gamma": _fmt(ledger.gamma),
-          "robps": args.robps, "seed": args.seed, "bound": _fmt(bound)})
+          "n": args.n, "w": args.w, "k": ledger.k, "gamma": frac_str(ledger.gamma),
+          "robps": args.robps, "seed": args.seed, "bound": frac_str(bound)})
     runs = []
     for t in range(args.robps):
         program = random_robp(ledger.n_padded, args.w, seed=args.seed * 100003 + t)
         err = measure_robust_error(prpd, program)
         runs.append((err, program))
-        emit({"record": "instance", "index": t, "measured": _fmt(err),
-              "bound": _fmt(bound), "within": err <= bound})
+        emit({"record": "instance", "index": t, "measured": frac_str(err),
+              "bound": frac_str(bound), "within": err <= bound})
     worst, program = max(runs, key=lambda run: run[0])      # the first of the worst
     ok = worst <= bound
-    emit({"record": "worst", "measured": _fmt(worst), "robp": serialize_robp(program)})
+    emit({"record": "worst", "measured": frac_str(worst), "robp": serialize_robp(program)})
     emit({"record": "summary", "ok": ok})
     return ok, [f"verify-error n={args.n} w={args.w} k={ledger.k}: {args.robps} programs, "
-                f"worst measured {_fmt(worst)} vs bound {_fmt(bound)} -> {'ok' if ok else 'FAIL'}"]
+                f"worst measured {frac_str(worst)} vs bound {frac_str(bound)} -> "
+                f"{'ok' if ok else 'FAIL'}"]
 
 
 def cmd_certify_sampler(args, emit):
@@ -128,14 +116,14 @@ def cmd_certify_sampler(args, emit):
                                   args.m, seed=args.seed)
     ok, profile = certify(g, args.eps, args.delta)
     emit({"record": "certificate", "kind": args.kind, "n": g.n, "d": g.d, "m": g.m,
-          "eps": _fmt(args.eps), "delta": _fmt(args.delta),
+          "eps": frac_str(args.eps), "delta": frac_str(args.delta),
           "method": g.cert.method if ok else "none",
-          "max_tv": _fmt(profile.max_tv),
+          "max_tv": frac_str(profile.max_tv),
           "bad_x_count": profile.bad_count(args.eps),
           "certified": ok})
     return ok, [f"certify-sampler {args.kind} n={g.n} d={g.d} m={g.m}: "
-                f"max TV {_fmt(profile.max_tv)}, bad x {profile.bad_count(args.eps)}/{1 << g.n} "
-                f"at eps={_fmt(args.eps)} delta={_fmt(args.delta)} -> "
+                f"max TV {frac_str(profile.max_tv)}, bad x {profile.bad_count(args.eps)}/"
+                f"{1 << g.n} at eps={frac_str(args.eps)} delta={frac_str(args.delta)} -> "
                 f"{'certified' if ok else 'REFUSED'}"]
 
 
@@ -150,7 +138,7 @@ def cmd_sz_demo(args, emit):
     emit({"record": "config", "command": "sz-demo", "build_id": _build_id(args),
           "w": args.w, "n1": args.n1, "n2": args.n2, "d": args.d,
           "approximator": args.approximator, "seed": args.seed,
-          "matrices": args.matrices, "bound": _fmt(bound)})
+          "matrices": args.matrices, "bound": frac_str(bound)})
     if args.approximator == "exact":
         eps = Fraction(0)
         approx = lambda mat, y: mat_pow(mat, args.n1)
@@ -166,12 +154,12 @@ def cmd_sz_demo(args, emit):
                         for _ in range(args.n2))
         schedule = SzSchedule(n1=args.n1, n2=args.n2, d=args.d, eps=eps, y="", offsets=offsets)
         errs.append(inf_norm(mat_sub(sz_power(m, schedule, approx), mat_pow(m, n))))
-        emit({"record": "instance", "index": t, "measured": _fmt(errs[-1]),
-              "bound": _fmt(bound), "within": errs[-1] <= bound})
+        emit({"record": "instance", "index": t, "measured": frac_str(errs[-1]),
+              "bound": frac_str(bound), "within": errs[-1] <= bound})
     ok = max(errs) <= bound
     emit({"record": "summary", "ok": ok})
     return ok, [f"sz-demo w={args.w} n={args.n1}^{args.n2} d={args.d} "
-                f"({args.approximator}): {args.matrices} matrices vs bound {_fmt(bound)} -> "
+                f"({args.approximator}): {args.matrices} matrices vs bound {frac_str(bound)} -> "
                 f"{'ok' if ok else 'FAIL'}"]
 
 
@@ -210,7 +198,7 @@ def cmd_ledger_check(args, emit):
     report = ledger_check(ledger_from_dict(_load_ledger(args.ledger)), c=args.c)
 
     def exact(v):
-        return _fmt(v) if type(v) is Fraction else v
+        return frac_str(v) if type(v) is Fraction else v
 
     for chk in report.checks:
         emit({"record": "check", "h": chk.h, "k": chk.k, "name": chk.name,
@@ -236,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--gamma", type=_frac, default=None)
         p.add_argument("--c", type=_positive, default=1)
-        p.add_argument("--sampler-mode", choices=[MODE_EXACT, MODE_CERTIFIED], default=MODE_EXACT)
 
     p = sub.add_parser("build-prpd", help="build a generator and check its ledger")
     recursion(p)

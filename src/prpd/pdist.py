@@ -3,8 +3,7 @@
 A pseudodistribution is a finite weighted list of output strings; realized
 on a program segment it becomes the coefficient-weighted average of walk
 matrices. Robust generators carry a two-level seed (outer x, inner y) and a
-bundle of mu signed strings per seed pair; flattening promotes the inner
-seed into the outer one without touching averages or weight.
+bundle of mu signed strings per seed pair.
 """
 
 from __future__ import annotations
@@ -88,15 +87,6 @@ def uniform_prpd(out_len: int) -> RobustPrpd:
                       bundle=lambda x, y: [(y, 1)])
 
 
-def flatten(prpd: RobustPrpd) -> RobustPrpd:
-    """Promote the inner seed into the outer seed; bundles stay bundled."""
-    if prpd.s_in == 0:
-        return prpd
-    cut, inner = prpd.s_out, prpd.bundle
-    return RobustPrpd(out_len=prpd.out_len, s_out=prpd.seed_len, s_in=0, mu=prpd.mu,
-                      bundle=lambda x, y: inner(x[:cut], x[cut:]))
-
-
 def seed_bundles(prpd: RobustPrpd, site: str) -> Iterator[Tuple[str, str, list]]:
     """Every (x, y, bundle), x outer; the capacity of all (x, y, i) is checked at the call.
 
@@ -137,12 +127,17 @@ def dump_prpd(prpd: RobustPrpd) -> str:
 # matrix forms on a fixed program segment: dicts from a seed to a w x w matrix
 
 
-def robust_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
-    """x -> E_y A(x, y), A(x, y) the sum over the bundle of sign * walk matrix; exact."""
+def check_segment(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> None:
+    """InputError unless the generator emits exactly the bits steps a..b consume."""
     if prpd.out_len != (b - a) * robp.d_step:
         raise InputError(
             f"generator emits {prpd.out_len} bits, segment consumes {(b - a) * robp.d_step}"
         )
+
+
+def robust_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
+    """x -> E_y A(x, y), A(x, y) the sum over the bundle of sign * walk matrix; exact."""
+    check_segment(prpd, robp, a, b)
     inv = Fraction(1, 1 << prpd.s_in)
     per_x = groupby(seed_bundles(prpd, "matrix form enumeration"), key=itemgetter(0))
     return {x: mat_scale(inv, signed_walk_sum(robp, a, (e for _, _, bundle in group
@@ -151,8 +146,10 @@ def robust_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
 
 
 def matrix_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
-    """x||y -> A(x, y): the robust form of the flattened generator, one matrix per seed."""
-    return robust_form(flatten(prpd), robp, a, b)
+    """x||y -> A(x, y), the int matrix of one seed's bundle; its average is robust_form's."""
+    check_segment(prpd, robp, a, b)
+    return {x + y: signed_walk_sum(robp, a, bundle)
+            for x, y, bundle in seed_bundles(prpd, "per-seed table")}
 
 
 def average(form: Dict[str, Mat]) -> Mat:

@@ -2,10 +2,11 @@
 
 One merge level combines graded approximations of the two half segments
 through the telescoping combination sum_{i+j=k} A_i B_j - sum_{i+j=k-1}
-A_i B_j. Low indices (i <= ceil(k/2)) are flattened and re-selected through
-an averaging sampler driven by the outer seed; high indices pass the outer
-seed through directly. The ledger records, per node, the seed lengths and
-weight actually used next to the inductive bounds they must stay under.
+A_i B_j. A low index (i <= ceil(k/2)) reads its child at a flat seed (outer
+and inner together) that an averaging sampler selects from the outer seed; a
+high index passes the outer seed through directly. The ledger records, per
+node, the seed lengths and weight actually used next to the inductive bounds
+they must stay under.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 from .bits import all_bits, suffix
 from .errors import (ConstructionError, ContractError, InputError, ParseError,
                      check_capacity)
-from .pdist import RobustPrpd, average, robust_form, seed_bundles, uniform_prpd
-from .robp import (Mat, Robp, exact_average, inf_norm, mat_add, mat_mul, mat_scale, mat_sub,
-                   signed_walk_sum)
-from .sampler import Sampler, certify, enumeration_sampler, pass_seed, sampled_average
+from .pdist import RobustPrpd, average, check_segment, matrix_form, robust_form, uniform_prpd
+from .robp import Mat, Robp, exact_average, inf_norm, mat_add, mat_mul, mat_scale, mat_sub
+from .sampler import Sampler, enumeration_sampler, pass_seed, sampled_average
 
+# the provenance recursive_prpd records; ledger_check judges a ledger of any provenance
 MODE_EXACT = "exact-enumeration"
-MODE_CERTIFIED = "certified-backend"
 
 # Largest accepted k and c. The exact cascade arithmetic of a ledger grows with k;
 # c enters the seed bounds through int products such as 4*c*k, converted to float,
@@ -191,7 +191,7 @@ def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
     for i, g in enumerate(samplers):
         if g.m != a_children[i].seed_len:
             raise ConstructionError(
-                f"sampler g_{i} emits {g.m} bits, flattened child seed is {a_children[i].seed_len}"
+                f"sampler g_{i} emits {g.m} bits, flat child seed is {a_children[i].seed_len}"
             )
         if g.cert is None:
             raise ContractError(f"sampler g_{i} is uncertified; certify() it first")
@@ -237,17 +237,6 @@ class RecursionParams:
     gamma: Optional[Fraction] = None          # default 1/n^4 (n padded)
     k: Optional[int] = None                   # default: smallest k meeting eps
     c: int = 1                                # sampler seed-length constant
-    # (m_bits, eps_req, delta_req) -> certified sampler; None installs exact enumeration
-    sampler_factory: Optional[Callable[[int, Fraction, Fraction], Sampler]] = None
-
-
-def brute_certified_enumeration_factory(m_bits: int, eps_req: Fraction, delta_req: Fraction) -> Sampler:
-    """Certified backend: exact sampler with a brute-force certificate."""
-    g = enumeration_sampler(m_bits)
-    ok, _ = certify(g, 0, 0)
-    if not ok:
-        raise ConstructionError("enumeration sampler failed its own certification")
-    return g
 
 
 @dataclass(frozen=True)
@@ -389,7 +378,9 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
 
     n is padded to the next power of two (extra bits are simply ignored by
     shorter programs extended with identity steps). Terminal nodes
-    (h = 0 or 2k >= 2^h) are the exact uniform generator with s_out = 0.
+    (h = 0 or 2k >= 2^h) are the exact uniform generator with s_out = 0, and
+    every merge re-selects its low-index children through build_ck's
+    enumeration samplers.
     """
     params = params or RecursionParams()
     n_pad = next_power_of_two(n)
@@ -407,7 +398,6 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
             raise InputError("give either eps or params.k")
         k_top = derive_k(n_pad, gamma, Fraction(eps))
 
-    factory = params.sampler_factory
     table: Dict[Tuple[int, int], RobustPrpd] = {}
     nodes: List[LedgerNode] = []
     for (h, kk), p in ledger_plan(n_pad, k_top, w, gamma).items():
@@ -416,10 +406,7 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
             prpd = uniform_prpd(1 << h)
         else:
             children = [table[(h - 1, i)] for i in range(kk + 1)]
-            samplers = None if factory is None else [
-                factory(children[i].seed_len, eps_i, p.delta_required)
-                for i, eps_i in enumerate(p.eps_required)]
-            prpd = build_ck(children, children, w=w, gamma=p.merge_gamma, samplers=samplers)
+            prpd = build_ck(children, children, w=w, gamma=p.merge_gamma)
             slots = tuple(SamplerSlot(i=i, out_bits=g.m, n=g.n, d=g.d, eps_required=eps_i,
                                       delta_required=p.delta_required, cert_method=g.cert.method,
                                       cert_eps=g.cert.eps, cert_delta=g.cert.delta)
@@ -431,7 +418,7 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
                                 mu=prpd.mu, mu_cap=p.mu_cap, error_bound=p.error_bound, **merge))
         table[(h, kk)] = prpd
     ledger = SeedLedger(n=n, n_padded=n_pad, w=w, gamma=gamma, k=k_top, c=params.c,
-                        sampler_mode=MODE_EXACT if factory is None else MODE_CERTIFIED,
+                        sampler_mode=MODE_EXACT,
                         eps_target=Fraction(eps) if eps is not None else None,
                         nodes=nodes)
     return prpd, ledger            # the plan ends at the top node
@@ -707,8 +694,7 @@ class _MergeTree:
     def table(self, prpd: RobustPrpd, a: int) -> Dict[str, Mat]:
         node, mid = self.layout(prpd, a)
         if node is None:
-            return {x + y: signed_walk_sum(self.robp, a, bundle)
-                    for x, y, bundle in seed_bundles(prpd, "per-seed table")}
+            return matrix_form(prpd, self.robp, a, a + prpd.out_len // self.robp.d_step)
         a_tables = [self.get(child, a, TABLE) for child in node.a_children]
         b_tables = [self.get(child, mid, TABLE) for child in node.b_children]
         return {x + y: _term_sum(node.terms,
@@ -726,10 +712,7 @@ def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, M
     evaluation's matrix products, sampled reads and leaf strings are counted
     against the enumeration budget before any is made.
     """
-    if prpd.out_len != (b - a) * robp.d_step:
-        raise InputError(
-            f"generator emits {prpd.out_len} bits, segment consumes {(b - a) * robp.d_step}"
-        )
+    check_segment(prpd, robp, a, b)
     tree = _MergeTree(robp)
     check_capacity(tree.cost(prpd, a, FORM, set()), "merge tree evaluation")
     return tree.get(prpd, a, FORM)
@@ -749,9 +732,14 @@ def measure_robust_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[i
 # per dataclass, a list per tuple or list and a 'num/den' string per Fraction
 
 
-def _frac_str(q) -> str:
+def frac_str(q) -> str:
+    """q as 'num/den'; InputError if a part has more digits than str(int) renders."""
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise InputError(f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
+                         "past the int-to-str limit of this Python") from None
 
 
 def _parse_frac(s: str) -> Fraction:
@@ -770,7 +758,7 @@ def ledger_to_dict(value: SeedLedger) -> dict:
     if kind is int or kind is str or value is None:
         return value
     if kind is Fraction:
-        return _frac_str(value)
+        return frac_str(value)
     if kind is tuple or kind is list:
         return [ledger_to_dict(v) for v in value]
     return {name: ledger_to_dict(v) for name, v in vars(value).items()}      # a dataclass

@@ -153,7 +153,9 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) ->
     require_certified(samp, eps / (6 * prpd.mu), eps / (w * w), what="offline sampler")
     if len(y) != samp.n:
         raise InputError(f"offline randomness must be {samp.n} bits")
-    check_capacity((1 << samp.d) * prpd.mu * w, "offline power estimate")
+    # the step program robp_from_matrix builds has n1 * 2^d * (w+1) successor entries
+    check_capacity((1 << samp.d) * prpd.mu * w + n1 * (1 << d) * (w + 1),
+                   "offline power estimate")
     program = robp_from_matrix(round_to_grid(m, d), n1, d)
     cut = prpd.s_out
     seeds = (samp.sample(y, z) for z in all_bits(samp.d))

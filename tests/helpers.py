@@ -7,11 +7,28 @@ never tolerances.
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
 from prpd import Certificate, PseudoDist, RobustPrpd, Sampler, build_ck, inf_norm
 from prpd.bits import all_bits, int_to_bits
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run for `seconds`."""
+    def time_out(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, time_out)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def rand_fraction(rng: random.Random, lo=-2, hi=2, den_bits=4) -> Fraction:

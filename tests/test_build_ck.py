@@ -189,5 +189,5 @@ def test_refuses_sampler_output_mismatch():
     children = [uniform_prpd(2)]
     g = expander_walk_sampler(6, 3, 3, seed=5)
     certify(g, Fraction(1), Fraction(1))
-    with pytest.raises(ConstructionError, match="flattened child seed"):
+    with pytest.raises(ConstructionError, match="flat child seed"):
         build_ck(children, children, w=2, gamma=GAMMA, samplers=[g])

@@ -2,14 +2,14 @@ import copy
 import hashlib
 import json
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
 from prpd import RecursionParams, ledger_check, ledger_from_dict, ledger_to_dict, recursive_prpd
 from prpd.cli import main
+
+from helpers import deadline
 
 
 def read_records(path):
@@ -42,6 +42,7 @@ def test_build_prpd_deterministic(tmp_path):
     main(["build-prpd", "--n", "4", "--w", "2", "--k", "1", "--out", str(out1)])
     main(["build-prpd", "--n", "4", "--w", "2", "--k", "1", "--out", str(out2)])
     assert out1.read_text() == out2.read_text()
+    assert any(r["record"] == "node" and r["kind"] == "merge" for r in read_records(out1))
 
 
 def test_ledger_check_roundtrip(tmp_path):
@@ -104,15 +105,6 @@ def test_sz_demo_armoni(tmp_path):
     assert code == 0
 
 
-def test_build_prpd_certified_mode(tmp_path):
-    out = tmp_path / "certified.jsonl"
-    code = main(["build-prpd", "--n", "4", "--w", "2", "--k", "1",
-                 "--sampler-mode", "certified-backend", "--out", str(out)])
-    assert code == 0
-    nodes = [r for r in read_records(out) if r["record"] == "node"]
-    assert any(n["kind"] == "merge" for n in nodes)
-
-
 def test_cli_reports_capacity_error(capsys):
     # node (5, 16) is the 32-bit uniform terminal, a pass-through child of the top
     code = main(["verify-error", "--n", "64", "--w", "2", "--k", "16", "--robps", "1"])
@@ -131,8 +123,8 @@ def test_verify_error_reaches_past_flat_enumeration(tmp_path, argv):
 
 # sha256 of verify-error --out files: measuring through the merge tree writes the same records
 VERIFY_OUT_SHA256 = {
-    ("8", "3", "2", "5"): "c632ac181e1cf19207fc9fecb4eefd9a4c0ea4cd3e2e16f9c6c81bdc8efffb2d",
-    ("8", "2", "1", "20"): "6044b7044b077153f8c036d0eb024b9b3020d74a3e0476e2df48821014c70c97",
+    ("8", "3", "2", "5"): "13e4ab0e605894297f612fdac87835ad279144fb345bf850a3634f49b9032431",
+    ("8", "2", "1", "20"): "a3cad3bd80ee5d758a0bef80dc543122059f85baf26311fa965ba467311eddc2",
 }
 
 
@@ -357,21 +349,6 @@ BAD_INPUTS = {
 }
 
 
-@contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in the block once it has run for `seconds`."""
-    def time_out(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, time_out)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_bad_input_exits_2(tmp_path, monkeypatch, case):
     argv, ledger_text = BAD_INPUTS[case]
@@ -410,7 +387,7 @@ FUZZ_FIELDS = _fuzz_fields()
 
 
 def _fuzz_exit_code(tmp_path, edits):
-    """ledger-check's exit code on the honest ledger with each (fields, value) edit made."""
+    """ledger-check's exit code on the honest ledger with each (fields, JSON value) edit made."""
     path, out = tmp_path / "ledger.json", tmp_path / "checks.jsonl"
     data = json.loads(HONEST_LEDGER)
     for fields, value in edits:
@@ -418,7 +395,7 @@ def _fuzz_exit_code(tmp_path, edits):
         try:
             for key in fields[:-1]:
                 target = target[key]
-            target[fields[-1]] = copy.deepcopy(FUZZ_VALUES[value])
+            target[fields[-1]] = copy.deepcopy(value)
         except (KeyError, IndexError, TypeError):
             pass                        # an earlier edit replaced a parent of this field
     path.write_text(json.dumps(data))
@@ -430,13 +407,13 @@ def _fuzz_exit_code(tmp_path, edits):
 def test_ledger_check_exit_contract_fuzz(tmp_path, value):
     # one value replaced: the verdict is an exit code, in seconds, never a traceback
     for fields in FUZZ_FIELDS:
-        assert _fuzz_exit_code(tmp_path, [(fields, value)]) in (0, 1, 2), fields
+        assert _fuzz_exit_code(tmp_path, [(fields, FUZZ_VALUES[value])]) in (0, 1, 2), fields
 
 
 def _multi_edits(count):
     """A fixed sample of `count` edits, each two or three (field, value) pairs at once."""
     rng = random.Random(0)
-    return [[(rng.choice(FUZZ_FIELDS), rng.choice(list(FUZZ_VALUES)))
+    return [[(rng.choice(FUZZ_FIELDS), FUZZ_VALUES[rng.choice(list(FUZZ_VALUES))])
              for _ in range(rng.choice((2, 3)))] for _ in range(count)]
 
 
@@ -445,3 +422,34 @@ def test_ledger_check_exit_contract_multi_edit_fuzz(tmp_path):
     # the verdict is still an exit code, in seconds, never a traceback
     for edits in _multi_edits(600):
         assert _fuzz_exit_code(tmp_path, edits) in (0, 1, 2), edits
+
+
+def test_ledger_check_exit_contract_consistent_headers(tmp_path):
+    # n = n_padded and k edited together: a header that parses, so the plan and the checks
+    # run on it, alone and with one more value replaced
+    rng = random.Random(0)
+    headers = [[(("n",), 1 << j), (("n_padded",), 1 << j), (("k",), k)]
+               for j in (3, 10, 20) for k in (0, 1, 64, 4096)]
+    codes = [_fuzz_exit_code(tmp_path, edits) for edits in headers]
+    assert set(codes) == {0, 1, 2}, codes
+    for edits in headers:
+        edits = edits + [(rng.choice(FUZZ_FIELDS), FUZZ_VALUES[rng.choice(list(FUZZ_VALUES))])]
+        assert _fuzz_exit_code(tmp_path, edits) in (0, 1, 2), edits
+
+
+def test_ledger_check_accepts_any_provenance(tmp_path):
+    # the sampler mode and certificate methods are provenance strings: a ledger another
+    # builder wrote is judged by its values alone, with the same checks
+    data = json.loads(HONEST_LEDGER)
+    data["sampler_mode"] = "certified-backend"
+    slots = [slot for node in data["nodes"] for slot in node["samplers"]]
+    assert slots and {slot["cert_method"] for slot in slots} == {"analytic"}
+    for slot in slots:
+        slot["cert_method"] = "brute-force"
+    checks = []
+    for name, text in (("honest", HONEST_LEDGER), ("relabelled", json.dumps(data))):
+        path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+        path.write_text(text)
+        assert main(["ledger-check", "--ledger", str(path), "--out", str(out)]) == 0
+        checks.append(out.read_text())
+    assert checks[0] == checks[1]

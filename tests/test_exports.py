@@ -1,11 +1,14 @@
 """The package exports what its commands, scripts and benchmark call, and little else."""
 
+import argparse
 import ast
+import dataclasses
 import re
 import types
 from pathlib import Path
 
 import prpd
+from prpd.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "prpd"
@@ -57,3 +60,23 @@ def test_exports_have_non_test_callers():
 def test_pdist_is_the_module():
     # the package re-exports no function called pdist, so its attribute is the module
     assert isinstance(prpd.pdist, types.ModuleType)
+
+
+# every knob a user can set: a flag or field added or removed must be edited here too
+FLAGS = {
+    "build-prpd": ["--n", "--w", "--eps", "--k", "--gamma", "--c", "--out"],
+    "verify-error": ["--n", "--w", "--eps", "--k", "--gamma", "--c", "--robps", "--seed", "--out"],
+    "certify-sampler": ["--kind", "--n", "--d", "--m", "--eps", "--delta", "--seed", "--out"],
+    "sz-demo": ["--w", "--n1", "--n2", "--d", "--eps", "--approximator", "--matrices", "--seed",
+                "--out"],
+    "ledger-check": ["--ledger", "--c", "--out"],
+}
+
+
+def test_knobs_pinned():
+    [commands] = [a.choices for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: [opt for action in sub._actions for opt in action.option_strings
+                    if opt not in ("-h", "--help")] for name, sub in commands.items()}
+    assert flags == FLAGS
+    assert [f.name for f in dataclasses.fields(prpd.RecursionParams)] == ["gamma", "k", "c"]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from prpd import (ContractError, InputError, RobustPrpd, average, dump_prpd, exact_average,
-                  flatten, identity, inf_norm, mat_add, mat_scale, matrix_form, random_robp,
+                  identity, inf_norm, mat_add, mat_scale, matrix_form, random_robp,
                   robust_form, to_pseudodist, uniform_prpd, walk_matrix)
 from prpd.bits import all_bits
 from prpd.robp import zeros
@@ -73,23 +73,14 @@ def test_robust_form_matches_enumeration():
         assert rf[x] == mat_scale(Fraction(1, 4), acc)
 
 
-def test_flatten_preserves_average_and_weight():
+def test_matrix_form_keyed_by_flat_seed_with_robust_average():
     rng = random.Random(6)
     program = random_robp(3, 2, seed=6)
-    prpd = rand_prpd(rng, 3, 2, 2, 2)
-    flat = flatten(prpd)
-    assert flat.s_out == 4 and flat.s_in == 0 and flat.mu == prpd.mu
-    assert average(robust_form(flat, program, 0, 3)) == average(robust_form(prpd, program, 0, 3))
-    # bundles stay bundled: the flat seed x||y reproduces the original bundle
-    for x in all_bits(2):
-        for y in all_bits(2):
-            assert flat.bundle(x + y, "") == prpd.bundle(x, y)
-
-
-def test_flatten_identity_when_already_flat():
-    rng = random.Random(7)
-    prpd = rand_prpd(rng, 2, 2, 0, 1)
-    assert flatten(prpd) is prpd
+    for s_out, s_in in ((2, 2), (2, 0)):
+        prpd = rand_prpd(rng, 3, s_out, s_in, 2)
+        mf = matrix_form(prpd, program, 0, 3)
+        assert list(mf) == [x + y for x in all_bits(s_out) for y in all_bits(s_in)]
+        assert average(mf) == average(robust_form(prpd, program, 0, 3))
 
 
 def test_form_stats_constant_identity():

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prpd import (CapacityError, ContractError, RecursionParams, RobustPrpd, Sampler,
-                  brute_certified_enumeration_factory, build_ck, enumeration_sampler,
-                  measure_robust_error, random_robp, recursive_prpd, robust_form)
+                  build_ck, enumeration_sampler, measure_robust_error, random_robp,
+                  recursive_prpd, robust_form)
 from prpd.recursion import merge_tree_form
 
 from helpers import assumed_sampler, corrupted_uniform_prpd, rand_depth1_tree, rand_depth2_tree
@@ -63,10 +63,9 @@ def test_random_trees_have_outer_seeds_and_error():
     assert any(measure_robust_error(t, random_robp(t.out_len, 2, seed=1)) > 0 for t in trees)
 
 
-@pytest.mark.parametrize("n,w,k,certified", PINNED_DUMPS)
-def test_pinned_builds_match_flat(n, w, k, certified):
-    factory = brute_certified_enumeration_factory if certified else None
-    prpd, _ = recursive_prpd(n, w, params=RecursionParams(k=k, sampler_factory=factory))
+@pytest.mark.parametrize("n,w,k", PINNED_DUMPS)
+def test_pinned_builds_match_flat(n, w, k):
+    prpd, _ = recursive_prpd(n, w, params=RecursionParams(k=k))
     for seed in range(3):
         assert_same_forms(prpd, random_robp(n, w, seed=seed))
 

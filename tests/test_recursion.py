@@ -6,10 +6,8 @@ from math import comb
 
 import pytest
 
-from prpd import (ConstructionError, InputError, MODE_CERTIFIED, RecursionParams,
-                  Robp, brute_certified_enumeration_factory, certify, dump_prpd,
-                  exact_average, expander_walk_sampler, inf_norm,
-                  ledger_check, ledger_from_dict, ledger_to_dict, mat_sub,
+from prpd import (InputError, MODE_EXACT, RecursionParams, Robp, dump_prpd, exact_average,
+                  inf_norm, ledger_check, ledger_from_dict, ledger_to_dict, mat_sub,
                   measure_robust_error, random_robp, recursive_prpd, robust_form)
 from prpd.recursion import (C_MAX, K_MAX, cascade_bound, derive_k, is_terminal, ledger_plan,
                             next_power_of_two)
@@ -113,33 +111,13 @@ def test_padding_to_power_of_two():
     assert inf_norm(mat_sub(exact_average(padded, 0, 4), exact_average(base, 0, 3))) == 0
 
 
-def test_certified_mode_default_factory():
-    prpd, ledger = recursive_prpd(
-        4, 2, params=RecursionParams(k=1, sampler_factory=brute_certified_enumeration_factory))
-    assert ledger.sampler_mode == MODE_CERTIFIED
-    for node in ledger.nodes:
-        for slot in node.samplers:
-            assert slot.cert_method == "brute-force"
-            assert slot.cert_eps == 0 and slot.cert_delta == 0
-    program = random_robp(4, 2, seed=2)
-    assert measure_robust_error(prpd, program) == 0
-    assert ledger_check(ledger).ok
-
-
-def test_certified_mode_rejects_weak_backend():
-    def weak_factory(m_bits, eps_req, delta_req):
-        g = expander_walk_sampler(8, max(1, m_bits - 2), m_bits, seed=3)
-        ok, profile = certify(g, 1, 1)
-        assert ok
-        return g
-
-    with pytest.raises(ConstructionError, match="eps_0"):
-        recursive_prpd(4, 2, params=RecursionParams(
-            k=0, sampler_factory=weak_factory))
-
-
 def test_ledger_json_roundtrip():
     _, ledger = recursive_prpd(8, 2, params=RecursionParams(k=1))
+    # every merge installs enumeration samplers, certified analytically at (0, 0)
+    assert ledger.sampler_mode == MODE_EXACT
+    slots = [slot for node in ledger.nodes for slot in node.samplers]
+    assert slots and {(s.cert_method, s.cert_eps, s.cert_delta) for s in slots} == {
+        ("analytic", 0, 0)}
     data = ledger_to_dict(ledger)
     back = ledger_from_dict(data)
     assert back.nodes == ledger.nodes
@@ -186,18 +164,16 @@ def test_bad_params_rejected():
 
 # sha256 of dump_prpd at fixed builds: a change to any bundle of the table shows here
 PINNED_DUMPS = {
-    (4, 2, 1, False): "4765cac7d66d9e9f2bd4a28f5876fc07a4357c07bda29a700ba23db7f75f50ac",
-    (8, 2, 1, False): "36fb327d4fe4a49b78b330b3f5176cdb8d204bd5c787bbe103fffe519adb1df9",
-    (8, 3, 2, False): "ea12a6850685bd7abc7d0b549e2c2caede3b4d1ab669c84a48e66a824e7d5533",
-    (8, 2, 0, False): "8bb554325bf66791656d4a3bf2d8f8461ceacdbec3f94de28c24e038fd49d272",
-    (4, 3, 2, False): "767c1d51062348e543231b08beff4142a204becb59ab471a3dc95d52018fdf20",
-    (4, 2, 1, True): "4765cac7d66d9e9f2bd4a28f5876fc07a4357c07bda29a700ba23db7f75f50ac",
+    (4, 2, 1): "4765cac7d66d9e9f2bd4a28f5876fc07a4357c07bda29a700ba23db7f75f50ac",
+    (8, 2, 1): "36fb327d4fe4a49b78b330b3f5176cdb8d204bd5c787bbe103fffe519adb1df9",
+    (8, 3, 2): "ea12a6850685bd7abc7d0b549e2c2caede3b4d1ab669c84a48e66a824e7d5533",
+    (8, 2, 0): "8bb554325bf66791656d4a3bf2d8f8461ceacdbec3f94de28c24e038fd49d272",
+    (4, 3, 2): "767c1d51062348e543231b08beff4142a204becb59ab471a3dc95d52018fdf20",
 }
 
 
-@pytest.mark.parametrize("n,w,k,certified", PINNED_DUMPS)
-def test_dump_prpd_pinned(n, w, k, certified):
-    factory = brute_certified_enumeration_factory if certified else None
-    prpd, _ = recursive_prpd(n, w, params=RecursionParams(k=k, sampler_factory=factory))
+@pytest.mark.parametrize("n,w,k", PINNED_DUMPS)
+def test_dump_prpd_pinned(n, w, k):
+    prpd, _ = recursive_prpd(n, w, params=RecursionParams(k=k))
     digest = hashlib.sha256(dump_prpd(prpd).encode()).hexdigest()
-    assert digest == PINNED_DUMPS[(n, w, k, certified)]
+    assert digest == PINNED_DUMPS[(n, w, k)]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prpd import (ContractError, InputError, SzSchedule, armoni_pow, certify,
-                  enumeration_sampler, exact_average,
+from prpd import (CapacityError, ContractError, InputError, RobustPrpd, SzSchedule,
+                  armoni_pow, certify, enumeration_sampler, exact_average,
                   expander_walk_sampler, grid_bits, identity, inf_norm, mat_pow,
                   mat_sub, max_norm, robp_from_matrix, round_to_grid,
                   snap_collision_bound, snap_collision_rate,
@@ -14,7 +14,7 @@ from prpd import (ContractError, InputError, SzSchedule, armoni_pow, certify,
                   uniform_prpd)
 from prpd.bits import all_bits, int_to_bits
 
-from helpers import corrupted_uniform_prpd, rand_substochastic
+from helpers import corrupted_uniform_prpd, deadline, rand_substochastic
 from lemmas import snap_error_bound, sz_failure_bound
 
 
@@ -156,6 +156,19 @@ def test_armoni_contract_errors():
     samp = enumeration_sampler(wrong_len.seed_len, n=0)
     with pytest.raises(ContractError):
         armoni_pow(m, 2, wrong_len, samp, "", eps)
+
+
+def test_armoni_counts_step_program_before_building_it():
+    # one seed bit, but d = 21 at n1 = 16: a step program of 16 * 2^21 * 3 successor entries
+    eps, n1 = Fraction(1, 1 << 14), 16
+    d = grid_bits(n1, 2, eps)
+    assert d == 21
+    gen = RobustPrpd(out_len=n1 * d, s_out=0, s_in=1, mu=1, bundle=lambda x, y: [(y * n1 * d, 1)])
+    samp = enumeration_sampler(gen.seed_len, n=0)
+    m = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(0), Fraction(1)))
+    with pytest.raises(CapacityError, match="offline power estimate"):
+        with deadline(1):
+            armoni_pow(m, n1, gen, samp, "", eps)
 
 
 def test_armoni_honest_generator_bad_y_fraction():
