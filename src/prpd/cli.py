@@ -110,6 +110,8 @@ def cmd_verify_error(args, emit):
 
 def cmd_certify_sampler(args, emit):
     if args.kind == "enumeration":
+        if args.d not in (None, args.m):
+            raise InputError(f"an enumeration sampler has d = m = {args.m}, got --d {args.d}")
         g = enumeration_sampler(args.m, n=args.n)
     else:
         g = expander_walk_sampler(args.n, args.d if args.d is not None else args.m,

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tupl
 
 from .bits import all_bits
 from .errors import ContractError, InputError, check_capacity
-from .robp import Mat, Robp, mat_add, mat_scale, signed_walk_sum
+from .robp import Mat, Robp, check_segment, mat_add, mat_scale, signed_walk_sum
 
 if TYPE_CHECKING:
     from .recursion import MergeNode
@@ -127,17 +127,9 @@ def dump_prpd(prpd: RobustPrpd) -> str:
 # matrix forms on a fixed program segment: dicts from a seed to a w x w matrix
 
 
-def check_segment(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> None:
-    """InputError unless the generator emits exactly the bits steps a..b consume."""
-    if prpd.out_len != (b - a) * robp.d_step:
-        raise InputError(
-            f"generator emits {prpd.out_len} bits, segment consumes {(b - a) * robp.d_step}"
-        )
-
-
 def robust_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
     """x -> E_y A(x, y), A(x, y) the sum over the bundle of sign * walk matrix; exact."""
-    check_segment(prpd, robp, a, b)
+    check_segment(robp, a, b, prpd.out_len)
     inv = Fraction(1, 1 << prpd.s_in)
     per_x = groupby(seed_bundles(prpd, "matrix form enumeration"), key=itemgetter(0))
     return {x: mat_scale(inv, signed_walk_sum(robp, a, (e for _, _, bundle in group
@@ -147,7 +139,7 @@ def robust_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
 
 def matrix_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
     """x||y -> A(x, y), the int matrix of one seed's bundle; its average is robust_form's."""
-    check_segment(prpd, robp, a, b)
+    check_segment(robp, a, b, prpd.out_len)
     return {x + y: signed_walk_sum(robp, a, bundle)
             for x, y, bundle in seed_bundles(prpd, "per-seed table")}
 

@@ -24,8 +24,9 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 from .bits import all_bits, suffix
 from .errors import (ConstructionError, ContractError, InputError, ParseError,
                      check_capacity)
-from .pdist import RobustPrpd, average, check_segment, matrix_form, robust_form, uniform_prpd
-from .robp import Mat, Robp, exact_average, inf_norm, mat_add, mat_mul, mat_scale, mat_sub
+from .pdist import RobustPrpd, average, matrix_form, robust_form, uniform_prpd
+from .robp import (Mat, Robp, check_segment, exact_average, inf_norm, mat_add, mat_mul, mat_scale,
+                   mat_sub)
 from .sampler import Sampler, enumeration_sampler, pass_seed, sampled_average
 
 # the provenance recursive_prpd records; ledger_check judges a ledger of any provenance
@@ -289,19 +290,33 @@ def cascade_bound(h: int, k: int, gamma: Fraction) -> Fraction:
 
 def derive_k(n_padded: int, gamma: Fraction, eps: Fraction) -> int:
     """Smallest k whose full-cascade error bound meets eps."""
-    h = n_padded.bit_length() - 1
-    base = cascade_bound(h, 0, gamma)
-    if base >= 1:
+    if eps <= 0:
+        raise InputError(f"eps must be positive, got {eps}")
+    num, den = gamma.as_integer_ratio()
+    num *= 11 ** (n_padded.bit_length() - 1)
+    if num >= den:
         raise InputError(
-            f"per-level cascade 11^log2(n)*gamma = {base} is not below 1; "
+            f"per-level cascade 11^log2(n)*gamma = {Fraction(num, den)} is not below 1; "
             "decrease gamma or give k explicitly"
         )
+    # (num/den)^(k+1) <= eps as ints, each side one multiply per k
+    lhs, rhs = num * eps.denominator, den * eps.numerator
     k = 0
-    while cascade_bound(h, k, gamma) > eps:
+    while lhs > rhs:
         k += 1
         if k > K_MAX:
             raise InputError("eps unreachable at these parameters")
+        lhs, rhs = lhs * num, rhs * den
     return k
+
+
+def check_domain(n: int, n_padded: int, w: int, k: int, gamma: Fraction, c: int) -> None:
+    """InputError unless (n, n_padded, w, k, gamma, c) heads a recursion's ledger."""
+    if not (n >= 1 and n_padded == next_power_of_two(n) and w >= 1 and 0 <= k <= K_MAX
+            and 0 < gamma < 1 and 1 <= c <= C_MAX):
+        raise InputError(f"out of domain (n >= 1, n_padded the next power of two, w >= 1, "
+                         f"0 <= k <= {K_MAX}, 0 < gamma < 1, 1 <= c <= 2^64): n={n} "
+                         f"n_padded={n_padded} w={w} k={k} gamma={gamma} c={c}")
 
 
 def is_terminal(h: int, k: int) -> bool:
@@ -384,19 +399,14 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
     """
     params = params or RecursionParams()
     n_pad = next_power_of_two(n)
-    if w < 1 or not 1 <= params.c <= C_MAX:
-        raise InputError(f"w must be at least 1 and c in [1, 2^64], got w={w} c={params.c}")
     gamma = Fraction(params.gamma) if params.gamma is not None else Fraction(1, n_pad ** 4)
-    if not (0 < gamma < 1):
-        raise InputError("gamma must lie strictly between 0 and 1")
     if params.k is not None:
         k_top = params.k
-        if not 0 <= k_top <= K_MAX:
-            raise InputError(f"k must lie in [0, {K_MAX}], got {k_top}")
+    elif eps is None:
+        raise InputError("give either eps or params.k")
     else:
-        if eps is None:
-            raise InputError("give either eps or params.k")
         k_top = derive_k(n_pad, gamma, Fraction(eps))
+    check_domain(n, n_pad, w, k_top, gamma, params.c)
 
     table: Dict[Tuple[int, int], RobustPrpd] = {}
     nodes: List[LedgerNode] = []
@@ -497,10 +507,12 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
     sampler requirements; recorded copies must equal it. Then: used values
     against the inductive bounds, the merge layout (non-overlap, pass-through
     lengths, child summaries against the child nodes), and the replay of the
-    proof's chains at c (the ledger's own unless given; InputError below 1).
-    A check whose sides are both int or Fraction is decided exactly; only a
-    side computed through log2 gets _TOL.
+    proof's chains at c (the ledger's own unless given). A header outside
+    check_domain or a c outside [1, 2^64] raises InputError. A check whose
+    sides are both int or Fraction is decided exactly; only a side computed
+    through log2 gets _TOL.
     """
+    check_domain(ledger.n, ledger.n_padded, ledger.w, ledger.k, ledger.gamma, ledger.c)
     cc = c if c is not None else ledger.c
     if not 1 <= cc <= C_MAX:
         raise InputError(f"c must lie in [1, 2^64], got {cc}")
@@ -601,38 +613,32 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
 # exact error measurement
 
 
-FORM, TABLE = "form", "table"
+def _reads_table(node: MergeNode, i: int) -> bool:
+    """Whether the node reads child i from its per-seed table.
 
-
-def _passes_seeds(g: Sampler) -> bool:
-    """Whether g's samples are every flat seed once: told by its function, not its certificate."""
-    return g.sample is pass_seed and g.d == g.m
-
-
-def _child_need(node: MergeNode, i: int, want: str) -> str:
-    """What the node's form (or per-seed table) needs of its children at index i.
-
-    A table reads every child at single flat seeds. A form averages: a
-    pass-through child over its own inner seed (its form), a sampled child
-    over the sampler's selection (its table, or its form when every flat
-    seed is selected once).
+    A child behind a sampler that is not pass_seed with d = m is (told by the
+    sampler's function, not its certificate). Every other child is read from
+    its form: a pass-through child at the outer seed, a pass_seed child as
+    its mean.
     """
-    if want == TABLE or (i < len(node.samplers) and not _passes_seeds(node.samplers[i])):
-        return TABLE
-    return FORM
+    if i >= len(node.samplers):
+        return False
+    g = node.samplers[i]
+    return not (g.sample is pass_seed and g.d == g.m)
 
 
 class _MergeTree:
-    """Forms and per-seed tables of one generator tree on one program.
+    """Forms x -> E_y A(x, y) of one generator tree on one program.
 
-    A form maps an outer seed x to E_y A(x, y); a per-seed table maps a flat
-    seed to the int matrix A(x, y). Both are memoised per (node, segment
-    start) for one evaluation only.
+    A child behind a sampler that does not pass its seed through is read from
+    matrix_form, its per-seed table. Forms and tables are memoised per (node,
+    segment start) for one evaluation only.
     """
 
     def __init__(self, robp: Robp):
         self.robp = robp
-        self.memo: Dict[Tuple[str, int, int], Dict[str, Mat]] = {}
+        self.forms: Dict[Tuple[int, int], Dict[str, Mat]] = {}
+        self.tables: Dict[Tuple[int, int], Dict[str, Mat]] = {}
 
     def layout(self, prpd: RobustPrpd, a: int) -> Tuple[Optional[MergeNode], int]:
         """The node's layout and the start of its B half; None for a node read from its bundles."""
@@ -645,77 +651,77 @@ class _MergeTree:
                                     f"{node.len_b[j]} inner seed bits, the node has {prpd.s_in}")
         return node, a + node.a_children[0].out_len // self.robp.d_step
 
-    def cost(self, prpd: RobustPrpd, a: int, want: str, seen: set) -> int:
+    def cost(self, prpd: RobustPrpd, a: int, seen: set) -> int:
         """Matrix products, sampled reads and leaf strings the evaluation makes, memo hits free."""
-        if (want, id(prpd), a) in seen:
+        if (id(prpd), a) in seen:
             return 0
-        seen.add((want, id(prpd), a))
+        seen.add((id(prpd), a))
         node, mid = self.layout(prpd, a)
         if node is None:
             return (1 << prpd.seed_len) * prpd.mu
-        total = (1 << (prpd.s_out if want == FORM else prpd.seed_len)) * len(node.terms)
+        total = (1 << prpd.s_out) * len(node.terms)
         for i in range(len(node.len_a)):
-            need = _child_need(node, i, want)
             for child, start in ((node.a_children[i], a), (node.b_children[i], mid)):
-                total += self.cost(child, start, need, seen)
-                if want == FORM and i < len(node.samplers):
+                if _reads_table(node, i):
                     g = node.samplers[i]
-                    total += 1 << (child.s_out if need == FORM else g.n + g.d)
+                    if ("table", id(child), start) not in seen:
+                        seen.add(("table", id(child), start))
+                        total += (1 << child.seed_len) * child.mu
+                    total += 1 << (g.n + g.d)
+                else:
+                    total += self.cost(child, start, seen)
+                    if i < len(node.samplers):
+                        total += 1 << child.s_out
         return total
 
-    def get(self, prpd: RobustPrpd, a: int, want: str) -> Dict[str, Mat]:
-        key = (want, id(prpd), a)
-        if key not in self.memo:
-            self.memo[key] = (self.form if want == FORM else self.table)(prpd, a)
-        return self.memo[key]
-
     def form(self, prpd: RobustPrpd, a: int) -> Dict[str, Mat]:
+        key = (id(prpd), a)
+        if key in self.forms:
+            return self.forms[key]
         node, mid = self.layout(prpd, a)
         if node is None:
-            return robust_form(prpd, self.robp, a, a + prpd.out_len // self.robp.d_step)
-        a_means = [self.mean(node, i, node.a_children[i], a) for i in range(len(node.len_a))]
-        b_means = [self.mean(node, j, node.b_children[j], mid) for j in range(len(node.len_b))]
-        return {x: _term_sum(node.terms, [f(x) for f in a_means], [f(x) for f in b_means])
-                for x in all_bits(prpd.s_out)}
+            form = robust_form(prpd, self.robp, a, a + prpd.out_len // self.robp.d_step)
+        else:
+            a_means = [self.mean(node, i, node.a_children[i], a) for i in range(len(node.len_a))]
+            b_means = [self.mean(node, j, node.b_children[j], mid) for j in range(len(node.len_b))]
+            form = {x: _term_sum(node.terms, [f(x) for f in a_means], [f(x) for f in b_means])
+                    for x in all_bits(prpd.s_out)}
+        self.forms[key] = form
+        return form
 
     def mean(self, node: MergeNode, i: int, child: RobustPrpd, start: int) -> Callable[[str], Mat]:
         """x -> E[child i | x]: the mean of its matrix over the part of y it reads."""
-        need = _child_need(node, i, FORM)
-        values = self.get(child, start, need)
+        if _reads_table(node, i):
+            key = (id(child), start)
+            if key not in self.tables:
+                self.tables[key] = matrix_form(child, self.robp, start,
+                                               start + child.out_len // self.robp.d_step)
+            g = node.samplers[i]
+            per_input = cache(partial(sampled_average, self.tables[key], g))
+            return lambda x: per_input(x[:g.n])
+        values = self.form(child, start)
         if i >= len(node.samplers):
             return lambda x: values[x[:child.s_out]]
-        if need == FORM:
-            mean = average(values)
-            return lambda x: mean
-        g = node.samplers[i]
-        per_input = cache(partial(sampled_average, values, g))
-        return lambda x: per_input(x[:g.n])
-
-    def table(self, prpd: RobustPrpd, a: int) -> Dict[str, Mat]:
-        node, mid = self.layout(prpd, a)
-        if node is None:
-            return matrix_form(prpd, self.robp, a, a + prpd.out_len // self.robp.d_step)
-        a_tables = [self.get(child, a, TABLE) for child in node.a_children]
-        b_tables = [self.get(child, mid, TABLE) for child in node.b_children]
-        return {x + y: _term_sum(node.terms,
-                                 [t[node.flat_seed("A", i, x, y)] for i, t in enumerate(a_tables)],
-                                 [t[node.flat_seed("B", j, x, y)] for j, t in enumerate(b_tables)])
-                for x in all_bits(prpd.s_out) for y in all_bits(prpd.s_in)}
+        mean = average(values)
+        return lambda x: mean
 
 
 def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
     """robust_form(prpd, robp, a, b), evaluated node by node through build_ck's layout.
 
     A merge term reads A_i from a prefix of y and B_j from a disjoint suffix,
-    so E_y A(x, y) = sum sign * E[A_i | x] * E[B_j | x] exactly. A term that
-    reads more inner seed bits than the node has raises ContractError. The
-    evaluation's matrix products, sampled reads and leaf strings are counted
-    against the enumeration budget before any is made.
+    so E_y A(x, y) = sum sign * E[A_i | x] * E[B_j | x] exactly. The tree
+    builds forms only: a child read through a sampler that does not pass its
+    seed through is averaged over matrix_form, the one per-seed table. A term
+    that reads more inner seed bits than the node has raises ContractError.
+    The evaluation's matrix products, sampled reads and leaf strings (a
+    table's as 2^seed_len * mu, once per child and start) are counted against
+    the enumeration budget before any is made.
     """
-    check_segment(prpd, robp, a, b)
+    check_segment(robp, a, b, prpd.out_len)
     tree = _MergeTree(robp)
-    check_capacity(tree.cost(prpd, a, FORM, set()), "merge tree evaluation")
-    return tree.get(prpd, a, FORM)
+    check_capacity(tree.cost(prpd, a, set()), "merge tree evaluation")
+    return tree.form(prpd, a)
 
 
 def measure_robust_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[int] = None) -> Fraction:
@@ -811,10 +817,10 @@ def ledger_from_dict(data: dict) -> SeedLedger:
         ledger = _read_ledger(data)
     except KeyError as exc:
         raise ParseError(f"ledger is missing key {exc}") from None
-    if not (ledger.n >= 1 and ledger.n_padded == next_power_of_two(ledger.n) and ledger.w >= 1
-            and 0 <= ledger.k <= K_MAX and 0 < ledger.gamma < 1 and 1 <= ledger.c <= C_MAX):
-        raise ParseError(f"ledger header out of range: n={ledger.n} n_padded={ledger.n_padded} "
-                         f"w={ledger.w} k={ledger.k} gamma={ledger.gamma} c={ledger.c}")
+    try:
+        check_domain(ledger.n, ledger.n_padded, ledger.w, ledger.k, ledger.gamma, ledger.c)
+    except InputError as exc:
+        raise ParseError(f"ledger header {exc}") from None
     for nd in ledger.nodes:
         if nd.kind == "merge" and (None in (nd.merge_gamma, nd.delta_binding_i) or
                                    {len(nd.len_a), len(nd.len_b), len(nd.children)} != {nd.k + 1}):

@@ -12,7 +12,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .bits import bits_to_int
 from .errors import InputError, ParseError
@@ -27,11 +27,6 @@ Mat = tuple  # w-tuple of w-tuples of numbers
 def identity(w: int) -> Mat:
     one, zero = Fraction(1), Fraction(0)
     return tuple(tuple(one if i == j else zero for j in range(w)) for i in range(w))
-
-
-def zeros(w: int) -> Mat:
-    zero = Fraction(0)
-    return tuple(tuple(zero for _ in range(w)) for _ in range(w))
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
@@ -145,16 +140,17 @@ def step_matrix(robp: Robp, t: int, label) -> Mat:
     return tuple(tuple(one if row[i] == j else zero for j in range(robp.w)) for i in range(robp.w))
 
 
-def _check_segment(robp: Robp, a: int, b: int) -> None:
+def check_segment(robp: Robp, a: int, b: int, bits: Optional[int] = None) -> None:
+    """InputError unless 0 <= a <= b <= n and, if given, `bits` is what steps a..b consume."""
     if not (0 <= a <= b <= robp.n):
         raise InputError(f"segment [{a}, {b}] out of range [0, {robp.n}]")
+    if bits is not None and bits != (b - a) * robp.d_step:
+        raise InputError(f"{bits} bits given, segment [{a}, {b}] consumes {(b - a) * robp.d_step}")
 
 
 def walk_matrix(robp: Robp, a: int, b: int, r: str) -> Mat:
     """Product of step matrices along label string r (one 1 per row)."""
-    _check_segment(robp, a, b)
-    if len(r) != (b - a) * robp.d_step:
-        raise InputError(f"label string has {len(r)} bits, expected {(b - a) * robp.d_step}")
+    check_segment(robp, a, b, len(r))
     result = identity(robp.w)
     for t in range(a + 1, b + 1):
         chunk = r[(t - a - 1) * robp.d_step:(t - a) * robp.d_step]
@@ -184,7 +180,7 @@ def signed_walk_sum(robp: Robp, a: int, weighted: Iterable) -> Mat:
 
 def exact_average(robp: Robp, a: int, b: int) -> Mat:
     """Uniform random-walk matrix of the segment; row-stochastic, exact."""
-    _check_segment(robp, a, b)
+    check_segment(robp, a, b)
     labels = 1 << robp.d_step
     inv = Fraction(1, labels)
     result = identity(robp.w)

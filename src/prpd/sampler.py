@@ -61,9 +61,6 @@ class TvProfile:
         eps = Fraction(eps)
         return sum(1 for tv in self.per_x if tv > eps)
 
-    def bad_fraction(self, eps) -> Fraction:
-        return Fraction(self.bad_count(eps), len(self.per_x))
-
 
 def pass_seed(x: str, s: str) -> str:
     """g(x, s) = s: with d = m every seed is selected once, whatever x is."""

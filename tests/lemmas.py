@@ -1,10 +1,11 @@
 """Paper lemmas and oracles that only the tests call.
 
-The pseudodistribution algebra (realization turns scale / union / concat
-into matrix scale / sum / product exactly), the norm statistics of a matrix
-form and the three sampler-product rules with their worst-case bounds, the
-plain average error of a generator, the snap and Saks-Zhou failure bounds,
-and two example programs. The package keeps what its commands, scripts and
+The zero matrix, the pseudodistribution algebra (realization turns scale /
+union / concat into matrix scale / sum / product exactly), the norm
+statistics of a matrix form and the three sampler-product rules with their
+worst-case bounds, the fraction of a sampler's bad outer inputs, the plain
+average error of a generator, the snap and Saks-Zhou failure bounds, and two
+example programs. The package keeps what its commands, scripts and
 benchmark call; these stay next to the assertions that check them.
 """
 
@@ -14,12 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
-from prpd import (Certificate, InputError, Mat, PseudoDist, Robp, RobustPrpd, Sampler, average,
-                  exact_average, inf_norm, mat_mul, mat_scale, mat_sub, sampled_average,
-                  signed_walk_sum)
+from prpd import (Certificate, InputError, Mat, PseudoDist, Robp, RobustPrpd, Sampler,
+                  TvProfile, average, exact_average, inf_norm, mat_mul, mat_scale, mat_sub,
+                  sampled_average, signed_walk_sum)
 from prpd.bits import all_bits
 from prpd.errors import check_capacity
 from prpd.recursion import merge_tree_form
+
+
+def zeros(w: int) -> Mat:
+    zero = Fraction(0)
+    return tuple(tuple(zero for _ in range(w)) for _ in range(w))
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +158,11 @@ def right_product_error(map_a: Dict[str, Mat], map_b: Dict[str, Mat], f: Sampler
     for z in all_bits(f.n):
         total += inf_norm(mat_mul(sampled_average(map_a, f, z), map_b[z]))
     return total / (1 << f.n)
+
+
+def bad_fraction(profile: TvProfile, eps) -> Fraction:
+    """The fraction of outer inputs whose TV distance exceeds eps."""
+    return Fraction(profile.bad_count(eps), len(profile.per_x))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from prpd.bits import all_bits, int_to_bits
 from helpers import (corrupted_uniform_prpd, perturbed, rand_flat_map, rand_pdist,
                      rand_matrix, rand_stochastic, rand_substochastic,
                      rand_table_sampler, weighted_exact_prpd)
-from lemmas import concat, form_stats, realize, scale, snap_error_bound, sz_failure_bound, union
+from lemmas import (bad_fraction, concat, form_stats, realize, scale, snap_error_bound,
+                    sz_failure_bound, union)
 
 
 def _report(num, text):
@@ -123,8 +124,8 @@ def test_c03_certification_soundness():
         for eps in {Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2),
                     profile.max_tv}:
             for delta in {Fraction(0), Fraction(1, 4), Fraction(1, 2),
-                          profile.bad_fraction(eps)}:
-                tv_verdict = profile.bad_fraction(eps) <= delta
+                          bad_fraction(profile, eps)}:
+                tv_verdict = bad_fraction(profile, eps) <= delta
                 f_verdict = Fraction(sum(1 for s in sups if s > eps),
                                      1 << g.n) <= delta
                 if tv_verdict:
@@ -149,7 +150,7 @@ def test_c04_matrix_sampler_deviation():
         ordered = sorted(profile.per_x)
         for quantile in (Fraction(1, 2), Fraction(9, 10)):
             eps = ordered[int(len(ordered) * quantile) - 1]
-            delta = profile.bad_fraction(eps)
+            delta = bad_fraction(profile, eps)
             fresh = expander_walk_sampler(n, d, m, seed=seed)
             assert certify(fresh, eps, delta)[0]
             samplers.append(fresh)

@@ -9,9 +9,9 @@ from prpd import (ConstructionError, ContractError, average, build_ck, certify, 
                   mat_sub, matrix_form, measure_robust_error, merge_terms, random_robp,
                   signed_walk_sum, uniform_prpd)
 from prpd.bits import all_bits
-from prpd.robp import zeros
 
 from helpers import corrupted_uniform_prpd, weighted_exact_prpd
+from lemmas import zeros
 
 GAMMA = Fraction(1, 256)
 

@@ -346,6 +346,13 @@ BAD_INPUTS = {
                                    _records(HONEST_LEDGER, HONEST_LEDGER)),
     "certify-n-negative": (["certify-sampler", "--kind", "enumeration", "--m", "4", "--n", "-1",
                             "--eps", "0", "--delta", "0"], None),
+    # an enumeration sampler has d = m; a --d that differs is not ignored
+    "certify-enumeration-d-differs": (["certify-sampler", "--kind", "enumeration", "--m", "3",
+                                       "--d", "1", "--eps", "0", "--delta", "0"], None),
+    # an eps no k <= K_MAX meets is refused before any cascade bound is built
+    "build-eps-negative": (["build-prpd", "--n", "8", "--w", "2", "--eps", "-1"], None),
+    "build-eps-unreachable": (["build-prpd", "--n", "8", "--w", "2", "--eps", "1e-3000"], None),
+    "verify-eps-zero": (["verify-error", "--n", "1024", "--w", "2", "--eps", "0"], None),
 }
 
 

@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import re
 import types
+from collections import Counter
 from pathlib import Path
 
 import prpd
@@ -27,25 +28,28 @@ def exported_names():
             if isinstance(node, ast.ImportFrom) for alias in node.names]
 
 
-def referenced_names():
-    """Every name, attribute and dotted string ('pdist.matrix_form') in the package's
-    modules other than __init__.py, in scripts/ and in bench/.
+def names_in(tree):
+    """Every name, attribute and dotted string ('pdist.matrix_form') in an AST, with counts.
 
     A def or class statement does not reference its own name.
     """
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"\w+(\.\w+)+", node.value)):
+            names.update(node.value.split("."))            # a traced "module.function"
+    return names
+
+
+def referenced_names():
+    """names_in the package's modules other than __init__.py, scripts/ and bench/, summed."""
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    names = set()
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and re.fullmatch(r"\w+(\.\w+)+", node.value)):
-                names.update(node.value.split("."))        # a traced "module.function"
-    return names
+    return sum((names_in(ast.parse(path.read_text())) for path in files), Counter())
 
 
 def test_exports_have_non_test_callers():
@@ -55,6 +59,26 @@ def test_exports_have_non_test_callers():
     for name in ALLOWED:
         assert name in exported and name not in referenced, f"{name} needs no allowance"
     assert len(exported) == len(set(exported))
+
+
+def package_definitions():
+    """Every module-level function and class in src/prpd, and every method of such a class."""
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (item for item in node.body if isinstance(item, ast.FunctionDef))
+
+
+def test_definitions_have_non_test_callers():
+    # a reference inside a function's own body (a recursive call) does not count
+    referenced = referenced_names()
+    unused = sorted(node.name for node in package_definitions()
+                    if not node.name.startswith("__")
+                    and referenced[node.name] == names_in(node)[node.name]
+                    and node.name not in ALLOWED)
+    assert unused == [], "defined, but called only by tests: move them to tests/lemmas.py"
 
 
 def test_pdist_is_the_module():

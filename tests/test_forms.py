@@ -7,10 +7,9 @@ from prpd import (ContractError, InputError, RobustPrpd, average, dump_prpd, exa
                   identity, inf_norm, mat_add, mat_scale, matrix_form, random_robp,
                   robust_form, to_pseudodist, uniform_prpd, walk_matrix)
 from prpd.bits import all_bits
-from prpd.robp import zeros
 
 from helpers import rand_prpd
-from lemmas import form_stats, realize
+from lemmas import form_stats, realize, zeros
 
 
 def test_uniform_prpd_matrix_form_is_walk():

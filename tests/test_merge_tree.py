@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prpd import (CapacityError, ContractError, RecursionParams, RobustPrpd, Sampler,
-                  build_ck, enumeration_sampler, measure_robust_error, random_robp,
-                  recursive_prpd, robust_form)
+from prpd import (CapacityError, ContractError, InputError, RecursionParams, RobustPrpd, Sampler,
+                  build_ck, enumeration_sampler, matrix_form, measure_robust_error, random_robp,
+                  recursive_prpd, robust_form, uniform_prpd)
 from prpd.recursion import merge_tree_form
 
 from helpers import assumed_sampler, corrupted_uniform_prpd, rand_depth1_tree, rand_depth2_tree
@@ -134,3 +134,11 @@ def test_capacity_counted_before_evaluation(monkeypatch):
     assert calls == []
     monkeypatch.setenv("PRPD_ENUM_LIMIT", "17")
     assert merge_tree_form(prpd, program, 0, 4) == robust_form(prpd, program, 0, 4)
+
+
+@pytest.mark.parametrize("form", [robust_form, matrix_form, merge_tree_form])
+@pytest.mark.parametrize("a,b", [(-1, 1), (-2, 0), (3, 5)])
+def test_segment_outside_program_refused(form, a, b):
+    # two steps of a four-step program, but not steps the program has
+    with pytest.raises(InputError, match="out of range"):
+        form(uniform_prpd(2), random_robp(4, 2), a, b)

@@ -9,15 +9,16 @@ from prpd import (average, certify, enumeration_sampler, expander_walk_sampler, 
                   tv_profile)
 
 from helpers import rand_flat_map
-from lemmas import (form_stats, left_product_bound, left_product_error, right_product_bound,
-                    right_product_error, symmetric_product_bound, symmetric_product_error)
+from lemmas import (bad_fraction, form_stats, left_product_bound, left_product_error,
+                    right_product_bound, right_product_error, symmetric_product_bound,
+                    symmetric_product_error)
 
 
 def certified_at_profile(g, quantile=Fraction(3, 4)):
     profile = tv_profile(g)
     ordered = sorted(profile.per_x)
     eps = ordered[int(len(ordered) * quantile) - 1] if len(ordered) > 1 else ordered[0]
-    delta = profile.bad_fraction(eps)
+    delta = bad_fraction(profile, eps)
     ok, _ = certify(g, eps, delta)
     assert ok
     return g

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import sys
@@ -6,12 +7,13 @@ from math import comb
 
 import pytest
 
-from prpd import (InputError, MODE_EXACT, RecursionParams, Robp, dump_prpd, exact_average,
-                  inf_norm, ledger_check, ledger_from_dict, ledger_to_dict, mat_sub,
-                  measure_robust_error, random_robp, recursive_prpd, robust_form)
+from prpd import (InputError, MODE_EXACT, ParseError, RecursionParams, Robp, dump_prpd,
+                  exact_average, inf_norm, ledger_check, ledger_from_dict, ledger_to_dict,
+                  mat_sub, measure_robust_error, random_robp, recursive_prpd, robust_form)
 from prpd.recursion import (C_MAX, K_MAX, cascade_bound, derive_k, is_terminal, ledger_plan,
                             next_power_of_two)
 
+from helpers import deadline
 from lemmas import identity_robp, measure_average_error
 
 
@@ -84,6 +86,43 @@ def test_derive_k():
     assert derive_k(8, gamma, base ** 2 * Fraction(999, 1000)) == 2
     with pytest.raises(InputError):
         derive_k(8, Fraction(1, 2), Fraction(1, 10))  # cascade above 1
+    # refused at once: eps <= 0, and at n = 8 an eps met only past K_MAX
+    with deadline(1):
+        for eps in (Fraction(0), Fraction(-1), Fraction(1, 10 ** 3000)):
+            with pytest.raises(InputError):
+                derive_k(8, gamma, eps)
+
+
+# derive_k on a grid: rows (n_padded, gamma), columns the eps of DERIVE_K_EPS
+DERIVE_K_EPS = (Fraction(1), Fraction(1, 10), Fraction(1, 10 ** 6), Fraction(1, 10 ** 100),
+                Fraction(7, 2 ** 1000))
+DERIVE_K = {
+    (1, Fraction(1, 16)): (0, 0, 4, 83, 249),
+    (1, Fraction(1, 2 ** 60)): (0, 0, 0, 5, 16),
+    (1, Fraction(3, 2 ** 50)): (0, 0, 0, 6, 20),
+    (2, Fraction(1, 16)): (0, 6, 36, 614, 1844),
+    (2, Fraction(1, 2 ** 60)): (0, 0, 0, 5, 17),
+    (2, Fraction(3, 2 ** 50)): (0, 0, 0, 7, 22),
+    (8, Fraction(1, 4096)): (0, 2, 12, 204, 614),
+    (8, Fraction(1, 2 ** 60)): (0, 0, 0, 6, 20),
+    (8, Fraction(3, 2 ** 50)): (0, 0, 0, 8, 26),
+    (64, Fraction(1, 2 ** 24)): (0, 1, 6, 102, 307),
+    (64, Fraction(1, 2 ** 60)): (0, 0, 0, 8, 25),
+    (64, Fraction(3, 2 ** 50)): (0, 0, 0, 12, 36),
+    (1024, Fraction(1, 2 ** 40)): (0, 0, 3, 61, 184),
+    (1024, Fraction(1, 2 ** 60)): (0, 0, 0, 13, 39),
+    (1024, Fraction(3, 2 ** 50)): (0, 0, 1, 24, 72),
+}
+
+
+@pytest.mark.parametrize("n,gamma", DERIVE_K)
+def test_derive_k_pinned(n, gamma):
+    ks = tuple(derive_k(n, gamma, eps) for eps in DERIVE_K_EPS)
+    assert ks == DERIVE_K[(n, gamma)]
+    # the smallest k: its bound meets eps and the one before does not
+    for k, eps in zip(ks, DERIVE_K_EPS):
+        assert cascade_bound(n.bit_length() - 1, k, gamma) <= eps
+        assert k == 0 or cascade_bound(n.bit_length() - 1, k - 1, gamma) > eps
 
 
 def test_eps_drives_k():
@@ -156,6 +195,19 @@ def test_bad_params_rejected():
         ledger_check(ledger, c=0)
     with pytest.raises(InputError):
         ledger_check(ledger, c=C_MAX + 1)
+    # a ledger built in code meets the header domain ledger_from_dict reads a file against
+    for header in (dict(w=0), dict(gamma=Fraction(0)), dict(gamma=Fraction(1)), dict(k=-1),
+                   dict(k=K_MAX + 1), dict(n=0), dict(n_padded=16), dict(c=0),
+                   dict(c=C_MAX + 1)):
+        with pytest.raises(InputError, match="out of domain"):
+            ledger_check(dataclasses.replace(ledger, **header))
+        data = ledger_to_dict(dataclasses.replace(ledger, **header))
+        with pytest.raises(ParseError, match="ledger header out of domain"):
+            ledger_from_dict(data)
+    with pytest.raises(InputError, match="out of domain"):
+        recursive_prpd(8, 0, eps=Fraction(1, 10))
+    with pytest.raises(InputError, match="out of domain"):
+        recursive_prpd(8, 2, eps=Fraction(1, 10), params=RecursionParams(gamma=Fraction(0)))
     # the largest c keeps every seed bound finite
     _, ledger = recursive_prpd(8, 2, params=RecursionParams(k=2, c=C_MAX))
     assert all(math.isfinite(chk.rhs) for chk in ledger_check(ledger).checks

@@ -6,7 +6,7 @@ from prpd import (Certificate, Sampler, average, certify, enumeration_sampler,
 from prpd.bits import all_bits
 
 from helpers import rand_flat_map, rand_table_sampler
-from lemmas import form_stats
+from lemmas import bad_fraction, form_stats
 
 
 def sampled_mean(g, f, x):
@@ -93,7 +93,7 @@ def test_certify_soundness_small_grid():
         profile = tv_profile(g)
         for eps in (Fraction(0), Fraction(1, 8), Fraction(1, 4), profile.max_tv):
             for delta in (Fraction(0), Fraction(1, 4), Fraction(1, 2)):
-                tv_ok = profile.bad_fraction(eps) <= delta
+                tv_ok = bad_fraction(profile, eps) <= delta
                 if tv_ok:
                     assert exhaustive_f_verdict(g, eps, delta)
 
@@ -146,7 +146,7 @@ def test_matrix_estimate_deviation_bound():
     g = expander_walk_sampler(6, 2, 3, seed=9)
     profile = tv_profile(g)
     eps = sorted(profile.per_x)[len(profile.per_x) * 3 // 4]  # genuine (eps, delta) tradeoff
-    delta = profile.bad_fraction(eps)
+    delta = bad_fraction(profile, eps)
     assert certify(g, eps, delta)[0]
     stats = form_stats(flat)
     truth = average(flat)
