@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator
 
 
@@ -22,10 +23,8 @@ def bits_to_int(s: str) -> int:
 def all_bits(width: int) -> Iterator[str]:
     """Lexicographic enumeration of {0,1}^width; yields '' once for width 0."""
     if width == 0:
-        yield ""
-        return
-    for v in range(1 << width):
-        yield format(v, f"0{width}b")
+        return iter(("",))          # format(0, "") is "0", not ""
+    return map(format, range(1 << width), repeat(f"0{width}b"))
 
 
 def suffix(s: str, length: int) -> str:

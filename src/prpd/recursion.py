@@ -400,13 +400,21 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
     params = params or RecursionParams()
     n_pad = next_power_of_two(n)
     gamma = Fraction(params.gamma) if params.gamma is not None else Fraction(1, n_pad ** 4)
+    eps = Fraction(eps) if eps is not None else None
     if params.k is not None:
         k_top = params.k
     elif eps is None:
         raise InputError("give either eps or params.k")
     else:
-        k_top = derive_k(n_pad, gamma, Fraction(eps))
+        k_top = derive_k(n_pad, gamma, eps)
     check_domain(n, n_pad, w, k_top, gamma, params.c)
+    # a given k must meet a given eps: the ledger records eps_target but never checks it
+    if eps is not None and params.k is not None:
+        if eps <= 0:
+            raise InputError("eps must be positive")
+        if cascade_bound(n_pad.bit_length() - 1, k_top, gamma) > eps:
+            raise InputError(f"k={k_top} gives a top error bound above eps; "
+                             "raise k, or give eps alone")
 
     table: Dict[Tuple[int, int], RobustPrpd] = {}
     nodes: List[LedgerNode] = []
@@ -429,7 +437,7 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
         table[(h, kk)] = prpd
     ledger = SeedLedger(n=n, n_padded=n_pad, w=w, gamma=gamma, k=k_top, c=params.c,
                         sampler_mode=MODE_EXACT,
-                        eps_target=Fraction(eps) if eps is not None else None,
+                        eps_target=eps,
                         nodes=nodes)
     return prpd, ledger            # the plan ends at the top node
 

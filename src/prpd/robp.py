@@ -12,12 +12,16 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .bits import bits_to_int
 from .errors import InputError, ParseError
 
 Mat = tuple  # w-tuple of w-tuples of numbers
+
+# signed_walk_sum reads a string in chunks of at most this many bits (whole steps)
+CHUNK_BITS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +123,15 @@ class Robp:
         """Bits consumed by a full run."""
         return self.n * self.d_step
 
+    @cached_property
+    def chunk_memo(self) -> dict:
+        """signed_walk_sum's successor tuples, (first step, steps) -> chunk -> tuple.
+
+        Kept in the instance dict, outside the fields, so equality, hash
+        and repr see only the program.
+        """
+        return {}
+
 
 def _label_int(robp: Robp, label) -> int:
     if isinstance(label, str):
@@ -158,22 +171,51 @@ def walk_matrix(robp: Robp, a: int, b: int, r: str) -> Mat:
     return result
 
 
+def _chunk_walk(robp: Robp, t: int, chunk: str) -> tuple:
+    """Successor tuple of every start state along chunk, read from layer t."""
+    d = robp.d_step
+    ends = range(robp.w)
+    for idx in range(len(chunk) // d):
+        row = robp.transitions[t + idx][int(chunk[idx * d:(idx + 1) * d], 2)]
+        ends = [row[s] for s in ends]
+    return tuple(ends)
+
+
 def signed_walk_sum(robp: Robp, a: int, weighted: Iterable) -> Mat:
     """Unscaled sum of c * walk_matrix(r) over (r, c) pairs, each r read from layer a.
 
-    Every start state is carried along one read of r, so each label is
-    decoded once per step. Entries are ints for int weights and Fractions
-    for Fraction weights; callers check string lengths and scale.
+    r is read in chunks of whole steps, at most CHUNK_BITS bits each unless
+    one step is wider. A chunk's successor tuple is looked up in the
+    program's memo, keyed by (first step, steps) and then by the chunk, and
+    filled on first sight, so it holds only chunks that occurred. Weights
+    are summed per end tuple and spread into the matrix once. Entries are
+    ints for int weights and Fractions for Fraction weights; callers check
+    string lengths and scale.
     """
     w, d = robp.w, robp.d_step
-    acc = [[0] * w for _ in range(w)]
-    starts = range(w)
+    run = max(1, CHUNK_BITS // d)
+    memo = robp.chunk_memo
+    layouts = {}                    # string length -> [(first bit, last bit, step, table)]
+    totals = {}
     for r, c in weighted:
-        ends = starts
-        for idx in range(len(r) // d):
-            row = robp.transitions[a + idx][int(r[idx * d:(idx + 1) * d], 2)]
-            ends = [row[s] for s in ends]
-        for i, e in enumerate(ends):
+        layout = layouts.get(len(r))
+        if layout is None:
+            steps = len(r) // d
+            layout = layouts[len(r)] = [
+                (lo * d, min(lo + run, steps) * d, a + lo,
+                 memo.setdefault((a + lo, min(run, steps - lo)), {}))
+                for lo in range(0, steps, run)]
+        ends = None                 # stays None for the empty string: the identity walk
+        for lo, hi, t, table in layout:
+            chunk = r[lo:hi]
+            nxt = table.get(chunk)
+            if nxt is None:
+                nxt = table[chunk] = _chunk_walk(robp, t, chunk)
+            ends = nxt if ends is None else tuple(map(nxt.__getitem__, ends))
+        totals[ends] = totals.get(ends, 0) + c
+    acc = [[0] * w for _ in range(w)]
+    for ends, c in totals.items():
+        for i, e in enumerate(ends or range(w)):
             acc[i][e] += c
     return tuple(tuple(row) for row in acc)
 

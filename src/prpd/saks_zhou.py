@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from typing import Callable, Optional, Tuple
 
 from .bits import all_bits, bits_to_int
@@ -158,8 +160,9 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) ->
                    "offline power estimate")
     program = robp_from_matrix(round_to_grid(m, d), n1, d)
     cut = prpd.s_out
-    seeds = (samp.sample(y, z) for z in all_bits(samp.d))
-    acc = signed_walk_sum(program, 0, (e for r in seeds for e in prpd.bundle(r[:cut], r[cut:])))
+    seeds = map(partial(samp.sample, y), all_bits(samp.d))
+    bundles = (prpd.bundle(r[:cut], r[cut:]) for r in seeds)
+    acc = signed_walk_sum(program, 0, chain.from_iterable(bundles))
     # state w is the absorbing dummy; M^n1 lives on the real states only
     return mat_scale(Fraction(1, 1 << samp.d), tuple(row[:w] for row in acc[:w]))
 

@@ -61,6 +61,13 @@ def test_ledger_check_roundtrip(tmp_path):
     assert read_records(check_out) == records
 
 
+@pytest.mark.parametrize("argv", [["build-prpd"], ["verify-error", "--robps", "1"]])
+def test_k_meeting_eps_exits_0(argv):
+    # at n = 8 the top bound is 1331/4096 at k = 0; eps = 1/10 needs k = 2
+    for k, eps in (("0", "1331/4096"), ("2", "1/10"), ("3", "1/10")):
+        assert main([*argv, "--n", "8", "--w", "2", "--k", k, "--eps", eps]) == 0
+
+
 def test_verify_error_within_bound(tmp_path):
     out = tmp_path / "verify.jsonl"
     code = main(["verify-error", "--n", "4", "--w", "2", "--k", "1",
@@ -353,6 +360,15 @@ BAD_INPUTS = {
     "build-eps-negative": (["build-prpd", "--n", "8", "--w", "2", "--eps", "-1"], None),
     "build-eps-unreachable": (["build-prpd", "--n", "8", "--w", "2", "--eps", "1e-3000"], None),
     "verify-eps-zero": (["verify-error", "--n", "1024", "--w", "2", "--eps", "0"], None),
+    # a given k whose top bound, 1331/4096 at k = 0, misses a given eps
+    "build-k-misses-eps": (["build-prpd", "--n", "8", "--w", "2", "--k", "0", "--eps", "1e-9"],
+                           None),
+    "build-k-eps-negative": (["build-prpd", "--n", "8", "--w", "2", "--k", "1", "--eps", "-1"],
+                             None),
+    "verify-k-misses-eps": (["verify-error", "--n", "8", "--w", "2", "--k", "1", "--eps", "1/10"],
+                            None),
+    "verify-k-eps-zero": (["verify-error", "--n", "8", "--w", "2", "--k", "1", "--eps", "0"],
+                          None),
 }
 
 

@@ -104,3 +104,50 @@ def test_knobs_pinned():
                     if opt not in ("-h", "--help")] for name, sub in commands.items()}
     assert flags == FLAGS
     assert [f.name for f in dataclasses.fields(prpd.RecursionParams)] == ["gamma", "k", "c"]
+
+
+ENV_READERS = {"environ", "getenv"}
+
+
+def _os_attr(node, *attrs):
+    return (isinstance(node, ast.Attribute) and node.attr in attrs
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def env_reads(tree):
+    """(uses of os.environ or os.getenv, the keys read by those that are key reads).
+
+    A key given by a module-level constant resolves to the constant's value.
+    """
+    constants = {target.id: node.value.value for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                 for target in node.targets if isinstance(target, ast.Name)}
+
+    def key(node):
+        if isinstance(node, ast.Name):
+            return constants.get(node.id)
+        return node.value if isinstance(node, ast.Constant) else None
+
+    uses, keys = 0, []
+    for node in ast.walk(tree):
+        if _os_attr(node, *ENV_READERS):
+            uses += 1
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            uses += sum(alias.name in ENV_READERS for alias in node.names)
+        if isinstance(node, ast.Call) and node.args and (
+                _os_attr(node.func, "getenv")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "get"
+                    and _os_attr(node.func.value, "environ"))):
+            keys.append(key(node.args[0]))
+        elif isinstance(node, ast.Subscript) and _os_attr(node.value, "environ"):
+            keys.append(key(node.slice))
+    return uses, keys
+
+
+def test_only_environment_read_is_the_enum_limit():
+    # a tuning value read from the environment would be a knob test_knobs_pinned cannot see
+    uses, keys = 0, []
+    for path in PACKAGE.glob("*.py"):
+        u, k = env_reads(ast.parse(path.read_text()))
+        uses, keys = uses + u, keys + k
+    assert keys == ["PRPD_ENUM_LIMIT"] and uses == len(keys)

@@ -1,17 +1,19 @@
+import dataclasses
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prpd import (InputError, ParseError, exact_average, identity, inf_norm, mat_add, mat_mul,
-                  mat_pow, mat_scale, max_norm, parse_robp, random_robp, serialize_robp,
+from prpd import (InputError, ParseError, Robp, exact_average, identity, inf_norm, mat_add,
+                  mat_mul, mat_pow, mat_scale, max_norm, parse_robp, random_robp, serialize_robp,
                   signed_walk_sum, step_matrix, walk_matrix)
 from prpd.bits import all_bits
 
-from helpers import rand_matrix
+from helpers import deadline, rand_matrix
 from lemmas import identity_robp, swap_on_one_robp
 
 HALF = Fraction(1, 2)
@@ -166,21 +168,63 @@ def test_inf_norm_subadditive_submultiplicative(data):
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_signed_walk_sum_matches_weighted_walk_matrices(data):
+    # steps of up to 10 bits and strings of up to 20 steps cross chunk boundaries; the
+    # calls on one program, at different segments, share its chunk memo
     w = data.draw(st.integers(1, 4))
-    d_step = data.draw(st.integers(1, 2))
-    n = data.draw(st.integers(1, 4))
+    d_step = data.draw(st.integers(1, 10))
+    n = data.draw(st.integers(1, 20))
     program = random_robp(n, w, d_step=d_step, seed=data.draw(st.integers(0, 10**6)))
-    a = data.draw(st.integers(0, n))
-    b = data.draw(st.integers(a, n))
-    string = st.text("01", min_size=(b - a) * d_step, max_size=(b - a) * d_step)
-    weight = data.draw(st.sampled_from([
-        st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=8)]))
-    weighted = data.draw(st.lists(st.tuples(string, weight), min_size=1, max_size=6))
-    total = signed_walk_sum(program, a, weighted)
-    assert total == reduce(mat_add, (mat_scale(c, walk_matrix(program, a, b, r))
-                                     for r, c in weighted))
-    if all(type(c) is int for _, c in weighted):
-        assert all(type(e) is int for row in total for e in row)
+    calls = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        a = data.draw(st.integers(0, n))
+        b = data.draw(st.integers(a, n))
+        string = st.text("01", min_size=(b - a) * d_step, max_size=(b - a) * d_step)
+        weight = data.draw(st.sampled_from([
+            st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=8)]))
+        weighted = data.draw(st.lists(st.tuples(string, weight), min_size=1, max_size=6))
+        total = signed_walk_sum(program, a, weighted)
+        assert total == reduce(mat_add, (mat_scale(c, walk_matrix(program, a, b, r))
+                                         for r, c in weighted))
+        if all(type(c) is int for _, c in weighted):
+            assert all(type(e) is int for row in total for e in row)
+        calls.append((a, weighted, total))
+    # read again from the filled memo, every call gives the same matrix
+    for a, weighted, total in calls:
+        assert signed_walk_sum(program, a, weighted) == total
+
+
+def wide_step_robp(n, w, d_step, seed):
+    """random_robp's distribution, each label row a uniform map on w states.
+
+    The w^w distinct rows are shared tuples, so a program with millions of
+    label rows builds in about a second.
+    """
+    rng = random.Random(seed)
+    maps = list(product(range(w), repeat=w))
+    return Robp(n=n, w=w, d_step=d_step,
+                transitions=tuple(tuple(rng.choices(maps, k=1 << d_step)) for _ in range(n)))
+
+
+def test_chunk_memo_is_lazy():
+    # one string on 2^20-label steps: a table of every label would take seconds
+    program = wide_step_robp(2, 3, d_step=20, seed=5)
+    r = "01" * 20
+    with deadline(1):
+        total = signed_walk_sum(program, 0, [(r, 1)])
+    assert total == walk_matrix(program, 0, 2, r)
+    # one entry per chunk walked: each 20-bit step is a chunk of its own
+    assert sorted(program.chunk_memo) == [(0, 1), (1, 1)]
+    assert [len(table) for table in program.chunk_memo.values()] == [1, 1]
+
+
+def test_chunk_memo_is_invisible():
+    program = random_robp(6, 3, d_step=2, seed=11)
+    fresh = parse_robp(serialize_robp(program))
+    before = repr(program)
+    signed_walk_sum(program, 1, [("0110100111", 2), ("1111000010", -1)])
+    assert program.chunk_memo
+    assert program == fresh and hash(program) == hash(fresh) and repr(program) == before
+    assert [f.name for f in dataclasses.fields(Robp)] == ["n", "w", "d_step", "transitions"]
 
 
 def test_serialize_parse_roundtrip():
