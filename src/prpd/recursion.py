@@ -111,26 +111,24 @@ class SamplerSlot:
 class MergeNode:
     """How a merged generator reads its children: the layout build_ck fixes.
 
-    Index i <= split of either side is sampled through samplers[i]; a higher
-    index passes a prefix of the outer seed through. A_i reads the prefix
-    y[:len_a[i]] of the inner seed and B_j the suffix of length len_b[j].
+    One family G_0..G_k serves both halves. Index i <= split is sampled
+    through samplers[i]; a higher index passes a prefix of the outer seed
+    through. On the A half G_i reads the prefix y[:lens[i]] of the inner seed,
+    on the B half the suffix of length lens[i].
     """
 
-    a_children: Tuple[RobustPrpd, ...]
-    b_children: Tuple[RobustPrpd, ...]
+    children: Tuple[RobustPrpd, ...]
     samplers: Tuple[Sampler, ...]
-    len_a: Tuple[int, ...]
-    len_b: Tuple[int, ...]
+    lens: Tuple[int, ...]
     terms: Tuple[Tuple[int, int, int], ...]
 
     def flat_seed(self, side: str, i: int, x: str, y: str) -> str:
-        """The flat seed child i of `side` ("A" or "B") reads at the node's seed (x, y)."""
-        y_part = y[:self.len_a[i]] if side == "A" else suffix(y, self.len_b[i])
+        """The flat seed child i reads on `side` ("A" or "B") at the node's seed (x, y)."""
+        y_part = y[:self.lens[i]] if side == "A" else suffix(y, self.lens[i])
         if i < len(self.samplers):
             g = self.samplers[i]
             return g.sample(x[:g.n], y_part)
-        child = (self.a_children if side == "A" else self.b_children)[i]
-        return x[:child.s_out] + y_part
+        return x[:self.children[i].s_out] + y_part
 
     def bundle(self, x: str, y: str) -> List[Tuple[str, int]]:
         """The merged generator's bundle at (x, y): each term's products of child bundles."""
@@ -138,61 +136,53 @@ class MergeNode:
             z = self.flat_seed(side, i, x, y)
             return child.bundle(z[:child.s_out], z[child.s_out:])
 
-        a = [read("A", i, child) for i, child in enumerate(self.a_children)]
-        b = [read("B", j, child) for j, child in enumerate(self.b_children)]
+        a = [read("A", i, child) for i, child in enumerate(self.children)]
+        b = [read("B", j, child) for j, child in enumerate(self.children)]
         return [(sa + sb, sign * na * nb) for i, j, sign in self.terms
                 for sa, na in a[i] for sb, nb in b[j]]
 
 
-def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
-             w: int, gamma, samplers: Optional[Sequence[Sampler]] = None) -> RobustPrpd:
-    """Merge graded half-segment generators into one for the doubled segment.
+def build_ck(children: Sequence[RobustPrpd], w: int, gamma,
+             samplers: Optional[Sequence[Sampler]] = None) -> RobustPrpd:
+    """Merge a graded half-segment family into one generator for the doubled segment.
 
-    a_children[i] and b_children[i] must be gamma^(i+1)-robust generators
-    for the left and right halves with weight at most binom(m-1, i); the
-    result approximates the product with robust error (11*gamma)^(k+1) and
-    weight at most binom(2m-1, k). Every violated hypothesis raises a
-    ConstructionError naming the inequality. Passing samplers=None installs
-    exact enumeration samplers (certified at (0, 0) analytically). The
-    generator returned carries its layout as `merge`; the layout's bundle is
-    the generator's bundle.
+    children[i] must be a gamma^(i+1)-robust generator for either half with
+    weight at most binom(m-1, i); the result approximates the product with
+    robust error (11*gamma)^(k+1) and weight at most binom(2m-1, k). Every
+    violated hypothesis raises a ConstructionError naming the inequality.
+    Passing samplers=None installs exact enumeration samplers (certified at
+    (0, 0) analytically). The generator returned carries its layout as
+    `merge`; the layout's bundle is the generator's bundle.
     """
-    a_children, b_children = tuple(a_children), tuple(b_children)
-    k = len(a_children) - 1
-    if k < 0 or len(b_children) != k + 1:
-        raise InputError("need approximation families A_0..A_k and B_0..B_k")
+    children = tuple(children)
+    k = len(children) - 1
+    if k < 0:
+        raise InputError("need an approximation family G_0..G_k")
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise InputError("gamma must be positive")
-    m_bits = a_children[0].out_len
-    for side, fam in (("A", a_children), ("B", b_children)):
-        for i, child in enumerate(fam):
-            if child.out_len != m_bits:
-                raise InputError(f"{side}_{i} emits {child.out_len} bits, expected {m_bits}")
-            cap = comb(m_bits - 1, i)
-            if child.mu > cap:
-                raise ConstructionError(
-                    f"weight hypothesis mu({side}_{i}) <= binom(m-1, i) fails: "
-                    f"{child.mu} > binom({m_bits - 1}, {i}) = {cap}"
-                )
-    split = (k + 1) // 2
-    for i in range(split + 1):
-        if a_children[i].seed_len != b_children[i].seed_len:
+    m_bits = children[0].out_len
+    for i, child in enumerate(children):
+        if child.out_len != m_bits:
+            raise InputError(f"G_{i} emits {child.out_len} bits, expected {m_bits}")
+        cap = comb(m_bits - 1, i)
+        if child.mu > cap:
             raise ConstructionError(
-                f"sampled index {i} needs equal seed lengths on both sides: "
-                f"s(A_{i}) = {a_children[i].seed_len}, s(B_{i}) = {b_children[i].seed_len}"
+                f"weight hypothesis mu(G_{i}) <= binom(m-1, i) fails: "
+                f"{child.mu} > binom({m_bits - 1}, {i}) = {cap}"
             )
+    split = (k + 1) // 2
 
     eps_req, delta_req, binding = ck_requirements(m_bits, w, k, gamma)
     if samplers is None:
-        samplers = [enumeration_sampler(a_children[i].seed_len) for i in range(split + 1)]
+        samplers = [enumeration_sampler(children[i].seed_len) for i in range(split + 1)]
     samplers = list(samplers)
     if len(samplers) != split + 1:
         raise InputError(f"need one sampler per index 0..{split}, got {len(samplers)}")
     for i, g in enumerate(samplers):
-        if g.m != a_children[i].seed_len:
+        if g.m != children[i].seed_len:
             raise ConstructionError(
-                f"sampler g_{i} emits {g.m} bits, flat child seed is {a_children[i].seed_len}"
+                f"sampler g_{i} emits {g.m} bits, flat child seed is {children[i].seed_len}"
             )
         if g.cert is None:
             raise ContractError(f"sampler g_{i} is uncertified; certify() it first")
@@ -207,24 +197,19 @@ def build_ck(a_children: Sequence[RobustPrpd], b_children: Sequence[RobustPrpd],
                 f"{g.cert.delta} > {delta_req}"
             )
 
-    len_a = tuple(samplers[i].d if i <= split else a_children[i].s_in for i in range(k + 1))
-    len_b = tuple(samplers[j].d if j <= split else b_children[j].s_in for j in range(k + 1))
+    lens = tuple(samplers[i].d if i <= split else children[i].s_in for i in range(k + 1))
     terms = merge_terms(k)
-    s_in = max(len_a[i] + len_b[j] for i, j, _ in terms)
-    s_out_needs = [samplers[i].n for i in range(split + 1)]
-    s_out_needs += [a_children[i].s_out for i in range(split + 1, k + 1)]
-    s_out_needs += [b_children[j].s_out for j in range(split + 1, k + 1)]
-    s_out = max(s_out_needs) if s_out_needs else 0
+    s_in = max(lens[i] + lens[j] for i, j, _ in terms)
+    s_out = max([g.n for g in samplers] + [c.s_out for c in children[split + 1:]])
 
-    mu_total = sum(a_children[i].mu * b_children[j].mu for i, j, _ in terms)
+    mu_total = sum(children[i].mu * children[j].mu for i, j, _ in terms)
     mu_cap = comb(2 * m_bits - 1, k)
     if mu_total > mu_cap:
         raise ConstructionError(
             f"weight conclusion fails mu <= binom(2m-1, k): {mu_total} > {mu_cap}"
         )
 
-    node = MergeNode(a_children=a_children, b_children=b_children, samplers=tuple(samplers),
-                     len_a=len_a, len_b=len_b, terms=terms)
+    node = MergeNode(children=children, samplers=tuple(samplers), lens=lens, terms=terms)
     return RobustPrpd(out_len=2 * m_bits, s_out=s_out, s_in=s_in, mu=mu_total, bundle=node.bundle,
                       merge=node)
 
@@ -424,14 +409,14 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
             prpd = uniform_prpd(1 << h)
         else:
             children = [table[(h - 1, i)] for i in range(kk + 1)]
-            prpd = build_ck(children, children, w=w, gamma=p.merge_gamma)
+            prpd = build_ck(children, w=w, gamma=p.merge_gamma)
             slots = tuple(SamplerSlot(i=i, out_bits=g.m, n=g.n, d=g.d, eps_required=eps_i,
                                       delta_required=p.delta_required, cert_method=g.cert.method,
                                       cert_eps=g.cert.eps, cert_delta=g.cert.delta)
                           for i, (g, eps_i) in enumerate(zip(prpd.merge.samplers, p.eps_required)))
             merge = dict(merge_gamma=p.merge_gamma, delta_binding_i=p.delta_binding_i,
                          children=tuple((i, c.s_out, c.s_in, c.mu) for i, c in enumerate(children)),
-                         len_a=prpd.merge.len_a, len_b=prpd.merge.len_b, samplers=slots)
+                         len_a=prpd.merge.lens, len_b=prpd.merge.lens, samplers=slots)
         nodes.append(LedgerNode(h=h, k=kk, kind=p.kind, s_out=prpd.s_out, s_in=prpd.s_in,
                                 mu=prpd.mu, mu_cap=p.mu_cap, error_bound=p.error_bound, **merge))
         table[(h, kk)] = prpd
@@ -513,8 +498,8 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
 
     The plan fixes the nodes, kinds, caps, error bounds, merge gammas and
     sampler requirements; recorded copies must equal it. Then: used values
-    against the inductive bounds, the merge layout (non-overlap, pass-through
-    lengths, child summaries against the child nodes), and the replay of the
+    against the inductive bounds, the merge layout (non-overlap, read lengths,
+    child summaries against the child nodes), and the replay of the
     proof's chains at c (the ledger's own unless given). A header outside
     check_domain or a c outside [1, 2^64] raises InputError. A check whose
     sides are both int or Fraction is decided exactly; only a side computed
@@ -575,10 +560,15 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
                         for i, (summary, kid) in enumerate(zip(node.children, kids)))
         add(h, k, f"child summaries: count differing from nodes ({h - 1}, 0..{k})",
             differing, 0, equal=True)
-        for i, (_, s_out_c, s_in_c, _) in enumerate(node.children[split + 1:], split + 1):
-            add(h, k, f"pass-through child s_out(A_{i}) <= s_out", s_out_c, node.s_out)
-            add(h, k, f"pass-through child s_in(A_{i}) = prefix length", s_in_c, node.len_a[i],
-                equal=True)
+        for i, (_, s_out_c, _, _) in enumerate(node.children[split + 1:], split + 1):
+            add(h, k, f"pass-through child s_out(G_{i}) <= s_out", s_out_c, node.s_out)
+        # both halves read G_i at one length: a sampled index the slot's d (a missing slot
+        # differs), a pass-through index the child's s_in
+        reads = [slot.d for slot in node.samplers[:split + 1]]
+        reads += [None] * (split + 1 - len(reads)) + [kid[2] for kid in node.children[split + 1:]]
+        differing = sum(not a == b == r for a, b, r in zip(node.len_a, node.len_b, reads))
+        add(h, k, f"read lengths len_a = len_b = slot d (i <= {split}), child s_in (i > {split}): "
+            "count differing", differing, 0, equal=True)
         slots_ok = ([(slot.i, slot.eps_required, slot.delta_required) for slot in node.samplers]
                     == [(i, eps_i, p.delta_required) for i, eps_i in enumerate(p.eps_required)])
         add(h, k, f"sampler slots i = 0..{split} at the derived requirements", slots_ok, True,
@@ -651,13 +641,13 @@ class _MergeTree:
     def layout(self, prpd: RobustPrpd, a: int) -> Tuple[Optional[MergeNode], int]:
         """The node's layout and the start of its B half; None for a node read from its bundles."""
         node = prpd.merge
-        if node is None or node.a_children[0].out_len % self.robp.d_step:
+        if node is None or node.children[0].out_len % self.robp.d_step:
             return None, a
         for i, j, _ in node.terms:
-            if node.len_a[i] + node.len_b[j] > prpd.s_in:
-                raise ContractError(f"merge term ({i}, {j}) reads {node.len_a[i]} + "
-                                    f"{node.len_b[j]} inner seed bits, the node has {prpd.s_in}")
-        return node, a + node.a_children[0].out_len // self.robp.d_step
+            if node.lens[i] + node.lens[j] > prpd.s_in:
+                raise ContractError(f"merge term ({i}, {j}) reads {node.lens[i]} + "
+                                    f"{node.lens[j]} inner seed bits, the node has {prpd.s_in}")
+        return node, a + node.children[0].out_len // self.robp.d_step
 
     def cost(self, prpd: RobustPrpd, a: int, seen: set) -> int:
         """Matrix products, sampled reads and leaf strings the evaluation makes, memo hits free."""
@@ -668,8 +658,8 @@ class _MergeTree:
         if node is None:
             return (1 << prpd.seed_len) * prpd.mu
         total = (1 << prpd.s_out) * len(node.terms)
-        for i in range(len(node.len_a)):
-            for child, start in ((node.a_children[i], a), (node.b_children[i], mid)):
+        for i, child in enumerate(node.children):
+            for start in (a, mid):
                 if _reads_table(node, i):
                     g = node.samplers[i]
                     if ("table", id(child), start) not in seen:
@@ -690,8 +680,8 @@ class _MergeTree:
         if node is None:
             form = robust_form(prpd, self.robp, a, a + prpd.out_len // self.robp.d_step)
         else:
-            a_means = [self.mean(node, i, node.a_children[i], a) for i in range(len(node.len_a))]
-            b_means = [self.mean(node, j, node.b_children[j], mid) for j in range(len(node.len_b))]
+            a_means = [self.mean(node, i, child, a) for i, child in enumerate(node.children)]
+            b_means = [self.mean(node, j, child, mid) for j, child in enumerate(node.children)]
             form = {x: _term_sum(node.terms, [f(x) for f in a_means], [f(x) for f in b_means])
                     for x in all_bits(prpd.s_out)}
         self.forms[key] = form

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from .bits import all_bits, bits_to_int
 from .errors import ContractError, InputError, check_capacity
@@ -160,9 +160,16 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) ->
                    "offline power estimate")
     program = robp_from_matrix(round_to_grid(m, d), n1, d)
     cut = prpd.s_out
+
+    def read(r: str) -> list:
+        # the capacity and eps/(6*mu) above count mu strings a seed
+        bundle = prpd.bundle(r[:cut], r[cut:])
+        if len(bundle) != prpd.mu:
+            raise ContractError(f"bundle at seed {r!r} has {len(bundle)} entries, mu is {prpd.mu}")
+        return bundle
+
     seeds = map(partial(samp.sample, y), all_bits(samp.d))
-    bundles = (prpd.bundle(r[:cut], r[cut:]) for r in seeds)
-    acc = signed_walk_sum(program, 0, chain.from_iterable(bundles))
+    acc = signed_walk_sum(program, 0, chain.from_iterable(map(read, seeds)))
     # state w is the absorbing dummy; M^n1 lives on the real states only
     return mat_scale(Fraction(1, 1 << samp.d), tuple(row[:w] for row in acc[:w]))
 
@@ -191,16 +198,9 @@ class SzSchedule:
             if len(z) != self.d or any(ch not in "01" for ch in z):
                 raise InputError(f"offset {z!r} is not a {self.d}-bit string")
 
-    @property
-    def n(self) -> int:
-        return self.n1 ** self.n2
 
-
-def sz_power(m: Mat, schedule: SzSchedule, approximator: Callable[[Mat, str], Mat],
-             n: Optional[int] = None) -> Mat:
+def sz_power(m: Mat, schedule: SzSchedule, approximator: Callable[[Mat, str], Mat]) -> Mat:
     """Alternate the approximator with snap: hat(M)_i = Snap(approx(hat(M)_{i-1}, y), z_i)."""
-    if n is not None and schedule.n1 ** schedule.n2 != n:
-        raise InputError(f"schedule computes the {schedule.n1}^{schedule.n2} power, not {n}")
     current = m
     for z in schedule.offsets:
         current = snap_matrix(approximator(current, schedule.y), z, schedule.d)

@@ -29,8 +29,6 @@ class Certificate:
     eps: Fraction
     delta: Fraction
     method: str
-    max_tv: Optional[Fraction] = None
-    bad_x_count: Optional[int] = None
 
     def covers(self, eps, delta) -> bool:
         """Certificates are monotone: (eps, delta) covers anything weaker."""
@@ -50,7 +48,6 @@ class Sampler:
 class TvProfile:
     """Per-outer-input total variation distance from uniform."""
 
-    m: int
     per_x: Tuple[Fraction, ...]
 
     @property
@@ -71,8 +68,7 @@ def enumeration_sampler(m: int, n: int = 0) -> Sampler:
     """d = m and g(x, s) = s: exact for every x, a (0, 0)-sampler."""
     if n < 0 or m < 0:
         raise InputError("enumeration_sampler needs n, m >= 0")
-    cert = Certificate(eps=Fraction(0), delta=Fraction(0), method=METHOD_ANALYTIC,
-                       max_tv=Fraction(0), bad_x_count=0)
+    cert = Certificate(eps=Fraction(0), delta=Fraction(0), method=METHOD_ANALYTIC)
     return Sampler(n=n, d=m, m=m, sample=pass_seed, cert=cert)
 
 
@@ -133,7 +129,7 @@ def tv_profile(g: Sampler) -> TvProfile:
         hit_mass = sum(abs(c * inv_d - unif) for c in counts.values())
         miss_mass = ((1 << g.m) - len(counts)) * unif
         per_x.append(half * (hit_mass + miss_mass))
-    return TvProfile(m=g.m, per_x=tuple(per_x))
+    return TvProfile(per_x=tuple(per_x))
 
 
 def certify(g: Sampler, eps, delta) -> Tuple[bool, TvProfile]:
@@ -146,11 +142,9 @@ def certify(g: Sampler, eps, delta) -> Tuple[bool, TvProfile]:
     if eps < 0 or delta < 0:
         raise InputError("eps and delta must be non-negative")
     profile = tv_profile(g)
-    bad = profile.bad_count(eps)
-    ok = Fraction(bad, 1 << g.n) <= delta
+    ok = Fraction(profile.bad_count(eps), 1 << g.n) <= delta
     if ok:
-        g.cert = Certificate(eps=eps, delta=delta, method=METHOD_BRUTE,
-                             max_tv=profile.max_tv, bad_x_count=bad)
+        g.cert = Certificate(eps=eps, delta=delta, method=METHOD_BRUTE)
     return ok, profile
 
 

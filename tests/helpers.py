@@ -162,38 +162,29 @@ def rand_child(rng: random.Random, m_bits: int, i: int, s_out: int, s_in: int) -
     return rand_prpd(rng, m_bits, s_out, s_in, rng.randint(1, comb(m_bits - 1, i)))
 
 
-def rand_merge(rng: random.Random, a_children, b_children, n_max: int) -> RobustPrpd:
-    """build_ck over the children with random-table samplers: outer input up to n_max
-    bits, seed up to 2 bits."""
-    k = len(a_children) - 1
-    samplers = [assumed_sampler(rand_table_sampler(rng, rng.randint(0, n_max),
-                                                   rng.randint(0, 2), a_children[i].seed_len))
-                for i in range((k + 1) // 2 + 1)]
-    return build_ck(a_children, b_children, w=2, gamma=Fraction(1, 2), samplers=samplers)
+def rand_merge(rng: random.Random, children, n_max: int) -> RobustPrpd:
+    """build_ck over the family with random-table samplers: outer input up to n_max bits
+    (at least one at index 0, so the merge reads an outer seed), seed up to 2 bits."""
+    samplers = [assumed_sampler(rand_table_sampler(rng, rng.randint(1 if i == 0 else 0, n_max),
+                                                   rng.randint(0, 2), children[i].seed_len))
+                for i in range(len(children) // 2 + 1)]
+    return build_ck(children, w=2, gamma=Fraction(1, 2), samplers=samplers)
 
 
 def rand_depth1_tree(rng: random.Random, m_bits: int, k: int, n_max: int = 2) -> RobustPrpd:
-    """One merge of independent random children: a sampled index gets equal flat seed
-    lengths on both sides, a pass-through index children with s_out > 0."""
-    a_children, b_children = [], []
+    """One merge of a family of random children, each serving both halves: a pass-through
+    index gets a child with s_out > 0."""
+    children = []
     for i in range(k + 1):
         if i <= (k + 1) // 2:
             seed = rng.randint(0, 3)
-            s_out_a, s_out_b = rng.randint(0, min(seed, 1)), rng.randint(0, min(seed, 1))
-            a_children.append(rand_child(rng, m_bits, i, s_out_a, seed - s_out_a))
-            b_children.append(rand_child(rng, m_bits, i, s_out_b, seed - s_out_b))
+            s_out = rng.randint(0, min(seed, 1))
+            children.append(rand_child(rng, m_bits, i, s_out, seed - s_out))
         else:
-            a_children.append(rand_child(rng, m_bits, i, rng.randint(1, 2), rng.randint(0, 2)))
-            b_children.append(rand_child(rng, m_bits, i, rng.randint(1, 2), rng.randint(0, 2)))
-    return rand_merge(rng, a_children, b_children, n_max)
+            children.append(rand_child(rng, m_bits, i, rng.randint(1, 2), rng.randint(0, 2)))
+    return rand_merge(rng, children, n_max)
 
 
 def rand_depth2_tree(rng: random.Random, m_bits: int, k: int, n_max: int = 2) -> RobustPrpd:
-    """A merge of depth-1 merges: child i is a depth-1 tree with k = i, shared by both
-    sides at a sampled index as in the recursion, and drawn twice at a pass-through one."""
-    a_children, b_children = [], []
-    for i in range(k + 1):
-        child = rand_depth1_tree(rng, m_bits, i, n_max)
-        a_children.append(child)
-        b_children.append(child if i <= (k + 1) // 2 else rand_depth1_tree(rng, m_bits, i, n_max))
-    return rand_merge(rng, a_children, b_children, n_max)
+    """A merge of depth-1 merges: child i is a depth-1 tree with k = i."""
+    return rand_merge(rng, [rand_depth1_tree(rng, m_bits, i, n_max) for i in range(k + 1)], n_max)

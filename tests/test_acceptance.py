@@ -207,7 +207,7 @@ def test_c06_one_level_construction():
     # vanishes, so k <= m-1; k=2 is exercised honestly at m=4 below
     for m_bits, k in [(1, 0), (2, 0), (2, 1), (4, 2)]:
         children = [weighted_exact_prpd(m_bits, comb(m_bits - 1, i)) for i in range(k + 1)]
-        prpd = build_ck(children, children, w=2, gamma=gamma)
+        prpd = build_ck(children, w=2, gamma=gamma)
         assert prpd.mu == comb(2 * m_bits - 1, k)
         bound = (11 * gamma) ** (k + 1)
         worst = Fraction(0)
@@ -226,11 +226,11 @@ def test_c06_one_level_construction():
         children = [weighted_exact_prpd(m_bits, max(1, comb(m_bits - 1, i)))
                     for i in range(k + 1)]
         with pytest.raises(ConstructionError, match="weight hypothesis"):
-            build_ck(children, children, w=2, gamma=gamma)
+            build_ck(children, w=2, gamma=gamma)
     # genuinely lossy children keep the cascade bound with nonzero error
     lossy_gamma = Fraction(1, 16)
     lossy = [corrupted_uniform_prpd(2, 5), corrupted_uniform_prpd(2, 9)]
-    prpd = build_ck(lossy, lossy, w=2, gamma=lossy_gamma)
+    prpd = build_ck(lossy, w=2, gamma=lossy_gamma)
     lossy_bound = (11 * lossy_gamma) ** 2
     nonzero = Fraction(0)
     for seed in range(20):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -9,6 +10,7 @@ from prpd import (ConstructionError, ContractError, average, build_ck, certify, 
                   mat_sub, matrix_form, measure_robust_error, merge_terms, random_robp,
                   signed_walk_sum, uniform_prpd)
 from prpd.bits import all_bits
+from prpd.recursion import MergeNode
 
 from helpers import corrupted_uniform_prpd, weighted_exact_prpd
 from lemmas import zeros
@@ -17,15 +19,26 @@ GAMMA = Fraction(1, 256)
 
 
 def child_bundle(node, side, i, x, y):
-    """The bundle of child i of `side` read at the merged seed (x, y), through flat_seed."""
-    child = (node.a_children if side == "A" else node.b_children)[i]
+    """The bundle of child i read on `side` at the merged seed (x, y), through flat_seed."""
+    child = node.children[i]
     z = node.flat_seed(side, i, x, y)
     return child.bundle(z[:child.s_out], z[child.s_out:])
 
 
+def test_one_family_serves_both_halves():
+    # a PRPD does not know which half it runs on: one family, one read length per index
+    assert [f.name for f in dataclasses.fields(MergeNode)] == ["children", "samplers", "lens",
+                                                                "terms"]
+    children = [corrupted_uniform_prpd(3, s_in) for s_in in (5, 4, 3)]
+    node = build_ck(children, w=2, gamma=Fraction(1, 16)).merge
+    assert node.children == tuple(children)
+    # indices 0 and 1 are sampled at d = m, index 2 is passed through at its s_in
+    assert node.lens == (node.samplers[0].d, node.samplers[1].d, children[2].s_in) == (5, 4, 3)
+
+
 def test_k0_exact_children_collapse_to_product():
     children = [uniform_prpd(2)]
-    prpd = build_ck(children, children, w=2, gamma=GAMMA)
+    prpd = build_ck(children, w=2, gamma=GAMMA)
     program = random_robp(4, 2, seed=1)
     lhs = average(matrix_form(prpd, program, 0, 4))
     rhs = mat_mul(exact_average(program, 0, 2), exact_average(program, 2, 4))
@@ -38,7 +51,7 @@ def test_weight_equality_and_vandermonde():
     # meet its cap binom(2m-1, k) with equality
     m_bits, k = 4, 2
     children = [weighted_exact_prpd(m_bits, comb(m_bits - 1, i)) for i in range(k + 1)]
-    prpd = build_ck(children, children, w=2, gamma=GAMMA)
+    prpd = build_ck(children, w=2, gamma=GAMMA)
     assert prpd.mu == comb(2 * m_bits - 1, k) == 21
     total = sum(comb(m_bits - 1, i) * comb(m_bits - 1, k - i) for i in range(k + 1))
     total += sum(comb(m_bits - 1, i) * comb(m_bits - 1, k - 1 - i) for i in range(k))
@@ -47,7 +60,7 @@ def test_weight_equality_and_vandermonde():
 
 def test_exact_children_zero_error():
     children = [uniform_prpd(2), uniform_prpd(2)]
-    prpd = build_ck(children, children, w=2, gamma=GAMMA)
+    prpd = build_ck(children, w=2, gamma=GAMMA)
     for seed in range(5):
         program = random_robp(4, 2, seed=seed)
         assert measure_robust_error(prpd, program) == 0
@@ -57,7 +70,7 @@ def test_lossy_children_error_within_cascade_bound():
     gamma = Fraction(1, 16)
     a0 = corrupted_uniform_prpd(2, 5)        # robust error <= 2/32 = gamma
     a1 = corrupted_uniform_prpd(2, 9)        # robust error <= 2/512 = gamma^2
-    prpd = build_ck([a0, a1], [a0, a1], w=2, gamma=gamma)
+    prpd = build_ck([a0, a1], w=2, gamma=gamma)
     bound = (11 * gamma) ** 2
     saw_nonzero = False
     for seed in range(3):
@@ -76,7 +89,7 @@ def test_bundle_decomposes_into_terms():
     gamma = Fraction(1, 16)
     a0 = corrupted_uniform_prpd(2, 5)
     a1 = corrupted_uniform_prpd(2, 9)
-    prpd = build_ck([a0, a1], [a0, a1], w=2, gamma=gamma)
+    prpd = build_ck([a0, a1], w=2, gamma=gamma)
     assert prpd.bundle == prpd.merge.bundle
     program = random_robp(4, 2, seed=7)
     rng = random.Random(0)
@@ -98,7 +111,7 @@ def test_termwise_decomposition_bounds():
     gamma = Fraction(1, 16)
     a0 = corrupted_uniform_prpd(2, 5)
     a1 = corrupted_uniform_prpd(2, 9)
-    prpd = build_ck([a0, a1], [a0, a1], w=2, gamma=gamma)
+    prpd = build_ck([a0, a1], w=2, gamma=gamma)
     node = prpd.merge
     k = 1
     measured = []
@@ -109,7 +122,7 @@ def test_termwise_decomposition_bounds():
 
         def mean_error(side, i):
             """E_y[child i - target] over the part of y it reads, one read per flat seed."""
-            length = (node.len_a if side == "A" else node.len_b)[i]
+            length = node.lens[i]
             pad = "0" * (prpd.s_in - length)
             ys = [u + pad if side == "A" else pad + u for u in all_bits(length)]
             walks = signed_walk_sum(program, 0 if side == "A" else 2,
@@ -119,7 +132,7 @@ def test_termwise_decomposition_bounds():
         for i, j, _ in merge_terms(k):
             # A_i reads a prefix of y and B_j a disjoint suffix, so the mean over y
             # of the product of their errors is the product of their mean errors
-            assert node.len_a[i] + node.len_b[j] <= prpd.s_in
+            assert node.lens[i] + node.lens[j] <= prpd.s_in
             term_err = inf_norm(mat_mul(mean_error("A", i), mean_error("B", j)))
             # symmetric rule at delta = 0: 9 * gamma^(i+j+2)
             assert term_err <= 9 * gamma ** (i + j + 2)
@@ -133,7 +146,7 @@ def test_termwise_decomposition_bounds():
 
 def test_sign_structure_all_plus_minus_one():
     children = [uniform_prpd(2), uniform_prpd(2)]
-    prpd = build_ck(children, children, w=2, gamma=GAMMA)
+    prpd = build_ck(children, w=2, gamma=GAMMA)
     for x in all_bits(prpd.s_out):
         for y in all_bits(prpd.s_in):
             for _, sign in prpd.bundle(x, y):
@@ -143,15 +156,15 @@ def test_sign_structure_all_plus_minus_one():
 def test_non_overlap_structural():
     m_bits, k = 4, 2
     children = [weighted_exact_prpd(m_bits, comb(m_bits - 1, i)) for i in range(k + 1)]
-    prpd = build_ck(children, children, w=2, gamma=GAMMA)
+    prpd = build_ck(children, w=2, gamma=GAMMA)
     for i, j, _ in merge_terms(k):
-        assert prpd.merge.len_a[i] + prpd.merge.len_b[j] <= prpd.s_in
+        assert prpd.merge.lens[i] + prpd.merge.lens[j] <= prpd.s_in
 
 
 def test_oblivious_construction():
     def fresh():
         children = [uniform_prpd(2), uniform_prpd(2)]
-        return build_ck(children, children, w=2, gamma=GAMMA)
+        return build_ck(children, w=2, gamma=GAMMA)
 
     first = fresh()
     dump_before = dump_prpd(first)
@@ -166,7 +179,7 @@ def test_refuses_unsatisfiable_weight_hypothesis():
     # binom(m-1, i) = 0 admits no generator of weight >= 1
     children = [uniform_prpd(1), uniform_prpd(1)]
     with pytest.raises(ConstructionError, match=r"weight hypothesis.*binom\(0, 1\) = 0"):
-        build_ck(children, children, w=2, gamma=GAMMA)
+        build_ck(children, w=2, gamma=GAMMA)
 
 
 def test_refuses_insufficient_sampler_accuracy():
@@ -175,14 +188,14 @@ def test_refuses_insufficient_sampler_accuracy():
     ok, _ = certify(g, Fraction(1, 2), Fraction(1, 4))
     assert ok  # certified, but far too weak for gamma = 1/256
     with pytest.raises(ConstructionError, match="eps_0"):
-        build_ck(children, children, w=2, gamma=GAMMA, samplers=[g])
+        build_ck(children, w=2, gamma=GAMMA, samplers=[g])
 
 
 def test_refuses_uncertified_sampler():
     children = [uniform_prpd(2)]
     g = expander_walk_sampler(6, 2, children[0].seed_len, seed=5)
     with pytest.raises(ContractError, match="uncertified"):
-        build_ck(children, children, w=2, gamma=GAMMA, samplers=[g])
+        build_ck(children, w=2, gamma=GAMMA, samplers=[g])
 
 
 def test_refuses_sampler_output_mismatch():
@@ -190,4 +203,4 @@ def test_refuses_sampler_output_mismatch():
     g = expander_walk_sampler(6, 3, 3, seed=5)
     certify(g, Fraction(1), Fraction(1))
     with pytest.raises(ConstructionError, match="flat child seed"):
-        build_ck(children, children, w=2, gamma=GAMMA, samplers=[g])
+        build_ck(children, w=2, gamma=GAMMA, samplers=[g])

@@ -272,6 +272,37 @@ def test_ledger_check_rejects_forged_ledger(tmp_path, forgery):
     assert main(["ledger-check", "--ledger", str(path)]) == 1
 
 
+READ_LENGTH_EDITS = {
+    "len_b-pass-through": [("len_b", 2)],
+    "len_a-sampled": [("len_a", 0)],
+    "len_b-sampled": [("len_b", 0)],
+    "slot-d": [("samplers", 0, "d")],
+    "both-pass-through": [("len_a", 2), ("len_b", 2)],
+}
+
+
+@pytest.mark.parametrize("edit", READ_LENGTH_EDITS)
+def test_ledger_check_rejects_read_length_edit(tmp_path, capsys, edit):
+    # lengths a bit shorter at the top node (3, 2), where indices 0 and 1 are sampled
+    # and 2 is passed through: both halves must read G_i at its slot's d or its s_in
+    built, path = tmp_path / "build.jsonl", tmp_path / "ledger.json"
+    assert main(["build-prpd", "--n", "8", "--w", "2", "--k", "2", "--out", str(built)]) == 0
+    data = next(rec["ledger"] for rec in map(json.loads, built.read_text().splitlines())
+                if rec["record"] == "ledger")
+    top = data["nodes"][-1]
+    assert (top["h"], top["k"], top["kind"]) == (3, 2, "merge")
+    for field in READ_LENGTH_EDITS[edit]:
+        target = top
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] -= 1
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["ledger-check", "--ledger", str(path)]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL (" in line]
+    assert len(fails) == 1 and fails[0].startswith("  FAIL (3,2) read lengths")
+
+
 def _edited_ledger(edit):
     """An exported n=8, k=1 ledger, edited; its last node is the top merge node."""
     _, ledger = recursive_prpd(8, 2, params=RecursionParams(k=1))

@@ -79,7 +79,7 @@ def test_identity_shortcut_matches_table_path():
     wrapped = [assumed_sampler(Sampler(n=g.n, d=g.d, m=g.m,
                                        sample=lambda x, s, g=g: g.sample(x, s)))
                for g in enumerated]
-    trees = [build_ck(children, children, w=2, gamma=Fraction(1, 2), samplers=samplers)
+    trees = [build_ck(children, w=2, gamma=Fraction(1, 2), samplers=samplers)
              for samplers in (enumerated, wrapped)]
     for seed in range(3):
         program = random_robp(trees[0].out_len, 2, seed=seed)
@@ -99,7 +99,7 @@ def test_errors_measured_through_tree_equal_flat():
 
 def test_lossy_children_measured_through_tree():
     lossy = [corrupted_uniform_prpd(2, 3, 5), corrupted_uniform_prpd(2, 3, 2, "10")]
-    prpd = build_ck(lossy, lossy, w=2, gamma=Fraction(1, 2))
+    prpd = build_ck(lossy, w=2, gamma=Fraction(1, 2))
     errors = []
     for seed in range(3):
         program = random_robp(4, 2, seed=seed)
@@ -110,7 +110,7 @@ def test_lossy_children_measured_through_tree():
 
 def test_overlapping_layout_refused():
     leaves = [corrupted_uniform_prpd(2, 2), corrupted_uniform_prpd(2, 2)]
-    prpd = build_ck(leaves, leaves, w=2, gamma=Fraction(1, 2))
+    prpd = build_ck(leaves, w=2, gamma=Fraction(1, 2))
     short = replace(prpd, s_in=prpd.s_in - 1)
     with pytest.raises(ContractError, match="inner seed bits"):
         merge_tree_form(short, random_robp(prpd.out_len, 2), 0, prpd.out_len)
@@ -125,7 +125,7 @@ def test_capacity_counted_before_evaluation(monkeypatch):
 
     leaf = RobustPrpd(out_len=2, s_out=0, s_in=2, mu=1, bundle=bundle)
     g = assumed_sampler(Sampler(n=0, d=2, m=2, sample=lambda x, s: s))
-    prpd = build_ck([leaf], [leaf], w=2, gamma=Fraction(1, 2), samplers=[g])
+    prpd = build_ck([leaf], w=2, gamma=Fraction(1, 2), samplers=[g])
     program = random_robp(4, 2, seed=0)
     # one product at the top; per side a 4-string leaf table and 4 sampled reads
     monkeypatch.setenv("PRPD_ENUM_LIMIT", "16")

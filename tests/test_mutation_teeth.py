@@ -46,10 +46,10 @@ def test_sampled_child_is_read_through_its_sampler():
     # pass-through it would emit its uniform inner seed and measure zero error
     leaf = uniform_prpd(1)
     g = assumed_sampler(Sampler(n=1, d=1, m=1, sample=lambda x, s: "1"))
-    one = build_ck([leaf], [leaf], w=2, gamma=Fraction(1, 2), samplers=[g])
+    one = build_ck([leaf], w=2, gamma=Fraction(1, 2), samplers=[g])
     # every flat seed of `one` once, behind a function that does not pass seeds through
     g2 = assumed_sampler(Sampler(n=0, d=one.seed_len, m=one.seed_len, sample=lambda x, s: s))
-    two = build_ck([one], [one], w=2, gamma=Fraction(1, 2), samplers=[g2])
+    two = build_ck([one], w=2, gamma=Fraction(1, 2), samplers=[g2])
     errors = []
     for seed in range(4):
         program = random_robp(4, 2, seed=seed)

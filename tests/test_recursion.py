@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import sys
 from fractions import Fraction
@@ -229,3 +230,19 @@ def test_dump_prpd_pinned(n, w, k):
     prpd, _ = recursive_prpd(n, w, params=RecursionParams(k=k))
     digest = hashlib.sha256(dump_prpd(prpd).encode()).hexdigest()
     assert digest == PINNED_DUMPS[(n, w, k)]
+
+
+# sha256 of the ledger's JSON at fixed builds: a change to any recorded field or to
+# the serialization shows here
+PINNED_LEDGERS = {
+    (8, 2, 1): "244eab8664156f91d5815d68097220020f200a25d1387d62968475b55fe1b4c6",
+    (8, 3, 2): "d7043f7c66f34949c5c4e9d41f8bd04930781c1c77edd7776f175924a306d367",
+    (16, 2, 3): "1a67ed13e523317c01287454a9e62d5a8d3f09e14ad89df1f78afebe1cba002c",
+}
+
+
+@pytest.mark.parametrize("n,w,k", PINNED_LEDGERS)
+def test_ledger_json_pinned(n, w, k):
+    _, ledger = recursive_prpd(n, w, params=RecursionParams(k=k))
+    text = json.dumps(ledger_to_dict(ledger), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_LEDGERS[(n, w, k)]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from prpd import (CapacityError, ContractError, InputError, RobustPrpd, SzSchedule,
                   armoni_pow, certify, enumeration_sampler, exact_average,
                   expander_walk_sampler, grid_bits, identity, inf_norm, mat_pow,
-                  mat_sub, max_norm, robp_from_matrix, round_to_grid,
+                  mat_sub, max_norm, robp_from_matrix, robust_form, round_to_grid,
                   snap_collision_bound, snap_collision_rate,
                   snap_matrix, snap_value, sz_error_bound, sz_power,
                   uniform_prpd)
@@ -158,6 +158,20 @@ def test_armoni_contract_errors():
         armoni_pow(m, 2, wrong_len, samp, "", eps)
 
 
+def test_armoni_refuses_bundle_length_other_than_mu():
+    # mu = 1 but three strings a seed: the capacity check and the eps/(6*mu) requirement
+    # would count one walk a seed where the kernel sums three; robust_form refuses it too
+    m = ((Fraction(1, 2),),)
+    eps = Fraction(1, 4)
+    d = grid_bits(2, 1, eps)
+    gen = RobustPrpd(out_len=2 * d, s_out=0, s_in=2 * d, mu=1, bundle=lambda x, y: [(y, 1)] * 3)
+    samp = enumeration_sampler(gen.seed_len, n=0)
+    with pytest.raises(ContractError, match="3 entries, mu is 1"):
+        armoni_pow(m, 2, gen, samp, "", eps)
+    with pytest.raises(ContractError, match="3 entries, mu is 1"):
+        robust_form(gen, robp_from_matrix(round_to_grid(m, d), 2, d), 0, 2)
+
+
 def test_armoni_counts_step_program_before_building_it():
     # one seed bit, but d = 21 at n1 = 16: a step program of 16 * 2^21 * 3 successor entries
     eps, n1 = Fraction(1, 1 << 14), 16
@@ -180,7 +194,7 @@ def test_armoni_honest_generator_bad_y_fraction():
     d = grid_bits(n1, w, eps)  # 6 bits per step
     child = corrupted_uniform_prpd(d, d + 2)  # robust error <= 2^-(d+1)
     from prpd import build_ck
-    gen = build_ck([child], [child], w=w + 1, gamma=Fraction(1, 64))
+    gen = build_ck([child], w=w + 1, gamma=Fraction(1, 64))
     assert gen.out_len == n1 * d
     program = robp_from_matrix(round_to_grid(m, d), n1, d)
     from prpd import measure_robust_error
@@ -236,9 +250,6 @@ def test_sz_schedule_validation():
         SzSchedule(n1=2, n2=2, d=3, eps=Fraction(0), y="", offsets=("000",))
     with pytest.raises(InputError):
         SzSchedule(n1=2, n2=1, d=3, eps=Fraction(0), y="", offsets=("01",))
-    schedule = SzSchedule(n1=2, n2=2, d=3, eps=Fraction(0), y="", offsets=("000", "111"))
-    with pytest.raises(InputError):
-        sz_power(identity(2), schedule, lambda m, y: mat_pow(m, 2), n=8)
 
 
 def test_sz_failure_bound_expression():

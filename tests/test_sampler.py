@@ -65,7 +65,6 @@ def test_expander_walk_certifies_at_measured_profile():
     profile = tv_profile(g)
     ok, _ = certify(g, profile.max_tv, 0)
     assert ok
-    assert g.cert.max_tv == profile.max_tv
 
 
 def test_expander_walk_degenerate_is_enumeration():
