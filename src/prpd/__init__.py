@@ -14,7 +14,7 @@ from .recursion import (LedgerNode, LedgerReport, RecursionParams, SeedLedger, M
                         measure_robust_error, recursive_prpd, telescoping_error_bound,
                         telescoping_product, inductive_seed_bounds)
 from .saks_zhou import (SzSchedule, armoni_pow, grid_bits, robp_from_matrix,
-                        round_to_grid, snap_collision_bound, snap_collision_rate, snap_matrix,
-                        snap_value, sz_error_bound, sz_power)
+                        snap_collision_bound, snap_collision_rate, snap_matrix, snap_value,
+                        sz_error_bound, sz_power)
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from .bits import int_to_bits
-from .errors import InputError, PrpdError
+from .errors import InputError, PrpdError, check_renders
 from .pdist import uniform_prpd
 from .recursion import (RecursionParams, frac_str, inductive_seed_bounds, ledger_check,
                         ledger_from_dict, ledger_to_dict, measure_robust_error, recursive_prpd)
@@ -203,6 +203,8 @@ def cmd_ledger_check(args, emit):
         return frac_str(v) if type(v) is Fraction else v
 
     for chk in report.checks:
+        check_renders((chk.lhs, chk.rhs, chk.slack),
+                      f"check ({chk.h},{chk.k}) {chk.name} has a value")
         emit({"record": "check", "h": chk.h, "k": chk.k, "name": chk.name,
               "lhs": exact(chk.lhs), "rhs": exact(chk.rhs), "ok": chk.ok,
               "slack": exact(chk.slack)})

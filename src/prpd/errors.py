@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import os
+import sys
+from fractions import Fraction
+from functools import lru_cache
+from typing import Iterable
 
 DEFAULT_ENUM_LIMIT = 1 << 22
 ENUM_LIMIT_ENV = "PRPD_ENUM_LIMIT"
@@ -63,3 +67,23 @@ def check_capacity(count: int, what: str) -> None:
             f"{what} needs {shown} evaluations, over the limit {limit} "
             f"(set {ENUM_LIMIT_ENV} to override)"
         )
+
+
+@lru_cache(maxsize=None)
+def _ten_to(limit: int) -> int:
+    return 10 ** limit
+
+
+def check_renders(values: Iterable, what: str) -> None:
+    """InputError if an int or Fraction among values has a part str(int) refuses to render.
+
+    That is a part of more digits than sys.get_int_max_str_digits() (0: no limit).
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    too_long = _ten_to(limit)
+    for v in values:
+        if isinstance(v, (int, Fraction)) and max(map(abs, v.as_integer_ratio())) >= too_long:
+            raise InputError(f"{what} of more than {limit} digits, past the int-to-str limit "
+                             "of this Python")

@@ -132,7 +132,7 @@ def robust_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
     check_segment(robp, a, b, prpd.out_len)
     inv = Fraction(1, 1 << prpd.s_in)
     per_x = groupby(seed_bundles(prpd, "matrix form enumeration"), key=itemgetter(0))
-    return {x: mat_scale(inv, signed_walk_sum(robp, a, (e for _, _, bundle in group
+    return {x: mat_scale(inv, signed_walk_sum(robp, a, b, (e for _, _, bundle in group
                                                          for e in bundle)))
             for x, group in per_x}
 
@@ -140,7 +140,7 @@ def robust_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
 def matrix_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
     """x||y -> A(x, y), the int matrix of one seed's bundle; its average is robust_form's."""
     check_segment(robp, a, b, prpd.out_len)
-    return {x + y: signed_walk_sum(robp, a, bundle)
+    return {x + y: signed_walk_sum(robp, a, b, bundle)
             for x, y, bundle in seed_bundles(prpd, "per-seed table")}
 
 

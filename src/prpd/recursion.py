@@ -23,7 +23,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 
 from .bits import all_bits, suffix
 from .errors import (ConstructionError, ContractError, InputError, ParseError,
-                     check_capacity)
+                     check_capacity, check_renders)
 from .pdist import RobustPrpd, average, matrix_form, robust_form, uniform_prpd
 from .robp import (Mat, Robp, check_segment, exact_average, inf_norm, mat_add, mat_mul, mat_scale,
                    mat_sub)
@@ -202,13 +202,8 @@ def build_ck(children: Sequence[RobustPrpd], w: int, gamma,
     s_in = max(lens[i] + lens[j] for i, j, _ in terms)
     s_out = max([g.n for g in samplers] + [c.s_out for c in children[split + 1:]])
 
+    # the caps binom(m-1, i) * binom(m-1, j) over the terms sum to binom(2m-1, k) (Vandermonde)
     mu_total = sum(children[i].mu * children[j].mu for i, j, _ in terms)
-    mu_cap = comb(2 * m_bits - 1, k)
-    if mu_total > mu_cap:
-        raise ConstructionError(
-            f"weight conclusion fails mu <= binom(2m-1, k): {mu_total} > {mu_cap}"
-        )
-
     node = MergeNode(children=children, samplers=tuple(samplers), lens=lens, terms=terms)
     return RobustPrpd(out_len=2 * m_bits, s_out=s_out, s_in=s_in, mu=mu_total, bundle=node.bundle,
                       merge=node)
@@ -364,12 +359,9 @@ def _check_renders(plan: Dict[Tuple[int, int], NodePlan], most_digits: float) ->
     limit = sys.get_int_max_str_digits()
     if not limit or most_digits + 2 < limit:         # 0: no limit
         return
-    too_long = 10 ** limit
     for (h, k), p in plan.items():
-        for value in (p.mu_cap, p.error_bound, p.merge_gamma, p.delta_required, *p.eps_required):
-            if value is not None and max(value.as_integer_ratio()) >= too_long:
-                raise InputError(f"node ({h},{k}) holds an exact value of more than {limit} "
-                                 "digits, past the int-to-str limit of this Python")
+        check_renders((p.mu_cap, p.error_bound, p.merge_gamma, p.delta_required, *p.eps_required),
+                      f"node ({h},{k}) holds an exact value")
 
 
 def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] = None

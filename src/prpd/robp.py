@@ -9,14 +9,13 @@ helpers run exactly on Fractions and approximately on floats.
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
 from .bits import bits_to_int
-from .errors import InputError, ParseError
+from .errors import ContractError, InputError, ParseError, check_renders
 
 Mat = tuple  # w-tuple of w-tuples of numbers
 
@@ -59,14 +58,9 @@ def mat_pow(a: Mat, e: int) -> Mat:
     """
     if e < 0:
         raise InputError("matrix power must be non-negative")
-    limit = sys.get_int_max_str_digits()
-    too_long = 10 ** limit if limit else None       # 0: no limit
 
     def checked(m: Mat) -> Mat:
-        if too_long is not None and any(max(map(abs, v.as_integer_ratio())) >= too_long
-                                        for row in m for v in row):
-            raise InputError(f"matrix power has an entry of more than {limit} digits, "
-                             "past the int-to-str limit of this Python")
+        check_renders((v for row in m for v in row), "matrix power has an entry")
         return m
 
     result = identity(len(a))
@@ -117,11 +111,6 @@ class Robp:
                 for s in row:
                     if not (0 <= s < self.w):
                         raise InputError(f"step {t + 1} label {v}: successor {s} out of range [0, {self.w})")
-
-    @property
-    def out_len(self) -> int:
-        """Bits consumed by a full run."""
-        return self.n * self.d_step
 
     @cached_property
     def chunk_memo(self) -> dict:
@@ -181,31 +170,29 @@ def _chunk_walk(robp: Robp, t: int, chunk: str) -> tuple:
     return tuple(ends)
 
 
-def signed_walk_sum(robp: Robp, a: int, weighted: Iterable) -> Mat:
-    """Unscaled sum of c * walk_matrix(r) over (r, c) pairs, each r read from layer a.
+def signed_walk_sum(robp: Robp, a: int, b: int, weighted: Iterable) -> Mat:
+    """Unscaled sum of c * walk_matrix(robp, a, b, r) over (r, c) pairs.
 
     r is read in chunks of whole steps, at most CHUNK_BITS bits each unless
     one step is wider. A chunk's successor tuple is looked up in the
     program's memo, keyed by (first step, steps) and then by the chunk, and
     filled on first sight, so it holds only chunks that occurred. Weights
     are summed per end tuple and spread into the matrix once. Entries are
-    ints for int weights and Fractions for Fraction weights; callers check
-    string lengths and scale.
+    ints for int weights and Fractions for Fraction weights. Callers check
+    the segment with check_segment and scale; a string whose length is not
+    the segment's raises ContractError.
     """
     w, d = robp.w, robp.d_step
-    run = max(1, CHUNK_BITS // d)
+    bits, steps, run = (b - a) * d, b - a, max(1, CHUNK_BITS // d)
     memo = robp.chunk_memo
-    layouts = {}                    # string length -> [(first bit, last bit, step, table)]
+    layout = [(lo * d, min(lo + run, steps) * d, a + lo,
+               memo.setdefault((a + lo, min(run, steps - lo)), {}))
+              for lo in range(0, steps, run)]      # [(first bit, last bit, step, table)]
     totals = {}
     for r, c in weighted:
-        layout = layouts.get(len(r))
-        if layout is None:
-            steps = len(r) // d
-            layout = layouts[len(r)] = [
-                (lo * d, min(lo + run, steps) * d, a + lo,
-                 memo.setdefault((a + lo, min(run, steps - lo)), {}))
-                for lo in range(0, steps, run)]
-        ends = None                 # stays None for the empty string: the identity walk
+        if len(r) != bits:
+            raise ContractError(f"a {len(r)}-bit string on segment [{a}, {b}], which reads {bits}")
+        ends = None                 # stays None for the empty segment: the identity walk
         for lo, hi, t, table in layout:
             chunk = r[lo:hi]
             nxt = table.get(chunk)

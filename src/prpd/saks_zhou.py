@@ -109,12 +109,6 @@ def robp_from_matrix(m: Mat, n1: int, d: int) -> Robp:
     return Robp(n=n1, w=w + 1, d_step=d, transitions=tuple(step for _ in range(n1)))
 
 
-def round_to_grid(m: Mat, d: int) -> Mat:
-    """Round every entry down to a multiple of 2^(-d)."""
-    scale = 1 << d
-    return tuple(tuple(Fraction(math.floor(Fraction(e) * scale), scale) for e in row) for row in m)
-
-
 def grid_bits(n1: int, w: int, eps) -> int:
     """Smallest d with 2^d >= 3*n1*w/eps."""
     eps = Fraction(eps)
@@ -141,8 +135,6 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) ->
     the sampler estimate).
     """
     eps = Fraction(eps)
-    if eps <= 0:
-        raise InputError("eps must be positive")
     w = len(m)
     _check_substochastic(m, "input matrix")
     d = grid_bits(n1, w, eps)
@@ -158,7 +150,8 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) ->
     # the step program robp_from_matrix builds has n1 * 2^d * (w+1) successor entries
     check_capacity((1 << samp.d) * prpd.mu * w + n1 * (1 << d) * (w + 1),
                    "offline power estimate")
-    program = robp_from_matrix(round_to_grid(m, d), n1, d)
+    # snap at offset 0 floors to the grid; its clamp at 0 never acts on the checked m
+    program = robp_from_matrix(snap_matrix(m, 0, d), n1, d)
     cut = prpd.s_out
 
     def read(r: str) -> list:
@@ -169,7 +162,7 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) ->
         return bundle
 
     seeds = map(partial(samp.sample, y), all_bits(samp.d))
-    acc = signed_walk_sum(program, 0, chain.from_iterable(map(read, seeds)))
+    acc = signed_walk_sum(program, 0, n1, chain.from_iterable(map(read, seeds)))
     # state w is the absorbing dummy; M^n1 lives on the real states only
     return mat_scale(Fraction(1, 1 << samp.d), tuple(row[:w] for row in acc[:w]))
 

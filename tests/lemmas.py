@@ -48,7 +48,7 @@ def realize(pd: PseudoDist, robp: Robp, a: int, b: int) -> Mat:
         raise InputError(
             f"pseudodistribution emits {pd.out_len} bits, segment consumes {(b - a) * robp.d_step}"
         )
-    return mat_scale(Fraction(1, pd.size), signed_walk_sum(robp, a, pd.entries))
+    return mat_scale(Fraction(1, pd.size), signed_walk_sum(robp, a, b, pd.entries))
 
 
 def scale(pd: PseudoDist, c) -> PseudoDist:

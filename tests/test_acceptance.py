@@ -14,8 +14,8 @@ from prpd import (ConstructionError, SzSchedule, build_ck, certify,
                   average, dump_prpd, enumeration_sampler, expander_walk_sampler,
                   grid_bits, inf_norm, ledger_check, mat_add, mat_mul, mat_scale,
                   mat_sub, matrix_form, max_norm, measure_robust_error, random_robp,
-                  recursive_prpd, round_to_grid, sampled_average, snap_collision_bound,
-                  snap_collision_rate, snap_value, sz_error_bound, sz_power,
+                  recursive_prpd, sampled_average, snap_collision_bound,
+                  snap_collision_rate, snap_matrix, snap_value, sz_error_bound, sz_power,
                   telescoping_error_bound, telescoping_product, tv_profile, armoni_pow,
                   mat_pow, RecursionParams)
 from prpd.bits import all_bits, int_to_bits
@@ -356,7 +356,7 @@ def test_c10_saks_zhou_pipeline():
     def approx(mat, y):
         key = (mat, y)
         if key not in cache:
-            program = robp_from_matrix(round_to_grid(mat, d_round), n1, d_round)
+            program = robp_from_matrix(snap_matrix(mat, 0, d_round), n1, d_round)
             premise = measure_robust_error(gen, program)
             assert 0 < premise <= eps / 3
             cache[key] = armoni_pow(mat, n1, gen, samp, y, eps)

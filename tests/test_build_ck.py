@@ -95,11 +95,11 @@ def test_bundle_decomposes_into_terms():
     rng = random.Random(0)
     for _ in range(25):
         y = format(rng.randrange(1 << prpd.s_in), f"0{prpd.s_in}b")
-        whole = signed_walk_sum(program, 0, prpd.bundle("", y))
+        whole = signed_walk_sum(program, 0, 4, prpd.bundle("", y))
         total = zeros(2)
         for i, j, sign in merge_terms(1):
-            a_mat = signed_walk_sum(program, 0, child_bundle(prpd.merge, "A", i, "", y))
-            b_mat = signed_walk_sum(program, 2, child_bundle(prpd.merge, "B", j, "", y))
+            a_mat = signed_walk_sum(program, 0, 2, child_bundle(prpd.merge, "A", i, "", y))
+            b_mat = signed_walk_sum(program, 2, 4, child_bundle(prpd.merge, "B", j, "", y))
             term = mat_scale(sign, mat_mul(a_mat, b_mat))
             total = tuple(tuple(p + q for p, q in zip(r1, r2)) for r1, r2 in zip(total, term))
         assert whole == total
@@ -125,7 +125,8 @@ def test_termwise_decomposition_bounds():
             length = node.lens[i]
             pad = "0" * (prpd.s_in - length)
             ys = [u + pad if side == "A" else pad + u for u in all_bits(length)]
-            walks = signed_walk_sum(program, 0 if side == "A" else 2,
+            start = 0 if side == "A" else 2
+            walks = signed_walk_sum(program, start, start + 2,
                                     (e for y in ys for e in child_bundle(node, side, i, "", y)))
             return mat_sub(mat_scale(Fraction(1, len(ys)), walks), targets[side])
 
@@ -188,6 +189,15 @@ def test_refuses_insufficient_sampler_accuracy():
     ok, _ = certify(g, Fraction(1, 2), Fraction(1, 4))
     assert ok  # certified, but far too weak for gamma = 1/256
     with pytest.raises(ConstructionError, match="eps_0"):
+        build_ck(children, w=2, gamma=GAMMA, samplers=[g])
+
+
+def test_refuses_insufficient_sampler_failure_probability():
+    children = [uniform_prpd(2)]
+    g = expander_walk_sampler(6, 2, children[0].seed_len, seed=5)
+    ok, _ = certify(g, 0, 1)
+    assert ok  # at TV 0, but on a failing fraction of x bounded only by 1
+    with pytest.raises(ConstructionError, match="failure fails delta"):
         build_ck(children, w=2, gamma=GAMMA, samplers=[g])
 
 

@@ -112,6 +112,35 @@ def test_sz_demo_armoni(tmp_path):
     assert code == 0
 
 
+def test_sz_demo_refuses_power_past_digit_limit(capsys):
+    # n = 10^4300 has 4301 digits; refused before n or its bound is computed
+    code = main(["sz-demo", "--w", "2", "--n1", "10", "--n2", "4300", "--d", "6"])
+    assert code == 2
+    assert "error: n1^n2 has more than 4300 digits" in capsys.readouterr().err
+
+
+def test_non_integer_enum_limit_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "4M")
+    assert main(["build-prpd", "--n", "8", "--w", "2", "--k", "1"]) == 2
+    assert "PRPD_ENUM_LIMIT must be an integer, got '4M'" in capsys.readouterr().err
+
+
+def test_ledger_check_refuses_check_value_past_digit_limit(tmp_path, capsys):
+    # every child weight of merge node (1, 0) at 10^3000: the mu identity's sum has about
+    # 6000 digits, which str(int) refuses, so the check cannot be written
+    _, ledger = recursive_prpd(8, 2, params=RecursionParams(k=2))
+    data = ledger_to_dict(ledger)
+    node = next(nd for nd in data["nodes"] if (nd["h"], nd["k"]) == (1, 0))
+    assert node["kind"] == "merge"
+    for child in node["children"]:
+        child[3] = 10 ** 3000
+    path, out = tmp_path / "ledger.json", tmp_path / "checks.jsonl"
+    path.write_text(json.dumps(data))
+    assert main(["ledger-check", "--ledger", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "mu identity" in capsys.readouterr().err
+
+
 def test_cli_reports_capacity_error(capsys):
     # node (5, 16) is the 32-bit uniform terminal, a pass-through child of the top
     code = main(["verify-error", "--n", "64", "--w", "2", "--k", "16", "--robps", "1"])
@@ -419,7 +448,7 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, case):
 
 FUZZ_VALUES = {"0": 0, "-1": -1, "2": 2, "1e6": 10 ** 6, "1e400": 10 ** 400, "-1e400": -10 ** 400,
                "0.5": 0.5, "true": True, "x": "x", "1/0": "1/0", "-1/2": "-1/2", "null": None,
-               "[]": [], "{}": {}}
+               "[]": [], "{}": {}, "1e3000": 10 ** 3000}
 
 
 def _fuzz_fields():

@@ -142,3 +142,23 @@ def test_segment_outside_program_refused(form, a, b):
     # two steps of a four-step program, but not steps the program has
     with pytest.raises(InputError, match="out of range"):
         form(uniform_prpd(2), random_robp(4, 2), a, b)
+
+
+@pytest.mark.parametrize("form", [robust_form, matrix_form, merge_tree_form])
+@pytest.mark.parametrize("emitted", [1, 3])
+def test_wrong_length_strings_refused(form, emitted):
+    # the segment reads 2 bits: 1-bit strings would walk one step, 3-bit ones past the program
+    gen = RobustPrpd(out_len=2, s_out=0, s_in=emitted, mu=1, bundle=lambda x, y: [(y, 1)])
+    with pytest.raises(ContractError, match=rf"a {emitted}-bit string on segment \[0, 2\]"):
+        form(gen, random_robp(2, 2, seed=1), 0, 2)
+
+
+@pytest.mark.parametrize("sampler", ["form", "table"])
+def test_wrong_length_child_refused_through_tree(sampler):
+    # a child that emits 1 of its 2 bits, read from its form or from its per-seed table
+    child = RobustPrpd(out_len=2, s_out=0, s_in=1, mu=1, bundle=lambda x, y: [(y, 1)])
+    samplers = None if sampler == "form" else [
+        assumed_sampler(Sampler(n=0, d=1, m=1, sample=lambda x, s: s))]
+    prpd = build_ck([child], w=2, gamma=Fraction(1, 2), samplers=samplers)
+    with pytest.raises(ContractError, match=r"a 1-bit string on segment \[0, 2\]"):
+        measure_robust_error(prpd, random_robp(4, 2, seed=1))

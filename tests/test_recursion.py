@@ -166,13 +166,6 @@ def test_ledger_json_roundtrip():
     assert ledger_check(back).ok
 
 
-def test_same_generator_reused_for_both_halves():
-    _, ledger = recursive_prpd(8, 2, params=RecursionParams(k=1))
-    for node in ledger.nodes:
-        if node.kind == "merge":
-            assert node.len_a == node.len_b
-
-
 def test_measure_average_error_zero_for_exact_builds():
     prpd, _ = recursive_prpd(4, 2, params=RecursionParams(k=1))
     assert measure_average_error(prpd, random_robp(4, 2, seed=9)) == 0

@@ -69,7 +69,7 @@ def test_walk_matrix_against_path_following_oracle():
         b = rng.randint(a, 5)
         r = "".join(rng.choice("01") for _ in range(b - a))
         m = walk_matrix(program, a, b, r)
-        assert signed_walk_sum(program, a, [(r, 1)]) == m
+        assert signed_walk_sum(program, a, b, [(r, 1)]) == m
         for row in m:
             assert sum(row) == 1
 
@@ -182,15 +182,15 @@ def test_signed_walk_sum_matches_weighted_walk_matrices(data):
         weight = data.draw(st.sampled_from([
             st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=8)]))
         weighted = data.draw(st.lists(st.tuples(string, weight), min_size=1, max_size=6))
-        total = signed_walk_sum(program, a, weighted)
+        total = signed_walk_sum(program, a, b, weighted)
         assert total == reduce(mat_add, (mat_scale(c, walk_matrix(program, a, b, r))
                                          for r, c in weighted))
         if all(type(c) is int for _, c in weighted):
             assert all(type(e) is int for row in total for e in row)
-        calls.append((a, weighted, total))
+        calls.append((a, b, weighted, total))
     # read again from the filled memo, every call gives the same matrix
-    for a, weighted, total in calls:
-        assert signed_walk_sum(program, a, weighted) == total
+    for a, b, weighted, total in calls:
+        assert signed_walk_sum(program, a, b, weighted) == total
 
 
 def wide_step_robp(n, w, d_step, seed):
@@ -210,7 +210,7 @@ def test_chunk_memo_is_lazy():
     program = wide_step_robp(2, 3, d_step=20, seed=5)
     r = "01" * 20
     with deadline(1):
-        total = signed_walk_sum(program, 0, [(r, 1)])
+        total = signed_walk_sum(program, 0, 2, [(r, 1)])
     assert total == walk_matrix(program, 0, 2, r)
     # one entry per chunk walked: each 20-bit step is a chunk of its own
     assert sorted(program.chunk_memo) == [(0, 1), (1, 1)]
@@ -221,7 +221,7 @@ def test_chunk_memo_is_invisible():
     program = random_robp(6, 3, d_step=2, seed=11)
     fresh = parse_robp(serialize_robp(program))
     before = repr(program)
-    signed_walk_sum(program, 1, [("0110100111", 2), ("1111000010", -1)])
+    signed_walk_sum(program, 1, 6, [("0110100111", 2), ("1111000010", -1)])
     assert program.chunk_memo
     assert program == fresh and hash(program) == hash(fresh) and repr(program) == before
     assert [f.name for f in dataclasses.fields(Robp)] == ["n", "w", "d_step", "transitions"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from prpd import (CapacityError, ContractError, InputError, RobustPrpd, SzSchedule,
                   armoni_pow, certify, enumeration_sampler, exact_average,
                   expander_walk_sampler, grid_bits, identity, inf_norm, mat_pow,
-                  mat_sub, max_norm, robp_from_matrix, robust_form, round_to_grid,
+                  mat_sub, max_norm, robp_from_matrix, robust_form,
                   snap_collision_bound, snap_collision_rate,
                   snap_matrix, snap_value, sz_error_bound, sz_power,
                   uniform_prpd)
@@ -104,7 +104,7 @@ def test_robp_from_matrix_matches_power_oracle():
     rng = random.Random(3)
     d = 4
     for _ in range(10):
-        m = round_to_grid(rand_substochastic(rng, 3), d)
+        m = snap_matrix(rand_substochastic(rng, 3), 0, d)
         program = robp_from_matrix(m, 3, d)
         avg = exact_average(program, 0, 3)
         cube = mat_pow(m, 3)
@@ -126,7 +126,7 @@ def test_armoni_exact_stages_equal_rounded_power():
     gen = uniform_prpd(2 * d)
     samp = enumeration_sampler(gen.seed_len, n=0)
     result = armoni_pow(m, 2, gen, samp, "", eps)
-    assert result == mat_pow(round_to_grid(m, d), 2)
+    assert result == mat_pow(snap_matrix(m, 0, d), 2)
     assert max_norm(mat_sub(result, mat_pow(m, 2))) <= eps / 3
 
 
@@ -134,7 +134,7 @@ def test_armoni_grid_exact_input_is_exact():
     rng = random.Random(5)
     eps = Fraction(1, 8)
     d = grid_bits(2, 2, eps)
-    m = round_to_grid(rand_substochastic(rng, 2), d)
+    m = snap_matrix(rand_substochastic(rng, 2), 0, d)
     gen = uniform_prpd(2 * d)
     samp = enumeration_sampler(gen.seed_len, n=0)
     assert armoni_pow(m, 2, gen, samp, "", eps) == mat_pow(m, 2)
@@ -156,6 +156,13 @@ def test_armoni_contract_errors():
     samp = enumeration_sampler(wrong_len.seed_len, n=0)
     with pytest.raises(ContractError):
         armoni_pow(m, 2, wrong_len, samp, "", eps)
+    with pytest.raises(ContractError, match=f"sampler emits {gen.seed_len - 1} bits"):
+        armoni_pow(m, 2, gen, enumeration_sampler(gen.seed_len - 1), "", eps)
+    with pytest.raises(InputError, match="offline randomness must be 2 bits"):
+        armoni_pow(m, 2, gen, enumeration_sampler(gen.seed_len, n=2), "0", eps)
+    for bad_eps in (0, Fraction(-1, 4)):
+        with pytest.raises(InputError, match="eps must be positive"):
+            armoni_pow(m, 2, gen, enumeration_sampler(gen.seed_len), "", bad_eps)
 
 
 def test_armoni_refuses_bundle_length_other_than_mu():
@@ -169,7 +176,18 @@ def test_armoni_refuses_bundle_length_other_than_mu():
     with pytest.raises(ContractError, match="3 entries, mu is 1"):
         armoni_pow(m, 2, gen, samp, "", eps)
     with pytest.raises(ContractError, match="3 entries, mu is 1"):
-        robust_form(gen, robp_from_matrix(round_to_grid(m, d), 2, d), 0, 2)
+        robust_form(gen, robp_from_matrix(snap_matrix(m, 0, d), 2, d), 0, 2)
+
+
+def test_armoni_refuses_strings_shorter_than_the_step_program():
+    # d of the 2d bits the step program reads: a one-step walk would return M, not M^2
+    m = ((Fraction(1, 2),),)
+    eps = Fraction(1, 4)
+    d = grid_bits(2, 1, eps)
+    gen = RobustPrpd(out_len=2 * d, s_out=0, s_in=2 * d, mu=1, bundle=lambda x, y: [(y[:d], 1)])
+    samp = enumeration_sampler(gen.seed_len, n=0)
+    with pytest.raises(ContractError, match=rf"a {d}-bit string on segment \[0, 2\]"):
+        armoni_pow(m, 2, gen, samp, "", eps)
 
 
 def test_armoni_counts_step_program_before_building_it():
@@ -196,7 +214,7 @@ def test_armoni_honest_generator_bad_y_fraction():
     from prpd import build_ck
     gen = build_ck([child], w=w + 1, gamma=Fraction(1, 64))
     assert gen.out_len == n1 * d
-    program = robp_from_matrix(round_to_grid(m, d), n1, d)
+    program = robp_from_matrix(snap_matrix(m, 0, d), n1, d)
     from prpd import measure_robust_error
     prog_err = measure_robust_error(gen, program)
     assert 0 < prog_err <= eps / 3

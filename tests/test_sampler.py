@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from prpd import (Certificate, Sampler, average, certify, enumeration_sampler,
+import pytest
+
+from prpd import (Certificate, InputError, Sampler, average, certify, enumeration_sampler,
                   expander_walk_sampler, inf_norm, mat_sub, sampled_average, tv_profile)
 from prpd.bits import all_bits
 
@@ -153,3 +155,9 @@ def test_matrix_estimate_deviation_bound():
     bad = sum(1 for x in all_bits(6)
               if inf_norm(mat_sub(sampled_average(flat, g, x), truth)) > threshold)
     assert Fraction(bad, 64) <= w * w * delta
+
+
+@pytest.mark.parametrize("eps,delta", [(-1, 0), (0, Fraction(-1, 2))])
+def test_certify_refuses_negative_eps_or_delta(eps, delta):
+    with pytest.raises(InputError, match="non-negative"):
+        certify(enumeration_sampler(2), eps, delta)
