@@ -8,7 +8,7 @@ from .robp import (Mat, Robp, exact_average, identity, inf_norm, mat_add, mat_mu
 from .pdist import (PseudoDist, RobustPrpd, average, dump_prpd, matrix_form, robust_form,
                     to_pseudodist, uniform_prpd)
 from .sampler import (Certificate, Sampler, TvProfile, certify, enumeration_sampler,
-                      expander_walk_sampler, require_certified, sampled_average, tv_profile)
+                      expander_walk_sampler, require_certified, tv_profile)
 from .recursion import (LedgerNode, LedgerReport, RecursionParams, SeedLedger, MODE_EXACT,
                         build_ck, ledger_check, ledger_from_dict, ledger_to_dict, merge_terms,
                         measure_robust_error, recursive_prpd, telescoping_error_bound,

@@ -130,6 +130,8 @@ def cmd_certify_sampler(args, emit):
 
 
 def cmd_sz_demo(args, emit):
+    if args.approximator == "exact" and args.eps is not None:
+        raise InputError(f"the exact approximator has no eps, got --eps {frac_str(args.eps)}")
     rng = random.Random(args.seed)
     limit = sys.get_int_max_str_digits()
     if limit and args.n2 * math.log10(args.n1) >= limit:

@@ -2,11 +2,11 @@
 
 One merge level combines graded approximations of the two half segments
 through the telescoping combination sum_{i+j=k} A_i B_j - sum_{i+j=k-1}
-A_i B_j. A low index (i <= ceil(k/2)) reads its child at a flat seed (outer
-and inner together) that an averaging sampler selects from the outer seed; a
-high index passes the outer seed through directly. The ledger records, per
-node, the seed lengths and weight actually used next to the inductive bounds
-they must stay under.
+A_i B_j. A low index (i <= ceil(k/2)) reads its child behind an averaging
+sampler, at the flat seed (outer and inner together) the sampler selects
+from the outer seed; a high index passes the outer seed through directly.
+The ledger records, per node, the seed lengths and weight actually used next
+to the inductive bounds they must stay under.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import repeat
 from math import comb
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
@@ -24,10 +24,10 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 from .bits import all_bits, suffix
 from .errors import (ConstructionError, ContractError, InputError, ParseError,
                      check_capacity, check_renders)
-from .pdist import RobustPrpd, average, matrix_form, robust_form, uniform_prpd
+from .pdist import RobustPrpd, average, robust_form, uniform_prpd
 from .robp import (Mat, Robp, check_segment, exact_average, inf_norm, mat_add, mat_mul, mat_scale,
                    mat_sub)
-from .sampler import Sampler, enumeration_sampler, pass_seed, sampled_average
+from .sampler import Sampler, enumeration_sampler, pass_seed
 
 # the provenance recursive_prpd records; ledger_check judges a ledger of any provenance
 MODE_EXACT = "exact-enumeration"
@@ -107,14 +107,29 @@ class SamplerSlot:
     cert_delta: Fraction
 
 
+def behind(child: RobustPrpd, g: Sampler) -> RobustPrpd:
+    """child read behind sampler g: x, s -> child at the flat seed g.sample(x, s).
+
+    The composition G(Samp(x, s)) is itself a robust generator, with outer
+    seed g's input, inner seed g's seed and child's weight.
+    """
+    cut = child.s_out
+
+    def bundle(x: str, s: str) -> List[Tuple[str, int]]:
+        z = g.sample(x, s)
+        return child.bundle(z[:cut], z[cut:])
+
+    return RobustPrpd(out_len=child.out_len, s_out=g.n, s_in=g.d, mu=child.mu, bundle=bundle)
+
+
 @dataclass(frozen=True)
 class MergeNode:
     """How a merged generator reads its children: the layout build_ck fixes.
 
-    One family G_0..G_k serves both halves. Index i <= split is sampled
-    through samplers[i]; a higher index passes a prefix of the outer seed
-    through. On the A half G_i reads the prefix y[:lens[i]] of the inner seed,
-    on the B half the suffix of length lens[i].
+    One family G_0..G_k serves both halves. Index i <= split reads G_i
+    behind samplers[i]; a higher index reads G_i itself, on a prefix of the
+    outer seed. On the A half reader i reads the prefix y[:lens[i]] of the
+    inner seed, on the B half the suffix of length lens[i].
     """
 
     children: Tuple[RobustPrpd, ...]
@@ -122,22 +137,16 @@ class MergeNode:
     lens: Tuple[int, ...]
     terms: Tuple[Tuple[int, int, int], ...]
 
-    def flat_seed(self, side: str, i: int, x: str, y: str) -> str:
-        """The flat seed child i reads on `side` ("A" or "B") at the node's seed (x, y)."""
-        y_part = y[:self.lens[i]] if side == "A" else suffix(y, self.lens[i])
-        if i < len(self.samplers):
-            g = self.samplers[i]
-            return g.sample(x[:g.n], y_part)
-        return x[:self.children[i].s_out] + y_part
+    @cached_property
+    def readers(self) -> Tuple[RobustPrpd, ...]:
+        """The generator index i reads: child i behind its sampler, or child i itself."""
+        return (tuple(behind(child, g) for child, g in zip(self.children, self.samplers))
+                + self.children[len(self.samplers):])
 
     def bundle(self, x: str, y: str) -> List[Tuple[str, int]]:
-        """The merged generator's bundle at (x, y): each term's products of child bundles."""
-        def read(side, i, child):
-            z = self.flat_seed(side, i, x, y)
-            return child.bundle(z[:child.s_out], z[child.s_out:])
-
-        a = [read("A", i, child) for i, child in enumerate(self.children)]
-        b = [read("B", j, child) for j, child in enumerate(self.children)]
+        """The merged generator's bundle at (x, y): each term's products of reader bundles."""
+        a = [r.bundle(x[:r.s_out], y[:n]) for r, n in zip(self.readers, self.lens)]
+        b = [r.bundle(x[:r.s_out], suffix(y, n)) for r, n in zip(self.readers, self.lens)]
         return [(sa + sb, sign * na * nb) for i, j, sign in self.terms
                 for sa, na in a[i] for sb, nb in b[j]]
 
@@ -603,32 +612,27 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
 # exact error measurement
 
 
-def _reads_table(node: MergeNode, i: int) -> bool:
-    """Whether the node reads child i from its per-seed table.
+def _passes_seed(node: MergeNode, i: int) -> bool:
+    """Whether index i reads its child behind pass_seed with d = m.
 
-    A child behind a sampler that is not pass_seed with d = m is (told by the
-    sampler's function, not its certificate). Every other child is read from
-    its form: a pass-through child at the outer seed, a pass_seed child as
-    its mean.
+    Such a sampler selects every flat seed once whatever the outer seed is
+    (told by the sampler's function, not its certificate).
     """
     if i >= len(node.samplers):
         return False
     g = node.samplers[i]
-    return not (g.sample is pass_seed and g.d == g.m)
+    return g.sample is pass_seed and g.d == g.m
 
 
 class _MergeTree:
     """Forms x -> E_y A(x, y) of one generator tree on one program.
 
-    A child behind a sampler that does not pass its seed through is read from
-    matrix_form, its per-seed table. Forms and tables are memoised per (node,
-    segment start) for one evaluation only.
+    Forms are memoised per (generator, segment start) for one evaluation only.
     """
 
     def __init__(self, robp: Robp):
         self.robp = robp
         self.forms: Dict[Tuple[int, int], Dict[str, Mat]] = {}
-        self.tables: Dict[Tuple[int, int], Dict[str, Mat]] = {}
 
     def layout(self, prpd: RobustPrpd, a: int) -> Tuple[Optional[MergeNode], int]:
         """The node's layout and the start of its B half; None for a node read from its bundles."""
@@ -642,7 +646,7 @@ class _MergeTree:
         return node, a + node.children[0].out_len // self.robp.d_step
 
     def cost(self, prpd: RobustPrpd, a: int, seen: set) -> int:
-        """Matrix products, sampled reads and leaf strings the evaluation makes, memo hits free."""
+        """Matrix products, averaged matrices and leaf strings it makes, memo hits free."""
         if (id(prpd), a) in seen:
             return 0
         seen.add((id(prpd), a))
@@ -650,18 +654,13 @@ class _MergeTree:
         if node is None:
             return (1 << prpd.seed_len) * prpd.mu
         total = (1 << prpd.s_out) * len(node.terms)
-        for i, child in enumerate(node.children):
+        for i, reader in enumerate(node.readers):
             for start in (a, mid):
-                if _reads_table(node, i):
-                    g = node.samplers[i]
-                    if ("table", id(child), start) not in seen:
-                        seen.add(("table", id(child), start))
-                        total += (1 << child.seed_len) * child.mu
-                    total += 1 << (g.n + g.d)
+                if _passes_seed(node, i):
+                    child = node.children[i]
+                    total += self.cost(child, start, seen) + (1 << child.s_out)
                 else:
-                    total += self.cost(child, start, seen)
-                    if i < len(node.samplers):
-                        total += 1 << child.s_out
+                    total += self.cost(reader, start, seen)
         return total
 
     def form(self, prpd: RobustPrpd, a: int) -> Dict[str, Mat]:
@@ -672,28 +671,25 @@ class _MergeTree:
         if node is None:
             form = robust_form(prpd, self.robp, a, a + prpd.out_len // self.robp.d_step)
         else:
-            a_means = [self.mean(node, i, child, a) for i, child in enumerate(node.children)]
-            b_means = [self.mean(node, j, child, mid) for j, child in enumerate(node.children)]
+            a_means = [self.mean(node, i, a) for i in range(len(node.children))]
+            b_means = [self.mean(node, j, mid) for j in range(len(node.children))]
             form = {x: _term_sum(node.terms, [f(x) for f in a_means], [f(x) for f in b_means])
                     for x in all_bits(prpd.s_out)}
         self.forms[key] = form
         return form
 
-    def mean(self, node: MergeNode, i: int, child: RobustPrpd, start: int) -> Callable[[str], Mat]:
-        """x -> E[child i | x]: the mean of its matrix over the part of y it reads."""
-        if _reads_table(node, i):
-            key = (id(child), start)
-            if key not in self.tables:
-                self.tables[key] = matrix_form(child, self.robp, start,
-                                               start + child.out_len // self.robp.d_step)
-            g = node.samplers[i]
-            per_input = cache(partial(sampled_average, self.tables[key], g))
-            return lambda x: per_input(x[:g.n])
-        values = self.form(child, start)
-        if i >= len(node.samplers):
-            return lambda x: values[x[:child.s_out]]
-        mean = average(values)
-        return lambda x: mean
+    def mean(self, node: MergeNode, i: int, start: int) -> Callable[[str], Mat]:
+        """x -> E[reader i | x]: the mean of its matrix over the part of y it reads.
+
+        A child behind a sampler that passes its seed through reads every seed
+        once whatever x is: its mean is the mean of its own form.
+        """
+        if _passes_seed(node, i):
+            mean = average(self.form(node.children[i], start))
+            return lambda x: mean
+        reader = node.readers[i]
+        values = self.form(reader, start)
+        return lambda x: values[x[:reader.s_out]]
 
 
 def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
@@ -701,12 +697,11 @@ def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, M
 
     A merge term reads A_i from a prefix of y and B_j from a disjoint suffix,
     so E_y A(x, y) = sum sign * E[A_i | x] * E[B_j | x] exactly. The tree
-    builds forms only: a child read through a sampler that does not pass its
-    seed through is averaged over matrix_form, the one per-seed table. A term
-    that reads more inner seed bits than the node has raises ContractError.
-    The evaluation's matrix products, sampled reads and leaf strings (a
-    table's as 2^seed_len * mu, once per child and start) are counted against
-    the enumeration budget before any is made.
+    builds forms only: a child behind a sampler that does not pass its seed
+    through is read as its reader, whose form is robust_form. A term that
+    reads more inner seed bits than the node has raises ContractError. The
+    evaluation's matrix products, averaged matrices and leaf strings are
+    counted against the enumeration budget before any is made.
     """
     check_segment(robp, a, b, prpd.out_len)
     tree = _MergeTree(robp)

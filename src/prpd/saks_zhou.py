@@ -12,10 +12,11 @@ function of the previous snapped matrix and not of the offline randomness.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable, Tuple
 
 from .bits import all_bits, bits_to_int
@@ -63,6 +64,8 @@ def snap_collision_bound(w: int, eps, d: int) -> Fraction:
 
 
 def _check_substochastic(m: Mat, what: str) -> None:
+    if not m or any(len(row) != len(m) for row in m):
+        raise InputError(f"{what} is not a non-empty square matrix")
     for row in m:
         if any(e < 0 for e in row):
             raise InputError(f"{what} has a negative entry")
@@ -82,7 +85,7 @@ def robp_from_matrix(m: Mat, n1: int, d: int) -> Robp:
     w = len(m)
     scale = 1 << d
     _check_substochastic(m, "matrix")
-    rows = []
+    cums = []
     for i, row in enumerate(m):
         counts = []
         for j, e in enumerate(row):
@@ -90,22 +93,9 @@ def robp_from_matrix(m: Mat, n1: int, d: int) -> Robp:
             if c.denominator != 1:
                 raise InputError(f"entry ({i},{j}) = {e} is not a multiple of 2^-{d}")
             counts.append(c.numerator)
-        rows.append(counts)
-    label_rows = []
-    for v in range(scale):
-        succ = []
-        for i in range(w):
-            target = w  # dummy
-            acc = 0
-            for j, c in enumerate(rows[i]):
-                acc += c
-                if v < acc:
-                    target = j
-                    break
-            succ.append(target)
-        succ.append(w)  # dummy state absorbs
-        label_rows.append(tuple(succ))
-    step = tuple(label_rows)
+        cums.append(list(accumulate(counts)))
+    # label v of state i goes to the first j whose cumulative count passes v, else the dummy
+    step = tuple(tuple(bisect_right(cum, v) for cum in cums) + (w,) for v in range(scale))
     return Robp(n=n1, w=w + 1, d_step=d, transitions=tuple(step for _ in range(n1)))
 
 

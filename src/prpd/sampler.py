@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Dict, Optional, Tuple
 
 from .bits import all_bits, bits_to_int, int_to_bits
 from .errors import ContractError, InputError, check_capacity
-from .robp import Mat, mat_add, mat_scale
 
 METHOD_BRUTE = "brute-force"
 METHOD_ANALYTIC = "analytic"
@@ -157,8 +155,3 @@ def require_certified(g: Sampler, eps, delta, what: str = "sampler") -> None:
             f"needs ({Fraction(eps)}, {Fraction(delta)})"
         )
 
-
-def sampled_average(mapping: Dict[str, Mat], g: Sampler, z: str) -> Mat:
-    """E_s[A(g(z, s))]: the mean of the mapping over g's samples for input z; no certificate check."""
-    total = reduce(mat_add, (mapping[g.sample(z, s)] for s in all_bits(g.d)))
-    return mat_scale(Fraction(1, 1 << g.d), total)

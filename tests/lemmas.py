@@ -2,22 +2,24 @@
 
 The zero matrix, the pseudodistribution algebra (realization turns scale /
 union / concat into matrix scale / sum / product exactly), the norm
-statistics of a matrix form and the three sampler-product rules with their
-worst-case bounds, the fraction of a sampler's bad outer inputs, the plain
-average error of a generator, the snap and Saks-Zhou failure bounds, and two
-example programs. The package keeps what its commands, scripts and
-benchmark call; these stay next to the assertions that check them.
+statistics of a matrix form, a sampler's average over a per-seed table and
+the three sampler-product rules with their worst-case bounds, the fraction
+of a sampler's bad outer inputs, the plain average error of a generator, the
+snap and Saks-Zhou failure bounds, and two example programs. The package
+keeps what its commands, scripts and benchmark call; these stay next to the
+assertions that check them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, Iterable, Optional, Tuple
 
 from prpd import (Certificate, InputError, Mat, PseudoDist, Robp, RobustPrpd, Sampler,
-                  TvProfile, average, exact_average, inf_norm, mat_mul, mat_scale, mat_sub,
-                  sampled_average, signed_walk_sum)
+                  TvProfile, average, exact_average, inf_norm, mat_add, mat_mul, mat_scale,
+                  mat_sub, signed_walk_sum)
 from prpd.bits import all_bits
 from prpd.errors import check_capacity
 from prpd.recursion import merge_tree_form
@@ -127,6 +129,12 @@ def right_product_bound(stats_a: FormStats, stats_b: FormStats,
     fail = w * w * cert_a.delta * stats_a.weight * stats_b.weight
     good_a = stats_a.norm + 2 * w * stats_a.weight * cert_a.eps
     return fail + good_a * stats_b.robust_norm
+
+
+def sampled_average(mapping: Dict[str, Mat], g: Sampler, z: str) -> Mat:
+    """E_s[A(g(z, s))]: the mean of the mapping over g's samples for input z; no certificate check."""
+    total = reduce(mat_add, (mapping[g.sample(z, s)] for s in all_bits(g.d)))
+    return mat_scale(Fraction(1, 1 << g.d), total)
 
 
 def symmetric_product_error(map_a: Dict[str, Mat], map_b: Dict[str, Mat],

@@ -14,7 +14,7 @@ from prpd import (ConstructionError, SzSchedule, build_ck, certify,
                   average, dump_prpd, enumeration_sampler, expander_walk_sampler,
                   grid_bits, inf_norm, ledger_check, mat_add, mat_mul, mat_scale,
                   mat_sub, matrix_form, max_norm, measure_robust_error, random_robp,
-                  recursive_prpd, sampled_average, snap_collision_bound,
+                  recursive_prpd, snap_collision_bound,
                   snap_collision_rate, snap_matrix, snap_value, sz_error_bound, sz_power,
                   telescoping_error_bound, telescoping_product, tv_profile, armoni_pow,
                   mat_pow, RecursionParams)
@@ -23,8 +23,8 @@ from prpd.bits import all_bits, int_to_bits
 from helpers import (corrupted_uniform_prpd, perturbed, rand_flat_map, rand_pdist,
                      rand_matrix, rand_stochastic, rand_substochastic,
                      rand_table_sampler, weighted_exact_prpd)
-from lemmas import (bad_fraction, concat, form_stats, realize, scale, snap_error_bound,
-                    sz_failure_bound, union)
+from lemmas import (bad_fraction, concat, form_stats, realize, sampled_average, scale,
+                    snap_error_bound, sz_failure_bound, union)
 
 
 def _report(num, text):

@@ -19,9 +19,19 @@ GAMMA = Fraction(1, 256)
 
 
 def child_bundle(node, side, i, x, y):
-    """The bundle of child i read on `side` at the merged seed (x, y), through flat_seed."""
+    """The bundle of child i read on `side` at the merged seed (x, y).
+
+    Its flat seed is composed here from the layout: a sampled index reads what
+    its sampler selects from the outer seed and its part of y, a pass-through
+    index a prefix of x followed by its part of y.
+    """
     child = node.children[i]
-    z = node.flat_seed(side, i, x, y)
+    y_part = y[:node.lens[i]] if side == "A" else y[len(y) - node.lens[i]:]
+    if i < len(node.samplers):
+        g = node.samplers[i]
+        z = g.sample(x[:g.n], y_part)
+    else:
+        z = x[:child.s_out] + y_part
     return child.bundle(z[:child.s_out], z[child.s_out:])
 
 

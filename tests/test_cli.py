@@ -361,6 +361,8 @@ BAD_INPUTS = {
     "d-zero": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "1", "--d", "0"], None),
     "matrices-negative": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "1", "--d", "6",
                            "--matrices", "-1"], None),
+    "sz-exact-eps-ignored": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "1", "--d", "6",
+                              "--eps", "1/4"], None),
     "armoni-eps-zero": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "1", "--d", "6",
                          "--approximator", "armoni", "--eps", "0"], None),
     # the exact 2048th power has entries past the int-to-str digit limit

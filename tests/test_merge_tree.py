@@ -3,6 +3,7 @@
 merge_tree_form must equal robust_form as a dict of exact Fractions on every
 generator: random one- and two-level build_ck trees with random-table
 samplers, random signed and lossy children, and the pinned recursive builds.
+A child behind a sampler is checked against the per-seed table it replaces.
 """
 
 import random
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 from prpd import (CapacityError, ContractError, InputError, RecursionParams, RobustPrpd, Sampler,
                   build_ck, enumeration_sampler, matrix_form, measure_robust_error, random_robp,
                   recursive_prpd, robust_form, uniform_prpd)
-from prpd.recursion import merge_tree_form
+from prpd.bits import all_bits
+from prpd.recursion import behind, merge_tree_form
 
-from helpers import assumed_sampler, corrupted_uniform_prpd, rand_depth1_tree, rand_depth2_tree
-from lemmas import measure_average_error
+from helpers import (assumed_sampler, corrupted_uniform_prpd, rand_child, rand_depth1_tree,
+                     rand_depth2_tree, rand_table_sampler)
+from lemmas import measure_average_error, sampled_average
 from test_recursion import PINNED_DUMPS
 
 
@@ -55,6 +58,42 @@ def test_depth2_trees_match_flat(data):
     assert_same_forms(prpd, rand_program(data, prpd.out_len, seed))
 
 
+def rand_child_behind(data):
+    """A random child, a random-table sampler over its flat seed, and the seed of both."""
+    seed = data.draw(st.integers(0, 10 ** 6))
+    rng = random.Random(seed)
+    m_bits = data.draw(st.integers(1, 3))
+    child = rand_child(rng, m_bits, data.draw(st.integers(0, m_bits - 1)),
+                       data.draw(st.integers(0, 1)), data.draw(st.integers(0, 3)))
+    g = rand_table_sampler(rng, data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2)),
+                           child.seed_len)
+    return child, g, seed
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_behind_form_is_sampled_average_of_table(data):
+    # the reader's form against the per-seed table averaged over the sampler's selections
+    child, g, seed = rand_child_behind(data)
+    program = random_robp(child.out_len, data.draw(st.integers(1, 3)), seed=seed)
+    form = robust_form(behind(child, g), program, 0, program.n)
+    table = matrix_form(child, program, 0, program.n)
+    assert form == {x: sampled_average(table, g, x) for x in all_bits(g.n)}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_behind_bundle_reads_child_at_selected_seed(data):
+    child, g, _ = rand_child_behind(data)
+    reader = behind(child, g)
+    assert (reader.out_len, reader.s_out, reader.s_in, reader.mu) == (child.out_len, g.n, g.d,
+                                                                      child.mu)
+    for x in all_bits(g.n):
+        for s in all_bits(g.d):
+            z = g.sample(x, s)
+            assert reader.bundle(x, s) == child.bundle(z[:child.s_out], z[child.s_out:])
+
+
 def test_random_trees_have_outer_seeds_and_error():
     # the differential above is not vacuous: the trees read outer seeds and miss the target
     rng = random.Random(5)
@@ -70,9 +109,9 @@ def test_pinned_builds_match_flat(n, w, k):
         assert_same_forms(prpd, random_robp(n, w, seed=seed))
 
 
-def test_identity_shortcut_matches_table_path():
+def test_pass_seed_shortcut_matches_behind_reader():
     # the same tree twice: enumeration samplers are averaged through the child's form,
-    # the same selection behind another function through the child's per-seed table
+    # the same selection behind another function through the child's behind() reader
     rng = random.Random(3)
     children = [rand_depth1_tree(rng, 2, i, n_max=1) for i in range(2)]
     enumerated = [enumeration_sampler(c.seed_len) for c in children]
@@ -127,13 +166,15 @@ def test_capacity_counted_before_evaluation(monkeypatch):
     g = assumed_sampler(Sampler(n=0, d=2, m=2, sample=lambda x, s: s))
     prpd = build_ck([leaf], w=2, gamma=Fraction(1, 2), samplers=[g])
     program = random_robp(4, 2, seed=0)
-    # one product at the top; per side a 4-string leaf table and 4 sampled reads
-    monkeypatch.setenv("PRPD_ENUM_LIMIT", "16")
-    with pytest.raises(CapacityError, match="merge tree evaluation needs 17"):
+    # one product at the top; per side the 4 leaf strings of the leaf behind g
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "8")
+    with pytest.raises(CapacityError, match="merge tree evaluation needs 9"):
         merge_tree_form(prpd, program, 0, 4)
     assert calls == []
-    monkeypatch.setenv("PRPD_ENUM_LIMIT", "17")
-    assert merge_tree_form(prpd, program, 0, 4) == robust_form(prpd, program, 0, 4)
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "9")
+    tree = merge_tree_form(prpd, program, 0, 4)
+    monkeypatch.delenv("PRPD_ENUM_LIMIT")
+    assert tree == robust_form(prpd, program, 0, 4)
 
 
 @pytest.mark.parametrize("form", [robust_form, matrix_form, merge_tree_form])
@@ -153,9 +194,9 @@ def test_wrong_length_strings_refused(form, emitted):
         form(gen, random_robp(2, 2, seed=1), 0, 2)
 
 
-@pytest.mark.parametrize("sampler", ["form", "table"])
+@pytest.mark.parametrize("sampler", ["form", "behind"])
 def test_wrong_length_child_refused_through_tree(sampler):
-    # a child that emits 1 of its 2 bits, read from its form or from its per-seed table
+    # a child that emits 1 of its 2 bits, read from its form or behind a sampler
     child = RobustPrpd(out_len=2, s_out=0, s_in=1, mu=1, bundle=lambda x, y: [(y, 1)])
     samplers = None if sampler == "form" else [
         assumed_sampler(Sampler(n=0, d=1, m=1, sample=lambda x, s: s))]

@@ -118,6 +118,60 @@ def test_robp_from_matrix_rejects_off_grid():
         robp_from_matrix(((Fraction(1, 3),),), 2, 2)
 
 
+def scanned_label_rows(counts, w, scale):
+    """The step's label rows by a linear scan: state i sends label v to the first j whose
+    running count of grid labels passes v, and to the dummy state w if none does."""
+    rows = []
+    for v in range(scale):
+        succ = []
+        for i in range(w):
+            target, acc = w, 0
+            for j, c in enumerate(counts[i]):
+                acc += c
+                if v < acc:
+                    target = j
+                    break
+            succ.append(target)
+        rows.append(tuple(succ) + (w,))
+    return tuple(rows)
+
+
+def test_robp_from_matrix_label_rows_match_scan():
+    rng = random.Random(7)
+    for _ in range(300):
+        w, d = rng.randint(1, 4), rng.randint(1, 6)
+        scale = 1 << d
+        counts = []
+        for _ in range(w):             # grid counts with row sum at most 2^d, zeros included
+            row, left = [], scale
+            for _ in range(w):
+                row.append(rng.randint(0, left))
+                left -= row[-1]
+            rng.shuffle(row)
+            counts.append(row)
+        m = tuple(tuple(Fraction(c, scale) for c in row) for row in counts)
+        step = robp_from_matrix(m, 2, d).transitions
+        assert step[0] == step[1] == scanned_label_rows(counts, w, scale)
+
+
+NOT_SQUARE = {
+    "empty": (),
+    "one-by-two": ((Fraction(1, 2), Fraction(1, 4)),),
+    "two-by-one": ((Fraction(1, 2),), (Fraction(1, 4),)),
+    "ragged": ((Fraction(1, 2), Fraction(0)), (Fraction(1, 4),)),
+}
+
+
+@pytest.mark.parametrize("case", NOT_SQUARE)
+def test_non_square_matrix_refused(case):
+    m = NOT_SQUARE[case]
+    with pytest.raises(InputError, match="matrix is not a non-empty square matrix"):
+        robp_from_matrix(m, 1, 2)
+    gen = uniform_prpd(2)
+    with pytest.raises(InputError, match="input matrix is not a non-empty square matrix"):
+        armoni_pow(m, 1, gen, enumeration_sampler(gen.seed_len), "", Fraction(1, 4))
+
+
 def test_armoni_exact_stages_equal_rounded_power():
     rng = random.Random(4)
     m = rand_substochastic(rng, 2)

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from prpd import (Certificate, InputError, Sampler, average, certify, enumeration_sampler,
-                  expander_walk_sampler, inf_norm, mat_sub, sampled_average, tv_profile)
+                  expander_walk_sampler, inf_norm, mat_sub, tv_profile)
 from prpd.bits import all_bits
 
 from helpers import rand_flat_map, rand_table_sampler
-from lemmas import bad_fraction, form_stats
+from lemmas import bad_fraction, form_stats, sampled_average
 
 
 def sampled_mean(g, f, x):

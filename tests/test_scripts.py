@@ -1,7 +1,10 @@
-"""The scan scripts run end to end at tiny size, and the benchmark's traced names exist."""
+"""The scan scripts run end to end at tiny size, and the benchmark's traced names exist and
+its seed-0 units give their reference digests."""
 
 import ast
 import importlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -36,3 +39,27 @@ def test_bench_traced_names_resolve():
     for name in traced:
         module, function = name.split(".")
         assert callable(getattr(importlib.import_module(f"prpd.{module}"), function, None)), name
+
+
+BENCH_DIGESTS = json.loads((ROOT / "bench" / "reference.json").read_text())["digests"]
+
+
+def bench_workloads():
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_DIGESTS))
+def test_bench_units_match_reference(workload):
+    # one pool cycle at seed 0, each unit checked as bench/run.py checks it: a change to a
+    # unit's exact output fails the benchmark's digest check, which no other test runs
+    wl = bench_workloads()[workload](0)
+    digests = []
+    for j in range(wl.pool_size):
+        digest, within, _ = wl.check(j, wl.unit(j))
+        assert within, f"{workload} unit {j} breaks its bound"
+        digests.append(digest)
+    assert digests == BENCH_DIGESTS[workload]["0"]
