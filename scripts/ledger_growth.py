@@ -25,7 +25,8 @@ def main():
         n = 1 << log_n
         prpd, ledger = recursive_prpd(n, 2, params=RecursionParams(k=args.k, c=args.c))
         report = ledger_check(ledger)
-        so_b, si_b = inductive_seed_bounds(log_n, args.k, n, 2, ledger.gamma, args.c)
+        so_b, si_b = (args.c * b for b in inductive_seed_bounds(
+            log_n, args.k, n, 2, ledger.gamma))
         status = "ok" if report.ok else "over budget"
         if not report.ok and crossover is None:
             crossover = n

@@ -48,10 +48,6 @@ def _build_id(args: argparse.Namespace) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _params_from_args(args) -> RecursionParams:
-    return RecursionParams(gamma=args.gamma, k=args.k, c=args.c)
-
-
 def _ledger_lines(report) -> list:
     """The ledger check's verdict line, then one line per failed check."""
     failures = report.failures()
@@ -61,7 +57,8 @@ def _ledger_lines(report) -> list:
 
 
 def cmd_build_prpd(args, emit):
-    prpd, ledger = recursive_prpd(args.n, args.w, eps=args.eps, params=_params_from_args(args))
+    prpd, ledger = recursive_prpd(args.n, args.w, eps=args.eps,
+                                  params=RecursionParams(args.gamma, args.k, args.c))
     report = ledger_check(ledger)
     emit({"record": "config", "command": "build-prpd", "build_id": _build_id(args),
           "n": args.n, "w": args.w, "k": ledger.k, "gamma": frac_str(ledger.gamma),
@@ -71,8 +68,8 @@ def cmd_build_prpd(args, emit):
              f"{'h':>3} {'k':>3} {'kind':>8} {'s_out':>6} {'s_in':>6} {'mu':>6} "
              f"{'s_out_bound':>12} {'s_in_bound':>11} {'mu_cap':>7}"]
     for node in ledger.nodes:
-        so_b, si_b = inductive_seed_bounds(node.h, node.k, ledger.n_padded, ledger.w,
-                                           ledger.gamma, ledger.c)
+        so_b, si_b = (ledger.c * b for b in inductive_seed_bounds(
+            node.h, node.k, ledger.n_padded, ledger.w, ledger.gamma))
         emit({"record": "node", "h": node.h, "k": node.k, "kind": node.kind,
               "s_out": node.s_out, "s_in": node.s_in, "mu": node.mu,
               "s_out_bound": round(so_b, 3), "s_in_bound": round(si_b, 3),
@@ -87,7 +84,8 @@ def cmd_build_prpd(args, emit):
 
 
 def cmd_verify_error(args, emit):
-    prpd, ledger = recursive_prpd(args.n, args.w, eps=args.eps, params=_params_from_args(args))
+    prpd, ledger = recursive_prpd(args.n, args.w, eps=args.eps,
+                                  params=RecursionParams(args.gamma, args.k))
     bound = ledger.top.error_bound
     emit({"record": "config", "command": "verify-error", "build_id": _build_id(args),
           "n": args.n, "w": args.w, "k": ledger.k, "gamma": frac_str(ledger.gamma),
@@ -223,16 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def recursion(p):
-        """The flags _params_from_args reads, plus n, w and eps."""
+        """The flags of a recursion: n, w, eps and the RecursionParams gamma and k."""
         p.add_argument("--n", type=_positive, required=True)
         p.add_argument("--w", type=_positive, required=True)
         p.add_argument("--eps", type=_frac, default=None)
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--gamma", type=_frac, default=None)
-        p.add_argument("--c", type=_positive, default=1)
 
     p = sub.add_parser("build-prpd", help="build a generator and check its ledger")
     recursion(p)
+    p.add_argument("--c", type=_positive, default=1)
     p.set_defaults(func=cmd_build_prpd)
 
     p = sub.add_parser("verify-error", help="measure robust error against the cascade bound")

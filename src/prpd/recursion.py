@@ -33,8 +33,8 @@ from .sampler import Sampler, enumeration_sampler, pass_seed
 MODE_EXACT = "exact-enumeration"
 
 # Largest accepted k and c. The exact cascade arithmetic of a ledger grows with k;
-# c enters the seed bounds through int products such as 4*c*k, converted to float,
-# which up to 2^64 stay finite for every ledger within Python's int digit limit.
+# c multiplies a finished float seed bound once, and up to 2^64 that product stays
+# finite for every ledger within Python's int digit limit.
 K_MAX = 4096
 C_MAX = 2 ** 64
 
@@ -224,7 +224,7 @@ def build_ck(children: Sequence[RobustPrpd], w: int, gamma,
 
 @dataclass
 class RecursionParams:
-    gamma: Optional[Fraction] = None          # default 1/n^4 (n padded)
+    gamma: Optional[Fraction] = None          # default 1/max(n, 2)^4 (n padded)
     k: Optional[int] = None                   # default: smallest k meeting eps
     c: int = 1                                # sampler seed-length constant
 
@@ -385,7 +385,9 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
     """
     params = params or RecursionParams()
     n_pad = next_power_of_two(n)
-    gamma = Fraction(params.gamma) if params.gamma is not None else Fraction(1, n_pad ** 4)
+    # at n = 1 the default is 1/16, not 1: gamma must lie in (0, 1)
+    gamma = (Fraction(params.gamma) if params.gamma is not None
+             else Fraction(1, max(n_pad, 2) ** 4))
     eps = Fraction(eps) if eps is not None else None
     if params.k is not None:
         k_top = params.k
@@ -440,25 +442,25 @@ def _log2_frac(q: Fraction) -> float:
     return lg(q.numerator) - lg(q.denominator)
 
 
-def inductive_seed_bounds(h: int, k: int, n: int, w: int, gamma: Fraction, c: int) -> Tuple[float, float]:
-    """Inductive (s_out, s_in) bounds for node (h, k) under constant c."""
+def inductive_seed_bounds(h: int, k: int, n: int, w: int, gamma: Fraction) -> Tuple[float, float]:
+    """Inductive (s_out, s_in) bounds for node (h, k) at c = 1; constant c scales both."""
     L_n = _log2_frac(Fraction(n) / gamma)
     L_nw = _log2_frac(Fraction(n * w) / gamma)
     L_knw = _log2_frac(Fraction(max(k, 1) * n * w) / gamma)
     if k <= 1:
-        s_out = h * (3 * c * k * L_n + 7 * c * L_nw)
-        s_in = c * k * L_n + 4 * c * L_knw
+        s_out = h * (3 * k * L_n + 7 * L_nw)
+        s_in = k * L_n + 4 * L_knw
     else:
-        s_out = 4 * c * k * L_n + (math.ceil(math.log2(k)) + 1) * h * (10 * c * L_nw)
-        s_in = c * k * L_n + h * (4 * c * L_knw)
+        s_out = 4 * k * L_n + (math.ceil(math.log2(k)) + 1) * h * (10 * L_nw)
+        s_in = k * L_n + h * (4 * L_knw)
     return s_out, s_in
 
 
-def inductive_sampler_seed(i: int, k: int, n: int, w: int, gamma: Fraction, c: int) -> float:
-    """Per-index sampler seed budget c*i*log2(n/gamma) + 2c*log2(knw/gamma)."""
+def inductive_sampler_seed(i: int, k: int, n: int, w: int, gamma: Fraction) -> float:
+    """Per-index sampler seed budget i*log2(n/gamma) + 2*log2(knw/gamma) at c = 1."""
     L_n = _log2_frac(Fraction(n) / gamma)
     L_knw = _log2_frac(Fraction(max(k, 1) * n * w) / gamma)
-    return c * i * L_n + 2 * c * L_knw
+    return i * L_n + 2 * L_knw
 
 
 class LedgerCheck(NamedTuple):     # a tuple, cheap to build: one ledger makes thousands
@@ -499,12 +501,13 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
 
     The plan fixes the nodes, kinds, caps, error bounds, merge gammas and
     sampler requirements; recorded copies must equal it. Then: used values
-    against the inductive bounds, the merge layout (non-overlap, read lengths,
-    child summaries against the child nodes), and the replay of the
-    proof's chains at c (the ledger's own unless given). A header outside
-    check_domain or a c outside [1, 2^64] raises InputError. A check whose
-    sides are both int or Fraction is decided exactly; only a side computed
-    through log2 gets _TOL.
+    against c times the inductive bounds (c the ledger's own unless given),
+    the merge layout (non-overlap, read lengths, child summaries against the
+    child nodes), and the replay of the proof's chains. Every seed length the
+    proof chains is c times a c-free one, so the replay runs at c = 1 and its
+    verdicts depend on the header alone. A header outside check_domain or a c
+    outside [1, 2^64] raises InputError. A check whose sides are both int or
+    Fraction is decided exactly; only a side computed through log2 gets _TOL.
     """
     check_domain(ledger.n, ledger.n_padded, ledger.w, ledger.k, ledger.gamma, ledger.c)
     cc = c if c is not None else ledger.c
@@ -517,8 +520,8 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
         recorded.setdefault((nd.h, nd.k), []).append(nd)
     checks: List[LedgerCheck] = []
     # the replay asks for each node's bounds and each k's sampler budgets many times
-    bounds = cache(lambda h, k: inductive_seed_bounds(h, k, n, w, gamma, cc))
-    budgets = cache(lambda k: [inductive_sampler_seed(i, k, n, w, gamma, cc) for i in range(k + 1)])
+    bounds = cache(lambda h, k: inductive_seed_bounds(h, k, n, w, gamma))
+    budgets = cache(lambda k: [inductive_sampler_seed(i, k, n, w, gamma) for i in range(k + 1)])
 
     def add(h, k, name, lhs, rhs, equal=False):
         if equal:
@@ -539,8 +542,8 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
         if node.kind != p.kind:
             continue
         so_bound, si_bound = bounds(h, k)
-        add(h, k, "used s_out <= bound", node.s_out, so_bound)
-        add(h, k, "used s_in <= bound", node.s_in, si_bound)
+        add(h, k, "used s_out <= bound", node.s_out, cc * so_bound)
+        add(h, k, "used s_in <= bound", node.s_in, cc * si_bound)
         add(h, k, "used mu <= max(1, binom(2^h-1,k))", node.mu, p.mu_cap)
         differing = sum(a != b for a, b in zip(
             (p.mu_cap, p.error_bound, p.merge_gamma, p.delta_binding_i),
@@ -585,13 +588,13 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
         add(h, k, "mu identity: sum of term blocks", node.mu,
             sum(mus[i] * mus[j] for i, j, _ in terms), equal=True)
 
-        # arithmetic replay of the proof's chains, global gamma, constant cc
+        # arithmetic replay of the proof's chains, global gamma, c = 1
         eps_req, delta_req, _ = ck_requirements(1 << (h - 1), w, k, gamma)
         log_delta = -_log2_frac(delta_req)
         d_budget = budgets(k)
         for i in range(split + 1):
-            need = cc * (-_log2_frac(eps_req[i])) + cc * math.log2(max(2.0, log_delta))
-            add(h, k, f"replay: d_{i} formula covers c*log(1/eps_{i})+c*loglog(1/delta)",
+            need = -_log2_frac(eps_req[i]) + math.log2(max(2.0, log_delta))
+            add(h, k, f"replay: d_{i} formula covers log(1/eps_{i})+loglog(1/delta)",
                 need, d_budget[i])
             for j in range(min(i, k - i) + 1):
                 add(h, k, f"replay: d_{i}+d_{j} <= s_in bound", d_budget[i] + d_budget[j], si_bound)
@@ -601,7 +604,7 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
         for i in range(k + 1):
             add(h, k, f"replay: s_out bound(h-1,{i}) <= s_out bound", bounds(h - 1, i)[0], so_bound)
         for i in range(split + 1):
-            lhs = sum(bounds(h - 1, i)) + cc * log_delta + cc * (-_log2_frac(eps_req[i]))
+            lhs = sum(bounds(h - 1, i)) + log_delta - _log2_frac(eps_req[i])
             add(h, k, f"replay: sampler outer budget at i={i} <= s_out bound", lhs, so_bound)
     for h, k in sorted(recorded.keys() - plan.keys()):
         add(h, k, "node recorded iff planned", len(recorded[(h, k)]), 0, equal=True)

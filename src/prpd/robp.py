@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .bits import bits_to_int
-from .errors import ContractError, InputError, ParseError, check_renders
+from .errors import ContractError, InputError, ParseError, check_capacity, check_renders
 
 Mat = tuple  # w-tuple of w-tuples of numbers
 
@@ -229,7 +229,8 @@ def exact_average(robp: Robp, a: int, b: int) -> Mat:
 
 
 def random_robp(n: int, w: int, d_step: int = 1, seed: int = 0) -> Robp:
-    """Deterministic given seed."""
+    """Deterministic given seed; its n * 2^d_step * w successor entries are counted first."""
+    check_capacity(n * (1 << d_step) * w, "random program (successor entries)")
     rng = random.Random(seed)
     steps = tuple(
         tuple(tuple(rng.randrange(w) for _ in range(w)) for _ in range(1 << d_step))

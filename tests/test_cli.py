@@ -61,6 +61,21 @@ def test_ledger_check_roundtrip(tmp_path):
     assert read_records(check_out) == records
 
 
+def test_ledger_check_at_largest_c_keeps_replay_ties(tmp_path):
+    # node (2, 1)'s "d_1+d_0 <= s_in bound" is an exact tie; scaled by c = 2^64 its float
+    # sides used to differ by an ulp, failing an honest ledger
+    out = tmp_path / "build.jsonl"
+    assert main(["build-prpd", "--n", "4", "--w", "3", "--k", "1", "--gamma", "1/1048576",
+                 "--out", str(out)]) == 0
+    assert main(["ledger-check", "--ledger", str(out), "--c", str(1 << 64)]) == 0
+
+
+@pytest.mark.parametrize("argv", [["build-prpd", "--k", "0"], ["verify-error", "--eps", "1/2"]])
+def test_n1_default_gamma_exits_0(argv):
+    # the default gamma 1/max(n, 2)^4 is 1/16 at n = 1, inside (0, 1)
+    assert main([*argv, "--n", "1", "--w", "2"]) == 0
+
+
 @pytest.mark.parametrize("argv", [["build-prpd"], ["verify-error", "--robps", "1"]])
 def test_k_meeting_eps_exits_0(argv):
     # at n = 8 the top bound is 1331/4096 at k = 0; eps = 1/10 needs k = 2
@@ -159,8 +174,8 @@ def test_verify_error_reaches_past_flat_enumeration(tmp_path, argv):
 
 # sha256 of verify-error --out files: measuring through the merge tree writes the same records
 VERIFY_OUT_SHA256 = {
-    ("8", "3", "2", "5"): "13e4ab0e605894297f612fdac87835ad279144fb345bf850a3634f49b9032431",
-    ("8", "2", "1", "20"): "a3cad3bd80ee5d758a0bef80dc543122059f85baf26311fa965ba467311eddc2",
+    ("8", "3", "2", "5"): "c512a01aec4f37dd6b696e039f764bb8aa5f60a4d92807afaa0a9d33573f7305",
+    ("8", "2", "1", "20"): "7a026ea4ba0cb1c5e3223723da7127b03a8e87c44e413b1c42ab85109c5114d8",
 }
 
 
@@ -431,6 +446,9 @@ BAD_INPUTS = {
                             None),
     "verify-k-eps-zero": (["verify-error", "--n", "8", "--w", "2", "--k", "1", "--eps", "0"],
                           None),
+    # a 27-node plan, but a 2^26-step program: refused before the program is drawn
+    "verify-program-huge": (["verify-error", "--n", "67108864", "--w", "2", "--k", "0",
+                             "--robps", "1"], None),
 }
 
 

@@ -89,7 +89,7 @@ def test_pdist_is_the_module():
 # every knob a user can set: a flag or field added or removed must be edited here too
 FLAGS = {
     "build-prpd": ["--n", "--w", "--eps", "--k", "--gamma", "--c", "--out"],
-    "verify-error": ["--n", "--w", "--eps", "--k", "--gamma", "--c", "--robps", "--seed", "--out"],
+    "verify-error": ["--n", "--w", "--eps", "--k", "--gamma", "--robps", "--seed", "--out"],
     "certify-sampler": ["--kind", "--n", "--d", "--m", "--eps", "--delta", "--seed", "--out"],
     "sz-demo": ["--w", "--n1", "--n2", "--d", "--eps", "--approximator", "--matrices", "--seed",
                 "--out"],

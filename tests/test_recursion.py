@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -54,6 +55,24 @@ def test_ledger_check_passes(n, k, c):
     _, ledger = recursive_prpd(n, 2, params=RecursionParams(k=k, c=c))
     report = ledger_check(ledger)
     assert report.ok, [f"({f.h},{f.k}) {f.name}: lhs={f.lhs} rhs={f.rhs}" for f in report.failures()]
+
+
+@pytest.mark.parametrize("gamma", [Fraction(1, 1 << 20), Fraction(1, 10 ** 6)])
+@pytest.mark.parametrize("w", [1, 3])
+def test_replay_does_not_depend_on_c(w, gamma):
+    # c scales the used-length budget and nothing else: at every c each replay row is the
+    # c = 1 row, and each used row's bound is c times its c = 1 bound
+    for n, k in itertools.product((2, 4, 8, 16, 32), range(4)):
+        _, ledger = recursive_prpd(n, w, params=RecursionParams(gamma=gamma, k=k))
+        base = ledger_check(ledger, c=1).checks
+        for c in (3, C_MAX - 1, C_MAX):
+            checks = ledger_check(ledger, c=c).checks
+            assert [chk.name for chk in checks] == [chk.name for chk in base]
+            for chk, chk1 in zip(checks, base):
+                if chk.name.startswith("used s_"):
+                    assert (chk.lhs, chk.rhs) == (chk1.lhs, c * chk1.rhs)
+                else:
+                    assert chk == chk1, (n, k, c, chk)
 
 
 def test_plan_value_past_digit_limit_refused():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prpd import (InputError, ParseError, Robp, exact_average, identity, inf_norm, mat_add,
+from prpd import (CapacityError, InputError, ParseError, Robp, exact_average, identity, inf_norm, mat_add,
                   mat_mul, mat_pow, mat_scale, max_norm, parse_robp, random_robp, serialize_robp,
                   signed_walk_sum, step_matrix, walk_matrix)
 from prpd.bits import all_bits
@@ -235,6 +235,15 @@ def test_serialize_parse_roundtrip():
 def test_random_robp_deterministic():
     assert random_robp(5, 4, seed=123) == random_robp(5, 4, seed=123)
     assert random_robp(5, 4, seed=123) != random_robp(5, 4, seed=124)
+
+
+def test_random_robp_counts_its_entries(monkeypatch):
+    # 5 steps x 2^2 labels x 3 states: 60 successor entries, counted before any is drawn
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "59")
+    with pytest.raises(CapacityError, match="needs 60"):
+        random_robp(5, 3, d_step=2)
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "60")
+    assert random_robp(5, 3, d_step=2).n == 5
 
 
 def test_parse_rejects_bad_successor():

@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPTS = {
-    "ledger_growth.py": ["--max-log-n", "4"],
+    "ledger_growth.py": ["--max-log-n", "4", "--c", "3"],
     "snap_collision_scan.py": ["--pairs", "1"],
     "telescope_error_scan.py": ["--width", "2", "--trials", "1"],
 }
