@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .bits import all_bits
 from .errors import ContractError, InputError, check_capacity
-from .robp import Mat, Robp, check_segment, mat_add, mat_scale, signed_walk_sum
+from .robp import Mat, Robp, check_segment, mat_scale, signed_walk_sum
 
 if TYPE_CHECKING:
     from .recursion import MergeNode
@@ -127,14 +126,20 @@ def dump_prpd(prpd: RobustPrpd) -> str:
 # matrix forms on a fixed program segment: dicts from a seed to a w x w matrix
 
 
+def dyadic_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Tuple[int, Dict[str, Mat]]:
+    """(s_in, x -> the int sum over y of A(x, y)): robust_form as int matrices over 2^s_in."""
+    check_segment(robp, a, b, prpd.out_len)
+    per_x = groupby(seed_bundles(prpd, "matrix form enumeration"), key=itemgetter(0))
+    return prpd.s_in, {x: signed_walk_sum(robp, a, b, (e for _, _, bundle in group
+                                                       for e in bundle))
+                       for x, group in per_x}
+
+
 def robust_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
     """x -> E_y A(x, y), A(x, y) the sum over the bundle of sign * walk matrix; exact."""
-    check_segment(robp, a, b, prpd.out_len)
-    inv = Fraction(1, 1 << prpd.s_in)
-    per_x = groupby(seed_bundles(prpd, "matrix form enumeration"), key=itemgetter(0))
-    return {x: mat_scale(inv, signed_walk_sum(robp, a, b, (e for _, _, bundle in group
-                                                         for e in bundle)))
-            for x, group in per_x}
+    shift, sums = dyadic_form(prpd, robp, a, b)
+    inv = Fraction(1, 1 << shift)
+    return {x: mat_scale(inv, m) for x, m in sums.items()}
 
 
 def matrix_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
@@ -142,8 +147,3 @@ def matrix_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
     check_segment(robp, a, b, prpd.out_len)
     return {x + y: signed_walk_sum(robp, a, b, bundle)
             for x, y, bundle in seed_bundles(prpd, "per-seed table")}
-
-
-def average(form: Dict[str, Mat]) -> Mat:
-    """The mean of a form's matrices over its seeds."""
-    return mat_scale(Fraction(1, len(form)), reduce(mat_add, form.values()))

@@ -24,9 +24,9 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 from .bits import all_bits, suffix
 from .errors import (ConstructionError, ContractError, InputError, ParseError,
                      check_capacity, check_renders)
-from .pdist import RobustPrpd, average, robust_form, uniform_prpd
-from .robp import (Mat, Robp, check_segment, exact_average, inf_norm, mat_add, mat_mul, mat_scale,
-                   mat_sub)
+from .pdist import RobustPrpd, dyadic_form, uniform_prpd
+from .robp import (Mat, Robp, check_segment, inf_norm, mat_add, mat_mul, mat_scale, mat_sub,
+                   walk_counts)
 from .sampler import Sampler, enumeration_sampler, pass_seed
 
 # the provenance recursive_prpd records; ledger_check judges a ledger of any provenance
@@ -627,15 +627,18 @@ def _passes_seed(node: MergeNode, i: int) -> bool:
     return g.sample is pass_seed and g.d == g.m
 
 
+DyadicForm = Tuple[int, Dict[str, Mat]]     # (shift, x -> int matrix over 2^shift)
+
+
 class _MergeTree:
-    """Forms x -> E_y A(x, y) of one generator tree on one program.
+    """Forms of one generator tree on one program, as int matrices over a power of two.
 
     Forms are memoised per (generator, segment start) for one evaluation only.
     """
 
     def __init__(self, robp: Robp):
         self.robp = robp
-        self.forms: Dict[Tuple[int, int], Dict[str, Mat]] = {}
+        self.forms: Dict[Tuple[int, int], DyadicForm] = {}
 
     def layout(self, prpd: RobustPrpd, a: int) -> Tuple[Optional[MergeNode], int]:
         """The node's layout and the start of its B half; None for a node read from its bundles."""
@@ -666,45 +669,52 @@ class _MergeTree:
                     total += self.cost(reader, start, seen)
         return total
 
-    def form(self, prpd: RobustPrpd, a: int) -> Dict[str, Mat]:
+    def form(self, prpd: RobustPrpd, a: int) -> DyadicForm:
         key = (id(prpd), a)
         if key in self.forms:
             return self.forms[key]
         node, mid = self.layout(prpd, a)
         if node is None:
-            form = robust_form(prpd, self.robp, a, a + prpd.out_len // self.robp.d_step)
+            form = dyadic_form(prpd, self.robp, a, a + prpd.out_len // self.robp.d_step)
         else:
-            a_means = [self.mean(node, i, a) for i in range(len(node.children))]
-            b_means = [self.mean(node, j, mid) for j in range(len(node.children))]
-            form = {x: _term_sum(node.terms, [f(x) for f in a_means], [f(x) for f in b_means])
-                    for x in all_bits(prpd.s_out)}
+            a_shifts, a_means = zip(*(self.mean(node, i, a) for i in range(len(node.children))))
+            b_shifts, b_means = zip(*(self.mean(node, j, mid) for j in range(len(node.children))))
+            top = max(a_shifts[i] + b_shifts[j] for i, j, _ in node.terms)
+            terms = [(i, j, sign << (top - a_shifts[i] - b_shifts[j])) for i, j, sign in node.terms]
+            form = top, {x: _term_sum(terms, [f(x) for f in a_means], [f(x) for f in b_means])
+                         for x in all_bits(prpd.s_out)}
         self.forms[key] = form
         return form
 
-    def mean(self, node: MergeNode, i: int, start: int) -> Callable[[str], Mat]:
-        """x -> E[reader i | x]: the mean of its matrix over the part of y it reads.
+    def mean(self, node: MergeNode, i: int, start: int) -> Tuple[int, Callable[[str], Mat]]:
+        """(shift, x -> E[reader i | x] times 2^shift): its mean over the part of y it reads.
 
         A child behind a sampler that passes its seed through reads every seed
-        once whatever x is: its mean is the mean of its own form.
+        once whatever x is: its mean is the sum of its own form's matrices, with
+        the shift raised by the child's s_out.
         """
         if _passes_seed(node, i):
-            mean = average(self.form(node.children[i], start))
-            return lambda x: mean
+            child = node.children[i]
+            shift, values = self.form(child, start)
+            total = reduce(mat_add, values.values())
+            return shift + child.s_out, lambda x: total
         reader = node.readers[i]
-        values = self.form(reader, start)
-        return lambda x: values[x[:reader.s_out]]
+        shift, values = self.form(reader, start)
+        return shift, lambda x: values[x[:reader.s_out]]
 
 
-def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
-    """robust_form(prpd, robp, a, b), evaluated node by node through build_ck's layout.
+def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> DyadicForm:
+    """robust_form(prpd, robp, a, b) as (shift, x -> int matrix), through build_ck's layout.
 
     A merge term reads A_i from a prefix of y and B_j from a disjoint suffix,
-    so E_y A(x, y) = sum sign * E[A_i | x] * E[B_j | x] exactly. The tree
-    builds forms only: a child behind a sampler that does not pass its seed
-    through is read as its reader, whose form is robust_form. A term that
-    reads more inner seed bits than the node has raises ContractError. The
-    evaluation's matrix products, averaged matrices and leaf strings are
-    counted against the enumeration budget before any is made.
+    so E_y A(x, y) = sum sign * E[A_i | x] * E[B_j | x] exactly. A leaf's
+    shift is its s_in; a term's is sA_i + sB_j, and its sign is scaled by
+    2^(top - sA_i - sB_j) to the node's largest. The tree builds forms only:
+    a child behind a sampler that does not pass its seed through is read as
+    its reader, from the reader's bundles. A term that reads more inner seed
+    bits than the node has raises ContractError. The evaluation's matrix
+    products, averaged matrices and leaf strings are counted against the
+    enumeration budget before any is made.
     """
     check_segment(robp, a, b, prpd.out_len)
     tree = _MergeTree(robp)
@@ -713,12 +723,20 @@ def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, M
 
 
 def measure_robust_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[int] = None) -> Fraction:
-    """E_x || E_y A(x, y) - exact average ||, exactly, through the merge tree."""
+    """E_x || E_y A(x, y) - exact average ||, exactly, through the merge tree.
+
+    The form and the walk counts are brought to one shift, so the norms sum
+    as ints and the one Fraction is made at the end.
+    """
     if b is None:
         b = robp.n
-    target = exact_average(robp, a, b)
-    total = sum(inf_norm(mat_sub(m, target)) for m in merge_tree_form(prpd, robp, a, b).values())
-    return Fraction(total, 1 << prpd.s_out)
+    shift, form = merge_tree_form(prpd, robp, a, b)
+    bits = (b - a) * robp.d_step
+    top = max(shift, bits)
+    target = mat_scale(1 << (top - bits), walk_counts(robp, a, b))
+    scale = 1 << (top - shift)
+    total = sum(inf_norm(mat_sub(mat_scale(scale, m), target)) for m in form.values())
+    return Fraction(total, 1 << (prpd.s_out + top))
 
 
 # ---------------------------------------------------------------------------

@@ -207,21 +207,24 @@ def signed_walk_sum(robp: Robp, a: int, b: int, weighted: Iterable) -> Mat:
     return tuple(tuple(row) for row in acc)
 
 
-def exact_average(robp: Robp, a: int, b: int) -> Mat:
-    """Uniform random-walk matrix of the segment; row-stochastic, exact."""
+def walk_counts(robp: Robp, a: int, b: int) -> Mat:
+    """Label strings walking i to j over the segment: exact_average times 2^((b - a) * d_step)."""
     check_segment(robp, a, b)
-    labels = 1 << robp.d_step
-    inv = Fraction(1, labels)
-    result = identity(robp.w)
+    w = robp.w
+    result = tuple(tuple(int(i == j) for j in range(w)) for i in range(w))
     for t in range(a, b):
-        step = robp.transitions[t]
-        counts = [[0] * robp.w for _ in range(robp.w)]
-        for row in step:
+        counts = [[0] * w for _ in range(w)]
+        for row in robp.transitions[t]:
             for i, j in enumerate(row):
                 counts[i][j] += 1
-        avg = tuple(tuple(c * inv for c in row) for row in counts)
-        result = mat_mul(result, avg)
+        result = mat_mul(result, counts)
     return result
+
+
+def exact_average(robp: Robp, a: int, b: int) -> Mat:
+    """Uniform random-walk matrix of the segment; row-stochastic, exact."""
+    counts = walk_counts(robp, a, b)
+    return mat_scale(Fraction(1, 1 << (b - a) * robp.d_step), counts)
 
 
 # ---------------------------------------------------------------------------

@@ -111,11 +111,13 @@ def expander_walk_sampler(n: int, d: int, m: int, seed: int = 0) -> Sampler:
 
 
 def tv_profile(g: Sampler) -> TvProfile:
-    """Exact TV(p_x, uniform) for every x, by full enumeration."""
+    """Exact TV(p_x, uniform) for every x, by full enumeration.
+
+    Over 2^(d+m), an output hit c times is |c*2^m - 2^d| from uniform and a
+    missed one 2^d, so each TV is one Fraction of an int sum.
+    """
     check_capacity((1 << g.n) * (1 << g.d), "sampler TV profile")
-    half = Fraction(1, 2)
-    unif = Fraction(1, 1 << g.m)
-    inv_d = Fraction(1, 1 << g.d)
+    unif, den = 1 << g.d, 1 << (g.d + g.m + 1)
     per_x = []
     for x in all_bits(g.n):
         counts: Dict[str, int] = {}
@@ -124,9 +126,9 @@ def tv_profile(g: Sampler) -> TvProfile:
             if len(out) != g.m:
                 raise ContractError(f"sampler output {out!r} is not {g.m} bits")
             counts[out] = counts.get(out, 0) + 1
-        hit_mass = sum(abs(c * inv_d - unif) for c in counts.values())
+        hit_mass = sum(abs((c << g.m) - unif) for c in counts.values())
         miss_mass = ((1 << g.m) - len(counts)) * unif
-        per_x.append(half * (hit_mass + miss_mass))
+        per_x.append(Fraction(hit_mass + miss_mass, den))
     return TvProfile(per_x=tuple(per_x))
 
 

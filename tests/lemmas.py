@@ -1,11 +1,12 @@
 """Paper lemmas and oracles that only the tests call.
 
 The zero matrix, the pseudodistribution algebra (realization turns scale /
-union / concat into matrix scale / sum / product exactly), the norm
-statistics of a matrix form, a sampler's average over a per-seed table and
-the three sampler-product rules with their worst-case bounds, the fraction
-of a sampler's bad outer inputs, the plain average error of a generator, the
-snap and Saks-Zhou failure bounds, and two example programs. The package
+union / concat into matrix scale / sum / product exactly), the Fraction view
+of a dyadic form, the mean of a form, the norm statistics of a matrix form, a
+sampler's average over a per-seed table and the three sampler-product rules
+with their worst-case bounds, the fraction of a sampler's bad outer inputs,
+the plain average error of a generator, the snap and Saks-Zhou failure
+bounds, and two example programs. The package
 keeps what its commands, scripts and benchmark call; these stay next to the
 assertions that check them.
 """
@@ -18,8 +19,8 @@ from functools import reduce
 from typing import Dict, Iterable, Optional, Tuple
 
 from prpd import (Certificate, InputError, Mat, PseudoDist, Robp, RobustPrpd, Sampler,
-                  TvProfile, average, exact_average, inf_norm, mat_add, mat_mul, mat_scale,
-                  mat_sub, signed_walk_sum)
+                  TvProfile, exact_average, inf_norm, mat_add, mat_mul, mat_scale, mat_sub,
+                  signed_walk_sum)
 from prpd.bits import all_bits
 from prpd.errors import check_capacity
 from prpd.recursion import merge_tree_form
@@ -82,6 +83,22 @@ def concat(pd_a: PseudoDist, pd_b: PseudoDist) -> PseudoDist:
 def dump_pdist(pd: PseudoDist) -> str:
     lines = [f"{s} {c.numerator}/{c.denominator}" for s, c in pd.entries]
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# forms as Fractions
+
+
+def fraction_form(dyadic: Tuple[int, Dict[str, Mat]]) -> Dict[str, Mat]:
+    """The Fraction view of a (shift, x -> int matrix) form: each matrix over 2^shift."""
+    shift, form = dyadic
+    inv = Fraction(1, 1 << shift)
+    return {x: mat_scale(inv, m) for x, m in form.items()}
+
+
+def average(form: Dict[str, Mat]) -> Mat:
+    """The mean of a form's matrices over its seeds."""
+    return mat_scale(Fraction(1, len(form)), reduce(mat_add, form.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +198,8 @@ def measure_average_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[
     """|| <A> - exact average ||, the plain (non-robust) approximation error."""
     if b is None:
         b = robp.n
-    return inf_norm(mat_sub(average(merge_tree_form(prpd, robp, a, b)), exact_average(robp, a, b)))
+    form = fraction_form(merge_tree_form(prpd, robp, a, b))
+    return inf_norm(mat_sub(average(form), exact_average(robp, a, b)))
 
 
 def snap_error_bound(d: int) -> Fraction:

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from prpd import (ConstructionError, ContractError, average, build_ck, certify, dump_prpd,
+from prpd import (ConstructionError, ContractError, build_ck, certify, dump_prpd,
                   exact_average, expander_walk_sampler, inf_norm, mat_mul, mat_scale,
                   mat_sub, matrix_form, measure_robust_error, merge_terms, random_robp,
                   signed_walk_sum, uniform_prpd)
@@ -13,7 +13,7 @@ from prpd.bits import all_bits
 from prpd.recursion import MergeNode
 
 from helpers import corrupted_uniform_prpd, weighted_exact_prpd
-from lemmas import zeros
+from lemmas import average, zeros
 
 GAMMA = Fraction(1, 256)
 

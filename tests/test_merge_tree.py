@@ -1,28 +1,32 @@
 """The merge-tree evaluator against the flat enumeration it replaces.
 
-merge_tree_form must equal robust_form as a dict of exact Fractions on every
-generator: random one- and two-level build_ck trees with random-table
-samplers, random signed and lossy children, and the pinned recursive builds.
-A child behind a sampler is checked against the per-seed table it replaces.
+merge_tree_form's int matrices over 2^shift must equal robust_form as a dict
+of exact Fractions on every generator: random one- and two-level build_ck
+trees with random-table samplers, random signed and lossy children, and the
+pinned recursive builds. A child behind a sampler is checked against the
+per-seed table it replaces, and measure_robust_error against an all-Fraction
+oracle that aligns no shifts.
 """
 
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prpd import (CapacityError, ContractError, InputError, RecursionParams, RobustPrpd, Sampler,
-                  build_ck, enumeration_sampler, matrix_form, measure_robust_error, random_robp,
-                  recursive_prpd, robust_form, uniform_prpd)
+                  build_ck, enumeration_sampler, inf_norm, mat_add, mat_scale, mat_sub,
+                  matrix_form, measure_robust_error, random_robp, recursive_prpd, robust_form,
+                  uniform_prpd, walk_matrix)
 from prpd.bits import all_bits
 from prpd.recursion import behind, merge_tree_form
 
-from helpers import (assumed_sampler, corrupted_uniform_prpd, rand_child, rand_depth1_tree,
-                     rand_depth2_tree, rand_table_sampler)
-from lemmas import measure_average_error, sampled_average
+from helpers import (assumed_sampler, corrupted_uniform_prpd, rand_bits, rand_child,
+                     rand_depth1_tree, rand_depth2_tree, rand_merge, rand_table_sampler)
+from lemmas import fraction_form, measure_average_error, sampled_average
 from test_recursion import PINNED_DUMPS
 
 
@@ -33,7 +37,8 @@ def rand_program(data, out_len, seed):
 
 
 def assert_same_forms(prpd, program):
-    assert merge_tree_form(prpd, program, 0, program.n) == robust_form(prpd, program, 0, program.n)
+    tree = fraction_form(merge_tree_form(prpd, program, 0, program.n))
+    assert tree == robust_form(prpd, program, 0, program.n)
 
 
 @given(st.data())
@@ -56,6 +61,74 @@ def test_depth2_trees_match_flat(data):
     k = data.draw(st.integers(0, m_bits - 1))
     prpd = rand_depth2_tree(rng, m_bits, k)
     assert_same_forms(prpd, rand_program(data, prpd.out_len, seed))
+
+
+def rand_lossy_depth2_tree(rng, m_bits, k):
+    """A merge of depth-1 merges whose every leaf is a corrupted uniform generator."""
+    def lossy():
+        s_in = m_bits + rng.randint(0, 2)
+        return corrupted_uniform_prpd(m_bits, s_in, rng.randrange(1 << s_in),
+                                      rand_bits(rng, m_bits))
+
+    return rand_merge(rng, [rand_merge(rng, [lossy() for _ in range(i + 1)], 2)
+                            for i in range(k + 1)], 2)
+
+
+def rand_enumerated_depth2_tree(rng, m_bits, k):
+    """Depth-1 trees with outer seeds, merged behind enumeration samplers: each is read as
+    the mean of its form over its outer seed."""
+    return build_ck([rand_depth1_tree(rng, m_bits, i) for i in range(k + 1)], w=2,
+                    gamma=Fraction(1, 2))
+
+
+def fraction_oracle_error(prpd, program):
+    """E_x || robust_form(x) - exhaustive walk average ||, all in Fractions, no shifts aligned."""
+    bits = program.n * program.d_step
+    walks = reduce(mat_add, (walk_matrix(program, 0, program.n, r) for r in all_bits(bits)))
+    target = mat_scale(Fraction(1, 1 << bits), walks)
+    form = robust_form(prpd, program, 0, program.n)
+    return sum(inf_norm(mat_sub(m, target)) for m in form.values()) / (1 << prpd.s_out)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_robust_error_matches_fraction_oracle(data):
+    # random-table samplers (d != m) give a node's terms different shifts, lossy leaves a
+    # non-zero error and enumeration samplers over outer seeds a mean's shift: only such
+    # trees show a term aligned to the wrong shift. Halves of at most 2 bits keep the
+    # oracle's exhaustive walks at 2^8
+    seed = data.draw(st.integers(0, 10 ** 6))
+    rng = random.Random(seed)
+    m_bits = data.draw(st.integers(1, 2))
+    k = data.draw(st.integers(0, m_bits - 1))
+    draw_tree = data.draw(st.sampled_from([rand_depth2_tree, rand_lossy_depth2_tree,
+                                           rand_enumerated_depth2_tree]))
+    prpd = draw_tree(rng, m_bits, k)
+    program = rand_program(data, prpd.out_len, seed)
+    expected = fraction_oracle_error(prpd, program)
+    assume(expected != 0)
+    assert measure_robust_error(prpd, program) == expected
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_tree_forms_are_int_matrices(data):
+    # a Fraction that slips back into the tree would still compare equal to robust_form
+    seed = data.draw(st.integers(0, 10 ** 6))
+    rng = random.Random(seed)
+    m_bits = data.draw(st.integers(1, 3))
+    prpd = rand_depth2_tree(rng, m_bits, data.draw(st.integers(0, m_bits - 1)))
+    program = rand_program(data, prpd.out_len, seed)
+    shift, form = merge_tree_form(prpd, program, 0, program.n)
+    assert type(shift) is int and shift >= 0
+    assert all(type(v) is int for m in form.values() for row in m for v in row)
+
+
+def test_pinned_build_forms_are_int_matrices():
+    prpd, _ = recursive_prpd(8, 3, params=RecursionParams(k=2))
+    shift, form = merge_tree_form(prpd, random_robp(8, 3, seed=0), 0, 8)
+    assert type(shift) is int and list(form) == [""]
+    assert all(type(v) is int for m in form.values() for row in m for v in row)
 
 
 def rand_child_behind(data):
@@ -122,7 +195,7 @@ def test_pass_seed_shortcut_matches_behind_reader():
              for samplers in (enumerated, wrapped)]
     for seed in range(3):
         program = random_robp(trees[0].out_len, 2, seed=seed)
-        forms = [merge_tree_form(t, program, 0, program.n) for t in trees]
+        forms = [fraction_form(merge_tree_form(t, program, 0, program.n)) for t in trees]
         assert forms[0] == forms[1] == robust_form(trees[0], program, 0, program.n)
 
 
@@ -174,7 +247,7 @@ def test_capacity_counted_before_evaluation(monkeypatch):
     monkeypatch.setenv("PRPD_ENUM_LIMIT", "9")
     tree = merge_tree_form(prpd, program, 0, 4)
     monkeypatch.delenv("PRPD_ENUM_LIMIT")
-    assert tree == robust_form(prpd, program, 0, 4)
+    assert fraction_form(tree) == robust_form(prpd, program, 0, 4)
 
 
 @pytest.mark.parametrize("form", [robust_form, matrix_form, merge_tree_form])

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from prpd import (average, certify, enumeration_sampler, expander_walk_sampler, inf_norm, mat_mul,
+from prpd import (certify, enumeration_sampler, expander_walk_sampler, inf_norm, mat_mul,
                   tv_profile)
 
 from helpers import rand_flat_map
-from lemmas import (bad_fraction, form_stats, left_product_bound, left_product_error,
+from lemmas import (average, bad_fraction, form_stats, left_product_bound, left_product_error,
                     right_product_bound, right_product_error, symmetric_product_bound,
                     symmetric_product_error)
 

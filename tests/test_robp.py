@@ -12,6 +12,7 @@ from prpd import (CapacityError, InputError, ParseError, Robp, exact_average, id
                   mat_mul, mat_pow, mat_scale, max_norm, parse_robp, random_robp, serialize_robp,
                   signed_walk_sum, step_matrix, walk_matrix)
 from prpd.bits import all_bits
+from prpd.robp import walk_counts
 
 from helpers import deadline, rand_matrix
 from lemmas import identity_robp, swap_on_one_robp
@@ -102,6 +103,27 @@ def test_exact_average_equals_exhaustive_enumeration():
         total = m if total is None else mat_add(total, m)
     oracle = mat_scale(Fraction(1, 64), total)
     assert exact_average(program, 0, 6) == oracle
+
+
+@pytest.mark.parametrize("d_step", [1, 2, 3])
+def test_exact_average_is_scaled_walk_counts(d_step):
+    # against every label string of segments at the program's start, middle and end
+    program = random_robp(4, 3, d_step=d_step, seed=d_step)
+    for a, b in [(0, 2), (1, 3), (3, 4)]:
+        bits = (b - a) * d_step
+        total = reduce(mat_add, (walk_matrix(program, a, b, r) for r in all_bits(bits)))
+        counts = walk_counts(program, a, b)
+        assert all(type(v) is int for row in counts for v in row)
+        assert counts == total
+        assert exact_average(program, a, b) == mat_scale(Fraction(1, 1 << bits), total)
+
+
+@pytest.mark.parametrize("d_step", [1, 2, 3])
+def test_exact_average_empty_segment_is_identity(d_step):
+    program = random_robp(3, 4, d_step=d_step, seed=7)
+    for a in range(4):
+        assert walk_counts(program, a, a) == identity(4)       # shift 0: nothing to scale
+        assert exact_average(program, a, a) == identity(4)
 
 
 def test_exact_average_row_stochastic():

@@ -1,14 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from prpd import (Certificate, InputError, Sampler, average, certify, enumeration_sampler,
+from prpd import (Certificate, InputError, Sampler, certify, enumeration_sampler,
                   expander_walk_sampler, inf_norm, mat_sub, tv_profile)
 from prpd.bits import all_bits
 
 from helpers import rand_flat_map, rand_table_sampler
-from lemmas import bad_fraction, form_stats, sampled_average
+from lemmas import average, bad_fraction, form_stats, sampled_average
 
 
 def sampled_mean(g, f, x):
@@ -60,6 +61,23 @@ def test_constant_sampler_tv():
     assert not ok
     ok, _ = certify(g, expected, 0)
     assert ok
+
+
+def per_output_tv(g, x):
+    """TV(p_x, uniform) as a Fraction sum over every output, hit or not."""
+    counts = Counter(g.sample(x, s) for s in all_bits(g.d))
+    gap = sum(abs(Fraction(counts[y], 1 << g.d) - Fraction(1, 1 << g.m)) for y in all_bits(g.m))
+    return gap / 2
+
+
+@pytest.mark.parametrize("n,d,m", [(2, 2, 5), (3, 3, 4), (2, 6, 3), (1, 5, 2), (2, 3, 3)])
+def test_tv_profile_matches_per_output_formula(n, d, m):
+    # d < m leaves outputs never hit; d > m hits some outputs many times
+    for seed in range(3):
+        g = expander_walk_sampler(n, d, m, seed=seed)
+        assert tv_profile(g).per_x == tuple(per_output_tv(g, x) for x in all_bits(n))
+    if d < m:
+        assert len({g.sample("0" * n, s) for s in all_bits(d)}) < 1 << m
 
 
 def test_expander_walk_certifies_at_measured_profile():
