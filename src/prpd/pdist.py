@@ -20,6 +20,7 @@ from .robp import Mat, Robp, check_segment, mat_scale, signed_walk_sum
 
 if TYPE_CHECKING:
     from .recursion import MergeNode
+    from .sampler import Sampler
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +60,8 @@ class RobustPrpd:
     x has s_out bits, y has s_in bits. The per-seed matrix A(x, y) is the
     plain sum of signed walk matrices over the bundle. A generator built by
     merging children also carries its layout, which the bundle reads and
-    recursion.merge_tree_form evaluates through.
+    recursion.merge_tree_form evaluates through; one that reads a child
+    behind a sampler carries the pair (child, sampler) as `reads`.
     """
 
     out_len: int
@@ -68,6 +70,7 @@ class RobustPrpd:
     mu: int
     bundle: Bundle
     merge: Optional[MergeNode] = field(default=None, compare=False, repr=False)
+    reads: Optional[Tuple[RobustPrpd, Sampler]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mu < 1:

@@ -111,7 +111,8 @@ def behind(child: RobustPrpd, g: Sampler) -> RobustPrpd:
     """child read behind sampler g: x, s -> child at the flat seed g.sample(x, s).
 
     The composition G(Samp(x, s)) is itself a robust generator, with outer
-    seed g's input, inner seed g's seed and child's weight.
+    seed g's input, inner seed g's seed and child's weight; it carries
+    (child, g) as `reads`.
     """
     cut = child.s_out
 
@@ -119,7 +120,8 @@ def behind(child: RobustPrpd, g: Sampler) -> RobustPrpd:
         z = g.sample(x, s)
         return child.bundle(z[:cut], z[cut:])
 
-    return RobustPrpd(out_len=child.out_len, s_out=g.n, s_in=g.d, mu=child.mu, bundle=bundle)
+    return RobustPrpd(out_len=child.out_len, s_out=g.n, s_in=g.d, mu=child.mu, bundle=bundle,
+                      reads=(child, g))
 
 
 @dataclass(frozen=True)
@@ -552,6 +554,9 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
             "from plan", differing, 0, equal=True)
         if p.kind == "terminal":
             add(h, k, "terminal s_out = 0", node.s_out, 0, equal=True)
+            add(h, k, "terminal records no children, len_a, len_b or samplers",
+                (node.children, node.len_a, node.len_b, node.samplers) == ((),) * 4, True,
+                equal=True)
             continue
 
         split = len(p.eps_required) - 1
@@ -615,15 +620,15 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
 # exact error measurement
 
 
-def _passes_seed(node: MergeNode, i: int) -> bool:
-    """Whether index i reads its child behind pass_seed with d = m.
+def _passes_seed(prpd: RobustPrpd) -> bool:
+    """Whether prpd reads its child behind pass_seed with d = m.
 
     Such a sampler selects every flat seed once whatever the outer seed is
     (told by the sampler's function, not its certificate).
     """
-    if i >= len(node.samplers):
+    if prpd.reads is None:
         return False
-    g = node.samplers[i]
+    g = prpd.reads[1]
     return g.sample is pass_seed and g.d == g.m
 
 
@@ -657,64 +662,54 @@ class _MergeTree:
             return 0
         seen.add((id(prpd), a))
         node, mid = self.layout(prpd, a)
+        if _passes_seed(prpd):
+            child = prpd.reads[0]
+            return self.cost(child, a, seen) + (1 << child.s_out) + (1 << prpd.s_out)
         if node is None:
             return (1 << prpd.seed_len) * prpd.mu
-        total = (1 << prpd.s_out) * len(node.terms)
-        for i, reader in enumerate(node.readers):
-            for start in (a, mid):
-                if _passes_seed(node, i):
-                    child = node.children[i]
-                    total += self.cost(child, start, seen) + (1 << child.s_out)
-                else:
-                    total += self.cost(reader, start, seen)
-        return total
+        return (1 << prpd.s_out) * len(node.terms) + sum(
+            self.cost(reader, start, seen) for reader in node.readers for start in (a, mid))
 
     def form(self, prpd: RobustPrpd, a: int) -> DyadicForm:
         key = (id(prpd), a)
         if key in self.forms:
             return self.forms[key]
         node, mid = self.layout(prpd, a)
-        if node is None:
+        if _passes_seed(prpd):
+            # every flat seed of the child once, whatever x is: the sum of the child's form
+            child = prpd.reads[0]
+            shift, values = self.form(child, a)
+            total = reduce(mat_add, values.values())
+            form = shift + child.s_out, dict.fromkeys(all_bits(prpd.s_out), total)
+        elif node is None:
             form = dyadic_form(prpd, self.robp, a, a + prpd.out_len // self.robp.d_step)
         else:
-            a_shifts, a_means = zip(*(self.mean(node, i, a) for i in range(len(node.children))))
-            b_shifts, b_means = zip(*(self.mean(node, j, mid) for j in range(len(node.children))))
+            a_shifts, a_values = zip(*(self.form(r, a) for r in node.readers))
+            b_shifts, b_values = zip(*(self.form(r, mid) for r in node.readers))
             top = max(a_shifts[i] + b_shifts[j] for i, j, _ in node.terms)
             terms = [(i, j, sign << (top - a_shifts[i] - b_shifts[j])) for i, j, sign in node.terms]
-            form = top, {x: _term_sum(terms, [f(x) for f in a_means], [f(x) for f in b_means])
+            cuts = [r.s_out for r in node.readers]
+            form = top, {x: _term_sum(terms, [v[x[:c]] for v, c in zip(a_values, cuts)],
+                                      [v[x[:c]] for v, c in zip(b_values, cuts)])
                          for x in all_bits(prpd.s_out)}
         self.forms[key] = form
         return form
-
-    def mean(self, node: MergeNode, i: int, start: int) -> Tuple[int, Callable[[str], Mat]]:
-        """(shift, x -> E[reader i | x] times 2^shift): its mean over the part of y it reads.
-
-        A child behind a sampler that passes its seed through reads every seed
-        once whatever x is: its mean is the sum of its own form's matrices, with
-        the shift raised by the child's s_out.
-        """
-        if _passes_seed(node, i):
-            child = node.children[i]
-            shift, values = self.form(child, start)
-            total = reduce(mat_add, values.values())
-            return shift + child.s_out, lambda x: total
-        reader = node.readers[i]
-        shift, values = self.form(reader, start)
-        return shift, lambda x: values[x[:reader.s_out]]
 
 
 def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> DyadicForm:
     """robust_form(prpd, robp, a, b) as (shift, x -> int matrix), through build_ck's layout.
 
     A merge term reads A_i from a prefix of y and B_j from a disjoint suffix,
-    so E_y A(x, y) = sum sign * E[A_i | x] * E[B_j | x] exactly. A leaf's
-    shift is its s_in; a term's is sA_i + sB_j, and its sign is scaled by
-    2^(top - sA_i - sB_j) to the node's largest. The tree builds forms only:
-    a child behind a sampler that does not pass its seed through is read as
-    its reader, from the reader's bundles. A term that reads more inner seed
-    bits than the node has raises ContractError. The evaluation's matrix
-    products, averaged matrices and leaf strings are counted against the
-    enumeration budget before any is made.
+    so E_y A(x, y) = sum sign * E[A_i | x] * E[B_j | x] exactly, each read
+    from its reader's form at x[:s_out]. A leaf's shift is its s_in; a term's
+    is sA_i + sB_j, and its sign is scaled by 2^(top - sA_i - sB_j) to the
+    node's largest. A reader behind pass_seed with d = m is the sum of its
+    child's form at every x, its shift raised by the child's s_out; a reader
+    behind any other sampler has no layout and is read from its bundles. A
+    term that reads more inner seed bits than the node has raises
+    ContractError. The evaluation's matrix products, averaged matrices and
+    leaf strings are counted against the enumeration budget before any is
+    made.
     """
     check_segment(robp, a, b, prpd.out_len)
     tree = _MergeTree(robp)

@@ -15,14 +15,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Callable, Tuple
 
-from .bits import all_bits, bits_to_int
+from .bits import bits_to_int
 from .errors import ContractError, InputError, check_capacity
 from .pdist import RobustPrpd
-from .robp import Mat, Robp, mat_scale, signed_walk_sum
+from .recursion import behind, merge_tree_form
+from .robp import Mat, Robp, mat_scale
 from .sampler import Sampler, require_certified
 
 
@@ -122,7 +122,8 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) ->
     and averages the generator's signed walk indicators over the sampler's
     selections: for at least a 1-eps fraction of y the result is within eps
     of M^n1 entrywise (one eps/3 loss each from rounding, the generator, and
-    the sampler estimate).
+    the sampler estimate). The average is the form of behind(prpd, samp) at
+    y, evaluated by merge_tree_form.
     """
     eps = Fraction(eps)
     w = len(m)
@@ -135,26 +136,16 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) ->
     if samp.m != prpd.seed_len:
         raise ContractError(f"sampler emits {samp.m} bits, generator seed is {prpd.seed_len}")
     require_certified(samp, eps / (6 * prpd.mu), eps / (w * w), what="offline sampler")
-    if len(y) != samp.n:
-        raise InputError(f"offline randomness must be {samp.n} bits")
+    if len(y) != samp.n or any(ch not in "01" for ch in y):
+        raise InputError(f"offline randomness must be {samp.n} bits of 0 and 1, got {y!r}")
     # the step program robp_from_matrix builds has n1 * 2^d * (w+1) successor entries
     check_capacity((1 << samp.d) * prpd.mu * w + n1 * (1 << d) * (w + 1),
                    "offline power estimate")
     # snap at offset 0 floors to the grid; its clamp at 0 never acts on the checked m
     program = robp_from_matrix(snap_matrix(m, 0, d), n1, d)
-    cut = prpd.s_out
-
-    def read(r: str) -> list:
-        # the capacity and eps/(6*mu) above count mu strings a seed
-        bundle = prpd.bundle(r[:cut], r[cut:])
-        if len(bundle) != prpd.mu:
-            raise ContractError(f"bundle at seed {r!r} has {len(bundle)} entries, mu is {prpd.mu}")
-        return bundle
-
-    seeds = map(partial(samp.sample, y), all_bits(samp.d))
-    acc = signed_walk_sum(program, 0, n1, chain.from_iterable(map(read, seeds)))
+    shift, sums = merge_tree_form(behind(prpd, samp), program, 0, n1)
     # state w is the absorbing dummy; M^n1 lives on the real states only
-    return mat_scale(Fraction(1, 1 << samp.d), tuple(row[:w] for row in acc[:w]))
+    return mat_scale(Fraction(1, 1 << shift), tuple(row[:w] for row in sums[y][:w]))
 
 
 # ---------------------------------------------------------------------------

@@ -299,10 +299,18 @@ def _s_out_beyond_float_range(data):
     _nodes(data)[-1]["s_out"] = 10 ** 400
 
 
+def _terminal_with_merge_fields(data):
+    # terminal (0, 0) given a merge node's children and sampler slots and read lengths
+    merge = _nodes(data, "merge")[0]
+    terminal = next(nd for nd in _nodes(data, "terminal") if (nd["h"], nd["k"]) == (0, 0))
+    terminal.update(children=merge["children"], samplers=merge["samplers"], len_a=[999],
+                    len_b=[5])
+
+
 FORGERIES = {f.__name__.lstrip("_"): f for f in (
     _empty_samplers, _relabel_merges, _keep_top_only, _raise_requirements, _raise_mu_caps,
     _raise_error_bounds, _rewrite_merge_gammas, _shift_child_summary, _mu_beyond_float_range,
-    _s_out_beyond_float_range)}
+    _s_out_beyond_float_range, _terminal_with_merge_fields)}
 
 
 @pytest.mark.parametrize("forgery", FORGERIES)

@@ -81,6 +81,16 @@ def test_definitions_have_non_test_callers():
     assert unused == [], "defined, but called only by tests: move them to tests/lemmas.py"
 
 
+def test_only_pdist_and_recursion_call_bundles():
+    # a generator's bundles are enumerated by pdist and composed by recursion; a module
+    # looping over them itself would be a second way to evaluate a generator
+    callers = sorted(path.name for path in PACKAGE.glob("*.py")
+                     if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "bundle"
+                            for node in ast.walk(ast.parse(path.read_text()))))
+    assert callers == ["pdist.py", "recursion.py"]
+
+
 def test_pdist_is_the_module():
     # the package re-exports no function called pdist, so its attribute is the module
     assert isinstance(prpd.pdist, types.ModuleType)

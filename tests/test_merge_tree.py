@@ -161,6 +161,7 @@ def test_behind_bundle_reads_child_at_selected_seed(data):
     reader = behind(child, g)
     assert (reader.out_len, reader.s_out, reader.s_in, reader.mu) == (child.out_len, g.n, g.d,
                                                                       child.mu)
+    assert reader.reads[0] is child and reader.reads[1] is g
     for x in all_bits(g.n):
         for s in all_bits(g.d):
             z = g.sample(x, s)
@@ -248,6 +249,28 @@ def test_capacity_counted_before_evaluation(monkeypatch):
     tree = merge_tree_form(prpd, program, 0, 4)
     monkeypatch.delenv("PRPD_ENUM_LIMIT")
     assert fraction_form(tree) == robust_form(prpd, program, 0, 4)
+
+
+def test_pass_seed_reader_capacity_counted_before_evaluation(monkeypatch):
+    calls = []
+
+    def bundle(x, y):
+        calls.append((x, y))
+        return [(x + y[1:], 1)]
+
+    child = RobustPrpd(out_len=2, s_out=1, s_in=2, mu=1, bundle=bundle)
+    reader = behind(child, enumeration_sampler(child.seed_len, n=2))
+    program = random_robp(2, 2, seed=0)
+    # the child's 8 leaf strings, its 2 matrices summed and the reader's 4 entries
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "13")
+    with pytest.raises(CapacityError, match="merge tree evaluation needs 14"):
+        merge_tree_form(reader, program, 0, 2)
+    assert calls == []
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "14")
+    tree = merge_tree_form(reader, program, 0, 2)
+    monkeypatch.delenv("PRPD_ENUM_LIMIT")
+    assert len(calls) == 8 and list(tree[1]) == list(all_bits(2))
+    assert fraction_form(tree) == robust_form(reader, program, 0, 2)
 
 
 @pytest.mark.parametrize("form", [robust_form, matrix_form, merge_tree_form])

@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prpd import (CapacityError, ContractError, InputError, RobustPrpd, SzSchedule,
-                  armoni_pow, certify, enumeration_sampler, exact_average,
+                  armoni_pow, build_ck, certify, enumeration_sampler, exact_average,
                   expander_walk_sampler, grid_bits, identity, inf_norm, mat_pow,
-                  mat_sub, max_norm, robp_from_matrix, robust_form,
+                  mat_sub, matrix_form, max_norm, robp_from_matrix, robust_form,
                   snap_collision_bound, snap_collision_rate,
                   snap_matrix, snap_value, sz_error_bound, sz_power,
                   uniform_prpd)
 from prpd.bits import all_bits, int_to_bits
 
-from helpers import corrupted_uniform_prpd, deadline, rand_substochastic
-from lemmas import snap_error_bound, sz_failure_bound
+from helpers import (assumed_sampler, corrupted_uniform_prpd, deadline, rand_substochastic,
+                     rand_table_sampler)
+from lemmas import sampled_average, snap_error_bound, sz_failure_bound
 
 
 def test_snap_value_on_grid_unchanged():
@@ -212,11 +213,44 @@ def test_armoni_contract_errors():
         armoni_pow(m, 2, wrong_len, samp, "", eps)
     with pytest.raises(ContractError, match=f"sampler emits {gen.seed_len - 1} bits"):
         armoni_pow(m, 2, gen, enumeration_sampler(gen.seed_len - 1), "", eps)
-    with pytest.raises(InputError, match="offline randomness must be 2 bits"):
-        armoni_pow(m, 2, gen, enumeration_sampler(gen.seed_len, n=2), "0", eps)
+    for bad_y in ("0", "ab", "0 ", "012"):
+        with pytest.raises(InputError, match="offline randomness must be 2 bits"):
+            armoni_pow(m, 2, gen, enumeration_sampler(gen.seed_len, n=2), bad_y, eps)
     for bad_eps in (0, Fraction(-1, 4)):
         with pytest.raises(InputError, match="eps must be positive"):
             armoni_pow(m, 2, gen, enumeration_sampler(gen.seed_len), "", bad_eps)
+
+
+def armoni_cases(d):
+    """(generator, offline sampler) pairs over 2d bits: the exact generator enumerated, a
+    merge with a lossy child read through the tree, the exact generator behind a table."""
+    uniform = uniform_prpd(2 * d)
+    tree = build_ck([corrupted_uniform_prpd(d, d)], w=3, gamma=Fraction(1, 64))
+    table = assumed_sampler(rand_table_sampler(random.Random(11), 2, 3, uniform.seed_len))
+    return {"uniform-enumerated": (uniform, enumeration_sampler(uniform.seed_len)),
+            "tree-enumerated": (tree, enumeration_sampler(tree.seed_len, n=2)),
+            "uniform-behind-table": (uniform, table)}
+
+
+@pytest.mark.parametrize("case", ["uniform-enumerated", "tree-enumerated", "uniform-behind-table"])
+def test_armoni_equals_sampled_average_of_table(case):
+    # the per-seed table averaged over the sampler's selections at y: the estimate the
+    # generator and sampler define, computed without the merge tree
+    rng = random.Random(12)
+    m = rand_substochastic(rng, 2)
+    eps = Fraction(1, 4)
+    d = grid_bits(2, 2, eps)
+    gen, samp = armoni_cases(d)[case]
+    rounded = snap_matrix(m, 0, d)
+    table = matrix_form(gen, robp_from_matrix(rounded, 2, d), 0, 2)
+    results = []
+    for y in all_bits(samp.n):
+        expected = tuple(row[:2] for row in sampled_average(table, samp, y)[:2])
+        results.append(armoni_pow(m, 2, gen, samp, y, eps))
+        assert results[-1] == expected
+    # only the exact generator enumerated gives the rounded power itself
+    exact = case == "uniform-enumerated"
+    assert all(r == mat_pow(rounded, 2) for r in results) == exact
 
 
 def test_armoni_refuses_bundle_length_other_than_mu():
