@@ -129,20 +129,18 @@ def dump_prpd(prpd: RobustPrpd) -> str:
 # matrix forms on a fixed program segment: dicts from a seed to a w x w matrix
 
 
-def dyadic_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Tuple[int, Dict[str, Mat]]:
-    """(s_in, x -> the int sum over y of A(x, y)): robust_form as int matrices over 2^s_in."""
+def dyadic_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
+    """x -> the int sum over y of A(x, y): robust_form as int matrices over 2^s_in."""
     check_segment(robp, a, b, prpd.out_len)
     per_x = groupby(seed_bundles(prpd, "matrix form enumeration"), key=itemgetter(0))
-    return prpd.s_in, {x: signed_walk_sum(robp, a, b, (e for _, _, bundle in group
-                                                       for e in bundle))
-                       for x, group in per_x}
+    return {x: signed_walk_sum(robp, a, b, (e for _, _, bundle in group for e in bundle))
+            for x, group in per_x}
 
 
 def robust_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:
     """x -> E_y A(x, y), A(x, y) the sum over the bundle of sign * walk matrix; exact."""
-    shift, sums = dyadic_form(prpd, robp, a, b)
-    inv = Fraction(1, 1 << shift)
-    return {x: mat_scale(inv, m) for x, m in sums.items()}
+    inv = Fraction(1, 1 << prpd.s_in)
+    return {x: mat_scale(inv, m) for x, m in dyadic_form(prpd, robp, a, b).items()}
 
 
 def matrix_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Dict[str, Mat]:

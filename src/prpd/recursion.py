@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial, reduce
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
                     get_args, get_origin, get_type_hints)
@@ -398,7 +398,7 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
     else:
         k_top = derive_k(n_pad, gamma, eps)
     check_domain(n, n_pad, w, k_top, gamma, params.c)
-    # a given k must meet a given eps: the ledger records eps_target but never checks it
+    # a given k must meet a given eps: refused here, and ledger_check judges eps_target too
     if eps is not None and params.k is not None:
         if eps <= 0:
             raise InputError("eps must be positive")
@@ -589,6 +589,15 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
                 child[1] + child[2], equal=True)
             add(h, k, f"cert eps(g_{i}) <= required", slot.cert_eps, slot.eps_required)
             add(h, k, f"cert delta(g_{i}) <= required", slot.cert_delta, slot.delta_required)
+            if slot.d < slot.out_bits:
+                # 2^d samples reach at most 2^(d - out_bits) of the output space, so every outer
+                # input is that far from uniform. Past the bits of cert eps's denominator the
+                # exponent decides nothing, so it is capped there and the record stays small
+                cap = min(slot.out_bits - slot.d, slot.cert_eps.denominator.bit_length())
+                miss = 1 - Fraction(1, 1 << cap)
+                ok = miss <= slot.cert_eps or slot.cert_delta >= 1
+                checks.append(LedgerCheck(h, k, f"support: cert eps(g_{i}) >= 1 - 2^(d - out_bits) "
+                                          "unless cert delta >= 1", miss, slot.cert_eps, ok))
         mus = [summary[3] for summary in node.children]
         add(h, k, "mu identity: sum of term blocks", node.mu,
             sum(mus[i] * mus[j] for i, j, _ in terms), equal=True)
@@ -613,6 +622,9 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
             add(h, k, f"replay: sampler outer budget at i={i} <= s_out bound", lhs, so_bound)
     for h, k in sorted(recorded.keys() - plan.keys()):
         add(h, k, "node recorded iff planned", len(recorded[(h, k)]), 0, equal=True)
+    if ledger.eps_target is not None:
+        top = (n.bit_length() - 1, ledger.k)
+        add(*top, "top error bound <= eps_target", plan[top].error_bound, ledger.eps_target)
     return LedgerReport(checks=checks)
 
 
@@ -621,29 +633,29 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
 
 
 def _passes_seed(prpd: RobustPrpd) -> bool:
-    """Whether prpd reads its child behind pass_seed with d = m.
+    """Whether prpd reads its child behind pass_seed with d = m = the child's flat seed.
 
     Such a sampler selects every flat seed once whatever the outer seed is
     (told by the sampler's function, not its certificate).
     """
     if prpd.reads is None:
         return False
-    g = prpd.reads[1]
-    return g.sample is pass_seed and g.d == g.m
+    child, g = prpd.reads
+    return g.sample is pass_seed and g.d == g.m == child.seed_len
 
 
-DyadicForm = Tuple[int, Dict[str, Mat]]     # (shift, x -> int matrix over 2^shift)
+Form = Dict[str, Mat]       # x -> the int sum of A(x, y) over the generator's 2^s_in inner seeds
 
 
 class _MergeTree:
-    """Forms of one generator tree on one program, as int matrices over a power of two.
+    """Forms of one generator tree on one program.
 
     Forms are memoised per (generator, segment start) for one evaluation only.
     """
 
     def __init__(self, robp: Robp):
         self.robp = robp
-        self.forms: Dict[Tuple[int, int], DyadicForm] = {}
+        self.forms: Dict[Tuple[int, int], Form] = {}
 
     def layout(self, prpd: RobustPrpd, a: int) -> Tuple[Optional[MergeNode], int]:
         """The node's layout and the start of its B half; None for a node read from its bundles."""
@@ -670,46 +682,43 @@ class _MergeTree:
         return (1 << prpd.s_out) * len(node.terms) + sum(
             self.cost(reader, start, seen) for reader in node.readers for start in (a, mid))
 
-    def form(self, prpd: RobustPrpd, a: int) -> DyadicForm:
+    def form(self, prpd: RobustPrpd, a: int) -> Form:
         key = (id(prpd), a)
         if key in self.forms:
             return self.forms[key]
         node, mid = self.layout(prpd, a)
         if _passes_seed(prpd):
             # every flat seed of the child once, whatever x is: the sum of the child's form
-            child = prpd.reads[0]
-            shift, values = self.form(child, a)
-            total = reduce(mat_add, values.values())
-            form = shift + child.s_out, dict.fromkeys(all_bits(prpd.s_out), total)
+            total = reduce(mat_add, self.form(prpd.reads[0], a).values())
+            form = dict.fromkeys(all_bits(prpd.s_out), total)
         elif node is None:
             form = dyadic_form(prpd, self.robp, a, a + prpd.out_len // self.robp.d_step)
         else:
-            a_shifts, a_values = zip(*(self.form(r, a) for r in node.readers))
-            b_shifts, b_values = zip(*(self.form(r, mid) for r in node.readers))
-            top = max(a_shifts[i] + b_shifts[j] for i, j, _ in node.terms)
-            terms = [(i, j, sign << (top - a_shifts[i] - b_shifts[j])) for i, j, sign in node.terms]
+            a_forms = [self.form(r, a) for r in node.readers]
+            b_forms = [self.form(r, mid) for r in node.readers]
+            # term (i, j) leaves s_in - lens[i] - lens[j] inner seed bits unread
+            terms = [(i, j, sign << (prpd.s_in - node.lens[i] - node.lens[j]))
+                     for i, j, sign in node.terms]
             cuts = [r.s_out for r in node.readers]
-            form = top, {x: _term_sum(terms, [v[x[:c]] for v, c in zip(a_values, cuts)],
-                                      [v[x[:c]] for v, c in zip(b_values, cuts)])
-                         for x in all_bits(prpd.s_out)}
+            form = {x: _term_sum(terms, [v[x[:c]] for v, c in zip(a_forms, cuts)],
+                                 [v[x[:c]] for v, c in zip(b_forms, cuts)])
+                    for x in all_bits(prpd.s_out)}
         self.forms[key] = form
         return form
 
 
-def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> DyadicForm:
-    """robust_form(prpd, robp, a, b) as (shift, x -> int matrix), through build_ck's layout.
+def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Form:
+    """robust_form(prpd, robp, a, b) as x -> int matrix over 2^s_in, through build_ck's layout.
 
     A merge term reads A_i from a prefix of y and B_j from a disjoint suffix,
-    so E_y A(x, y) = sum sign * E[A_i | x] * E[B_j | x] exactly, each read
-    from its reader's form at x[:s_out]. A leaf's shift is its s_in; a term's
-    is sA_i + sB_j, and its sign is scaled by 2^(top - sA_i - sB_j) to the
-    node's largest. A reader behind pass_seed with d = m is the sum of its
-    child's form at every x, its shift raised by the child's s_out; a reader
-    behind any other sampler has no layout and is read from its bundles. A
-    term that reads more inner seed bits than the node has raises
-    ContractError. The evaluation's matrix products, averaged matrices and
-    leaf strings are counted against the enumeration budget before any is
-    made.
+    so sum_y A(x, y) = sum sign * 2^(s_in - lens[i] - lens[j]) * (sum A_i at x)
+    * (sum B_j at x) exactly, each read from its reader's form at x[:s_out].
+    A reader behind pass_seed with d = m = the child's flat seed is the sum
+    of its child's form at every x; a reader behind any other sampler has no
+    layout and is read from its bundles. A term that reads more inner seed
+    bits than the node has raises ContractError. The evaluation's matrix
+    products, averaged matrices and leaf strings are counted against the
+    enumeration budget before any is made.
     """
     check_segment(robp, a, b, prpd.out_len)
     tree = _MergeTree(robp)
@@ -720,18 +729,17 @@ def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> DyadicForm:
 def measure_robust_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[int] = None) -> Fraction:
     """E_x || E_y A(x, y) - exact average ||, exactly, through the merge tree.
 
-    The form and the walk counts are brought to one shift, so the norms sum
-    as ints and the one Fraction is made at the end.
+    The form, over 2^s_in, and the walk counts, over 2^bits, are compared
+    over 2^(s_in + bits), so the norms sum as ints and the one Fraction is
+    made at the end.
     """
     if b is None:
         b = robp.n
-    shift, form = merge_tree_form(prpd, robp, a, b)
+    form = merge_tree_form(prpd, robp, a, b)
     bits = (b - a) * robp.d_step
-    top = max(shift, bits)
-    target = mat_scale(1 << (top - bits), walk_counts(robp, a, b))
-    scale = 1 << (top - shift)
-    total = sum(inf_norm(mat_sub(mat_scale(scale, m), target)) for m in form.values())
-    return Fraction(total, 1 << (prpd.s_out + top))
+    target = mat_scale(1 << prpd.s_in, walk_counts(robp, a, b))
+    total = sum(inf_norm(mat_sub(mat_scale(1 << bits, m), target)) for m in form.values())
+    return Fraction(total, 1 << (prpd.s_out + prpd.s_in + bits))
 
 
 # ---------------------------------------------------------------------------
@@ -810,9 +818,10 @@ def ledger_from_dict(data: dict) -> SeedLedger:
     """Inverse of ledger_to_dict; raises ParseError on a ledger of the wrong shape.
 
     That is a missing key, a bad fraction, a value of the wrong JSON type (an
-    int must be a non-bool int), a header outside its domain, and a merge node
-    without its merge gamma and binding index or k+1 entries of len_a, len_b
-    and children.
+    int must be a non-bool int), a header outside its domain, a negative int in
+    a node or sampler slot (each is a count, a length or an index), and a merge
+    node without its merge gamma and binding index or k+1 entries of len_a,
+    len_b and children.
     """
     try:
         ledger = _read_ledger(data)
@@ -823,6 +832,11 @@ def ledger_from_dict(data: dict) -> SeedLedger:
     except InputError as exc:
         raise ParseError(f"ledger header {exc}") from None
     for nd in ledger.nodes:
+        ints = [nd.h, nd.k, nd.s_out, nd.s_in, nd.mu, nd.mu_cap, nd.delta_binding_i or 0,
+                *nd.len_a, *nd.len_b, *chain.from_iterable(nd.children),
+                *chain.from_iterable((s.i, s.out_bits, s.n, s.d) for s in nd.samplers)]
+        if min(ints) < 0:
+            raise ParseError(f"node ({nd.h},{nd.k}) holds a negative count, length or index")
         if nd.kind == "merge" and (None in (nd.merge_gamma, nd.delta_binding_i) or
                                    {len(nd.len_a), len(nd.len_b), len(nd.children)} != {nd.k + 1}):
             raise ParseError(f"merge node ({nd.h},{nd.k}) lacks merge_gamma, delta_binding_i "

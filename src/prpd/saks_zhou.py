@@ -143,9 +143,9 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) ->
                    "offline power estimate")
     # snap at offset 0 floors to the grid; its clamp at 0 never acts on the checked m
     program = robp_from_matrix(snap_matrix(m, 0, d), n1, d)
-    shift, sums = merge_tree_form(behind(prpd, samp), program, 0, n1)
+    sums = merge_tree_form(behind(prpd, samp), program, 0, n1)
     # state w is the absorbing dummy; M^n1 lives on the real states only
-    return mat_scale(Fraction(1, 1 << shift), tuple(row[:w] for row in sums[y][:w]))
+    return mat_scale(Fraction(1, 1 << samp.d), tuple(row[:w] for row in sums[y][:w]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 The zero matrix, the pseudodistribution algebra (realization turns scale /
 union / concat into matrix scale / sum / product exactly), the Fraction view
-of a dyadic form, the mean of a form, the norm statistics of a matrix form, a
-sampler's average over a per-seed table and the three sampler-product rules
-with their worst-case bounds, the fraction of a sampler's bad outer inputs,
-the plain average error of a generator, the snap and Saks-Zhou failure
-bounds, and two example programs. The package
-keeps what its commands, scripts and benchmark call; these stay next to the
+of a generator's int form, the mean of a form, the norm statistics of a
+matrix form, a sampler's average over a per-seed table and the three
+sampler-product rules with their worst-case bounds, the fraction of a
+sampler's bad outer inputs, the plain average error of a generator, the snap
+and Saks-Zhou failure bounds, and two example programs. The package keeps
+what its commands, scripts and benchmark call; these stay next to the
 assertions that check them.
 """
 
@@ -89,10 +89,9 @@ def dump_pdist(pd: PseudoDist) -> str:
 # forms as Fractions
 
 
-def fraction_form(dyadic: Tuple[int, Dict[str, Mat]]) -> Dict[str, Mat]:
-    """The Fraction view of a (shift, x -> int matrix) form: each matrix over 2^shift."""
-    shift, form = dyadic
-    inv = Fraction(1, 1 << shift)
+def fraction_form(prpd: RobustPrpd, form: Dict[str, Mat]) -> Dict[str, Mat]:
+    """The Fraction view of prpd's form x -> int matrix: each matrix over 2^prpd.s_in."""
+    inv = Fraction(1, 1 << prpd.s_in)
     return {x: mat_scale(inv, m) for x, m in form.items()}
 
 
@@ -198,7 +197,7 @@ def measure_average_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[
     """|| <A> - exact average ||, the plain (non-robust) approximation error."""
     if b is None:
         b = robp.n
-    form = fraction_form(merge_tree_form(prpd, robp, a, b))
+    form = fraction_form(prpd, merge_tree_form(prpd, robp, a, b))
     return inf_norm(mat_sub(average(form), exact_average(robp, a, b)))
 
 

@@ -307,10 +307,28 @@ def _terminal_with_merge_fields(data):
                     len_b=[5])
 
 
+def _shrink_sampler_seeds(data):
+    # every sampled index of the top node reads a 1-bit sampler seed on both halves: the
+    # layout stays consistent, but 2 samples cannot certify eps = 0 over a longer output
+    top = _nodes(data)[-1]
+    for slot in top["samplers"]:
+        slot["d"] = 1
+        top["len_a"][slot["i"]] = top["len_b"][slot["i"]] = 1
+
+
+def _eps_target_below_bound(data):
+    data["eps_target"] = "1/1000000000000000000000000"
+
+
+def _eps_target_negative(data):
+    data["eps_target"] = "-1/2"
+
+
 FORGERIES = {f.__name__.lstrip("_"): f for f in (
     _empty_samplers, _relabel_merges, _keep_top_only, _raise_requirements, _raise_mu_caps,
     _raise_error_bounds, _rewrite_merge_gammas, _shift_child_summary, _mu_beyond_float_range,
-    _s_out_beyond_float_range, _terminal_with_merge_fields)}
+    _s_out_beyond_float_range, _terminal_with_merge_fields, _shrink_sampler_seeds,
+    _eps_target_below_bound, _eps_target_negative)}
 
 
 @pytest.mark.parametrize("forgery", FORGERIES)
@@ -352,7 +370,10 @@ def test_ledger_check_rejects_read_length_edit(tmp_path, capsys, edit):
     capsys.readouterr()
     assert main(["ledger-check", "--ledger", str(path)]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL (" in line]
-    assert len(fails) == 1 and fails[0].startswith("  FAIL (3,2) read lengths")
+    assert fails[0].startswith("  FAIL (3,2) read lengths")
+    # a slot d below its output length also misses the support bound of its eps = 0
+    assert [line.split(":")[0] for line in fails[1:]] == (
+        ["  FAIL (3,2) support"] if edit == "slot-d" else [])
 
 
 def _edited_ledger(edit):
@@ -368,6 +389,15 @@ def _records(*ledger_texts):
     lines = [json.dumps({"record": "config", "command": "build-prpd"})]
     lines += [json.dumps({"record": "ledger", "ledger": json.loads(t)}) for t in ledger_texts]
     return "\n".join(lines) + "\n"
+
+
+def _negative_sampler_seeds(data):
+    # sampler seeds of -1 bits, read at -1 on both halves of an s_in of -2: consistent,
+    # but no length is negative
+    top = data["nodes"][-1]
+    for slot in top["samplers"]:
+        slot["d"] = -1
+    top.update(len_a=[-1, -1], len_b=[-1, -1], s_in=-2)
 
 
 HONEST_LEDGER = _edited_ledger(lambda data: None)
@@ -407,6 +437,8 @@ BAD_INPUTS = {
     "ledger-zero-denominator": (["ledger-check", "--ledger", "ledger.json"], BAD_FRACTION_LEDGER),
     "ledger-len-a-empty": (["ledger-check", "--ledger", "ledger.json"],
                            _edited_ledger(lambda data: data["nodes"][-1].update(len_a=[]))),
+    "ledger-lengths-negative": (["ledger-check", "--ledger", "ledger.json"],
+                                _edited_ledger(_negative_sampler_seeds)),
     "ledger-s-out-string": (["ledger-check", "--ledger", "ledger.json"],
                             _edited_ledger(lambda data: data["nodes"][-1].update(s_out="x"))),
     "ledger-mu-bool": (["ledger-check", "--ledger", "ledger.json"],

@@ -1,11 +1,11 @@
 """The merge-tree evaluator against the flat enumeration it replaces.
 
-merge_tree_form's int matrices over 2^shift must equal robust_form as a dict
-of exact Fractions on every generator: random one- and two-level build_ck
-trees with random-table samplers, random signed and lossy children, and the
-pinned recursive builds. A child behind a sampler is checked against the
-per-seed table it replaces, and measure_robust_error against an all-Fraction
-oracle that aligns no shifts.
+merge_tree_form's int matrices must equal dyadic_form's, and over 2^s_in
+robust_form's dict of exact Fractions, on every generator: random one- and
+two-level build_ck trees with random-table samplers, random signed and lossy
+children, and the pinned recursive builds. A child behind a sampler is
+checked against the per-seed table it replaces, and measure_robust_error
+against an all-Fraction oracle that scales no int sums.
 """
 
 import random
@@ -22,6 +22,7 @@ from prpd import (CapacityError, ContractError, InputError, RecursionParams, Rob
                   matrix_form, measure_robust_error, random_robp, recursive_prpd, robust_form,
                   uniform_prpd, walk_matrix)
 from prpd.bits import all_bits
+from prpd.pdist import dyadic_form
 from prpd.recursion import behind, merge_tree_form
 
 from helpers import (assumed_sampler, corrupted_uniform_prpd, rand_bits, rand_child,
@@ -37,8 +38,9 @@ def rand_program(data, out_len, seed):
 
 
 def assert_same_forms(prpd, program):
-    tree = fraction_form(merge_tree_form(prpd, program, 0, program.n))
-    assert tree == robust_form(prpd, program, 0, program.n)
+    tree = merge_tree_form(prpd, program, 0, program.n)
+    assert tree == dyadic_form(prpd, program, 0, program.n)
+    assert fraction_form(prpd, tree) == robust_form(prpd, program, 0, program.n)
 
 
 @given(st.data())
@@ -82,7 +84,7 @@ def rand_enumerated_depth2_tree(rng, m_bits, k):
 
 
 def fraction_oracle_error(prpd, program):
-    """E_x || robust_form(x) - exhaustive walk average ||, all in Fractions, no shifts aligned."""
+    """E_x || robust_form(x) - exhaustive walk average ||, all in Fractions, no int sums scaled."""
     bits = program.n * program.d_step
     walks = reduce(mat_add, (walk_matrix(program, 0, program.n, r) for r in all_bits(bits)))
     target = mat_scale(Fraction(1, 1 << bits), walks)
@@ -93,10 +95,10 @@ def fraction_oracle_error(prpd, program):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_robust_error_matches_fraction_oracle(data):
-    # random-table samplers (d != m) give a node's terms different shifts, lossy leaves a
-    # non-zero error and enumeration samplers over outer seeds a mean's shift: only such
-    # trees show a term aligned to the wrong shift. Halves of at most 2 bits keep the
-    # oracle's exhaustive walks at 2^8
+    # random-table samplers (d != m) leave a node's terms different numbers of inner seed
+    # bits unread, lossy leaves a non-zero error and enumeration samplers over outer seeds
+    # sum a child's form: only such trees show a term scaled wrongly. Halves of at most
+    # 2 bits keep the oracle's exhaustive walks at 2^8
     seed = data.draw(st.integers(0, 10 ** 6))
     rng = random.Random(seed)
     m_bits = data.draw(st.integers(1, 2))
@@ -119,15 +121,14 @@ def test_tree_forms_are_int_matrices(data):
     m_bits = data.draw(st.integers(1, 3))
     prpd = rand_depth2_tree(rng, m_bits, data.draw(st.integers(0, m_bits - 1)))
     program = rand_program(data, prpd.out_len, seed)
-    shift, form = merge_tree_form(prpd, program, 0, program.n)
-    assert type(shift) is int and shift >= 0
+    form = merge_tree_form(prpd, program, 0, program.n)
     assert all(type(v) is int for m in form.values() for row in m for v in row)
 
 
 def test_pinned_build_forms_are_int_matrices():
     prpd, _ = recursive_prpd(8, 3, params=RecursionParams(k=2))
-    shift, form = merge_tree_form(prpd, random_robp(8, 3, seed=0), 0, 8)
-    assert type(shift) is int and list(form) == [""]
+    form = merge_tree_form(prpd, random_robp(8, 3, seed=0), 0, 8)
+    assert list(form) == [""]
     assert all(type(v) is int for m in form.values() for row in m for v in row)
 
 
@@ -196,7 +197,7 @@ def test_pass_seed_shortcut_matches_behind_reader():
              for samplers in (enumerated, wrapped)]
     for seed in range(3):
         program = random_robp(trees[0].out_len, 2, seed=seed)
-        forms = [fraction_form(merge_tree_form(t, program, 0, program.n)) for t in trees]
+        forms = [fraction_form(t, merge_tree_form(t, program, 0, program.n)) for t in trees]
         assert forms[0] == forms[1] == robust_form(trees[0], program, 0, program.n)
 
 
@@ -248,7 +249,7 @@ def test_capacity_counted_before_evaluation(monkeypatch):
     monkeypatch.setenv("PRPD_ENUM_LIMIT", "9")
     tree = merge_tree_form(prpd, program, 0, 4)
     monkeypatch.delenv("PRPD_ENUM_LIMIT")
-    assert fraction_form(tree) == robust_form(prpd, program, 0, 4)
+    assert fraction_form(prpd, tree) == robust_form(prpd, program, 0, 4)
 
 
 def test_pass_seed_reader_capacity_counted_before_evaluation(monkeypatch):
@@ -269,8 +270,8 @@ def test_pass_seed_reader_capacity_counted_before_evaluation(monkeypatch):
     monkeypatch.setenv("PRPD_ENUM_LIMIT", "14")
     tree = merge_tree_form(reader, program, 0, 2)
     monkeypatch.delenv("PRPD_ENUM_LIMIT")
-    assert len(calls) == 8 and list(tree[1]) == list(all_bits(2))
-    assert fraction_form(tree) == robust_form(reader, program, 0, 2)
+    assert len(calls) == 8 and list(tree) == list(all_bits(2))
+    assert fraction_form(reader, tree) == robust_form(reader, program, 0, 2)
 
 
 @pytest.mark.parametrize("form", [robust_form, matrix_form, merge_tree_form])

@@ -8,17 +8,22 @@ Each test holds for build_ck as written and fails if the layout
     layout or sees correlated halves, and the ledger's non-overlap check fails;
 (3) reads a sampled child by pass-through instead of through its sampler:
     only a sampler that does not pass its seed through tells the two reads
-    apart, so exact-enumeration builds cannot show it.
+    apart, so exact-enumeration builds cannot show it;
+(4) is evaluated, behind pass_seed with a seed shorter than the child's flat
+    seed, as the sum of the child's form: its bundles select strings of the
+    seed's length instead.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from prpd import (RecursionParams, Sampler, build_ck, exact_average, inf_norm, ledger_check,
-                  mat_sub, measure_robust_error, random_robp, recursive_prpd, uniform_prpd,
-                  walk_matrix)
+from prpd import (ContractError, RecursionParams, Sampler, build_ck, exact_average, inf_norm,
+                  ledger_check, mat_sub, measure_robust_error, random_robp, recursive_prpd,
+                  uniform_prpd, walk_matrix)
 from prpd.cli import main
+from prpd.recursion import behind, merge_tree_form
+from prpd.sampler import pass_seed
 
 from helpers import assumed_sampler
 
@@ -59,3 +64,12 @@ def test_sampled_child_is_read_through_its_sampler():
             assert measure_robust_error(prpd, program, 0, steps) == expected
             errors.append(expected)
     assert max(errors) > 0
+
+
+@pytest.mark.parametrize("d,m", [(2, 3), (2, 2)])
+def test_pass_seed_shorter_than_child_seed_read_from_bundles(d, m):
+    # pass_seed selects d-bit strings: 2 bits, where the child's flat seed is 3, so the
+    # reader's bundles emit 2-bit strings, and summing the child's form would hide them
+    reader = behind(uniform_prpd(3), Sampler(n=0, d=d, m=m, sample=pass_seed))
+    with pytest.raises(ContractError, match=r"a 2-bit string on segment \[0, 3\]"):
+        merge_tree_form(reader, random_robp(3, 2, seed=1), 0, 3)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -183,6 +184,30 @@ def test_ledger_json_roundtrip():
     assert (back.n, back.n_padded, back.w, back.gamma, back.k, back.c) == (
         ledger.n, ledger.n_padded, ledger.w, ledger.gamma, ledger.k, ledger.c)
     assert ledger_check(back).ok
+
+
+def test_every_negative_node_int_refused():
+    # each int of a node or sampler slot is a count, a length or an index
+    _, ledger = recursive_prpd(8, 2, params=RecursionParams(k=1))
+    data = ledger_to_dict(ledger)
+
+    def int_paths(value, path):
+        if type(value) is int:
+            yield path
+        for key, item in (value.items() if isinstance(value, dict) else
+                          enumerate(value) if isinstance(value, list) else ()):
+            yield from int_paths(item, path + (key,))
+
+    paths = list(int_paths(data["nodes"], ()))
+    assert {p[-1] for p in paths} >= {"h", "s_in", "mu_cap", "delta_binding_i", "d", "out_bits"}
+    for path in paths:
+        edited = copy.deepcopy(data)
+        target = edited["nodes"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = -1
+        with pytest.raises(ParseError, match="negative count, length or index"):
+            ledger_from_dict(edited)
 
 
 def test_measure_average_error_zero_for_exact_builds():
