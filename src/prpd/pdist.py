@@ -83,10 +83,13 @@ class RobustPrpd:
         return self.s_out + self.s_in
 
 
+def uniform_bundle(x: str, y: str) -> List[Tuple[str, int]]:     # merge_tree_form knows it
+    return [(y, 1)]
+
+
 def uniform_prpd(out_len: int) -> RobustPrpd:
     """The exact baseline: inner seed is the output, weight 1, zero error."""
-    return RobustPrpd(out_len=out_len, s_out=0, s_in=out_len, mu=1,
-                      bundle=lambda x, y: [(y, 1)])
+    return RobustPrpd(out_len=out_len, s_out=0, s_in=out_len, mu=1, bundle=uniform_bundle)
 
 
 def seed_bundles(prpd: RobustPrpd, site: str) -> Iterator[Tuple[str, str, list]]:

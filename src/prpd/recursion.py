@@ -24,7 +24,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 from .bits import all_bits, suffix
 from .errors import (ConstructionError, ContractError, InputError, ParseError,
                      check_capacity, check_renders)
-from .pdist import RobustPrpd, dyadic_form, uniform_prpd
+from .pdist import RobustPrpd, dyadic_form, uniform_bundle, uniform_prpd
 from .robp import (Mat, Robp, check_segment, inf_norm, mat_add, mat_mul, mat_scale, mat_sub,
                    walk_counts)
 from .sampler import Sampler, enumeration_sampler, pass_seed
@@ -644,6 +644,11 @@ def _passes_seed(prpd: RobustPrpd) -> bool:
     return g.sample is pass_seed and g.d == g.m == child.seed_len
 
 
+def _is_uniform(prpd: RobustPrpd) -> bool:
+    """Whether prpd is uniform_prpd's generator: told by its bundle function, not its shape."""
+    return prpd.bundle is uniform_bundle and (prpd.s_out, prpd.s_in, prpd.mu) == (0, prpd.out_len, 1)
+
+
 Form = Dict[str, Mat]       # x -> the int sum of A(x, y) over the generator's 2^s_in inner seeds
 
 
@@ -669,11 +674,13 @@ class _MergeTree:
         return node, a + node.children[0].out_len // self.robp.d_step
 
     def cost(self, prpd: RobustPrpd, a: int, seen: set) -> int:
-        """Matrix products, averaged matrices and leaf strings it makes, memo hits free."""
+        """Products, averaged matrices, leaf strings and uniform label rows; memo hits free."""
         if (id(prpd), a) in seen:
             return 0
         seen.add((id(prpd), a))
         node, mid = self.layout(prpd, a)
+        if _is_uniform(prpd):       # walk_counts reads every label row of its steps once
+            return (prpd.out_len // self.robp.d_step) << self.robp.d_step
         if _passes_seed(prpd):
             child = prpd.reads[0]
             return self.cost(child, a, seen) + (1 << child.s_out) + (1 << prpd.s_out)
@@ -691,6 +698,8 @@ class _MergeTree:
             # every flat seed of the child once, whatever x is: the sum of the child's form
             total = reduce(mat_add, self.form(prpd.reads[0], a).values())
             form = dict.fromkeys(all_bits(prpd.s_out), total)
+        elif _is_uniform(prpd):
+            form = {"": walk_counts(self.robp, a, a + prpd.out_len // self.robp.d_step)}
         elif node is None:
             form = dyadic_form(prpd, self.robp, a, a + prpd.out_len // self.robp.d_step)
         else:
@@ -715,10 +724,10 @@ def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Form:
     * (sum B_j at x) exactly, each read from its reader's form at x[:s_out].
     A reader behind pass_seed with d = m = the child's flat seed is the sum
     of its child's form at every x; a reader behind any other sampler has no
-    layout and is read from its bundles. A term that reads more inner seed
-    bits than the node has raises ContractError. The evaluation's matrix
-    products, averaged matrices and leaf strings are counted against the
-    enumeration budget before any is made.
+    layout and is read from its bundles; uniform_prpd's generator is read as
+    walk_counts. A term that reads more inner seed bits than the node has
+    raises ContractError. Its products, averaged matrices, leaf strings and
+    uniform label rows are counted against the enumeration budget first.
     """
     check_segment(robp, a, b, prpd.out_len)
     tree = _MergeTree(robp)

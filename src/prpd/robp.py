@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import reduce
 from typing import Iterable, Optional
 
 from .bits import bits_to_int
@@ -112,15 +112,6 @@ class Robp:
                     if not (0 <= s < self.w):
                         raise InputError(f"step {t + 1} label {v}: successor {s} out of range [0, {self.w})")
 
-    @cached_property
-    def chunk_memo(self) -> dict:
-        """signed_walk_sum's successor tuples, (first step, steps) -> chunk -> tuple.
-
-        Kept in the instance dict, outside the fields, so equality, hash
-        and repr see only the program.
-        """
-        return {}
-
 
 def _label_int(robp: Robp, label) -> int:
     if isinstance(label, str):
@@ -174,19 +165,16 @@ def signed_walk_sum(robp: Robp, a: int, b: int, weighted: Iterable) -> Mat:
     """Unscaled sum of c * walk_matrix(robp, a, b, r) over (r, c) pairs.
 
     r is read in chunks of whole steps, at most CHUNK_BITS bits each unless
-    one step is wider. A chunk's successor tuple is looked up in the
-    program's memo, keyed by (first step, steps) and then by the chunk, and
-    filled on first sight, so it holds only chunks that occurred. Weights
-    are summed per end tuple and spread into the matrix once. Entries are
-    ints for int weights and Fractions for Fraction weights. Callers check
-    the segment with check_segment and scale; a string whose length is not
-    the segment's raises ContractError.
+    one step is wider. A chunk's successor tuple is looked up in this call's
+    table for its position, filled on first sight, so it holds only chunks
+    that occurred. Weights are summed per end tuple and spread into the
+    matrix once. Entries are ints for int weights and Fractions for Fraction
+    weights. Callers check the segment with check_segment and scale; a
+    string whose length is not the segment's raises ContractError.
     """
     w, d = robp.w, robp.d_step
     bits, steps, run = (b - a) * d, b - a, max(1, CHUNK_BITS // d)
-    memo = robp.chunk_memo
-    layout = [(lo * d, min(lo + run, steps) * d, a + lo,
-               memo.setdefault((a + lo, min(run, steps - lo)), {}))
+    layout = [(lo * d, min(lo + run, steps) * d, a + lo, {})
               for lo in range(0, steps, run)]      # [(first bit, last bit, step, table)]
     totals = {}
     for r, c in weighted:
@@ -208,17 +196,18 @@ def signed_walk_sum(robp: Robp, a: int, b: int, weighted: Iterable) -> Mat:
 
 
 def walk_counts(robp: Robp, a: int, b: int) -> Mat:
-    """Label strings walking i to j over the segment: exact_average times 2^((b - a) * d_step)."""
+    """The uniform generator's int form: walks i to j, exact_average * 2^((b - a) * d_step)."""
     check_segment(robp, a, b)
     w = robp.w
-    result = tuple(tuple(int(i == j) for j in range(w)) for i in range(w))
+    steps = []
     for t in range(a, b):
         counts = [[0] * w for _ in range(w)]
         for row in robp.transitions[t]:
             for i, j in enumerate(row):
                 counts[i][j] += 1
-        result = mat_mul(result, counts)
-    return result
+        steps.append(tuple(map(tuple, counts)))
+    # from the first step's counts, so a one-step segment makes no product
+    return reduce(mat_mul, steps or [tuple(tuple(int(i == j) for j in range(w)) for i in range(w))])
 
 
 def exact_average(robp: Robp, a: int, b: int) -> Mat:

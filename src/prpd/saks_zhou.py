@@ -139,8 +139,7 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) ->
     if len(y) != samp.n or any(ch not in "01" for ch in y):
         raise InputError(f"offline randomness must be {samp.n} bits of 0 and 1, got {y!r}")
     # the step program robp_from_matrix builds has n1 * 2^d * (w+1) successor entries
-    check_capacity((1 << samp.d) * prpd.mu * w + n1 * (1 << d) * (w + 1),
-                   "offline power estimate")
+    check_capacity(n1 * (1 << d) * (w + 1), "offline power estimate")
     # snap at offset 0 floors to the grid; its clamp at 0 never acts on the checked m
     program = robp_from_matrix(snap_matrix(m, 0, d), n1, d)
     sums = merge_tree_form(behind(prpd, samp), program, 0, n1)

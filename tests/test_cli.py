@@ -156,17 +156,20 @@ def test_ledger_check_refuses_check_value_past_digit_limit(tmp_path, capsys):
     assert "mu identity" in capsys.readouterr().err
 
 
-def test_cli_reports_capacity_error(capsys):
-    # node (5, 16) is the 32-bit uniform terminal, a pass-through child of the top
-    code = main(["verify-error", "--n", "64", "--w", "2", "--k", "16", "--robps", "1"])
+def test_cli_reports_capacity_error(monkeypatch, capsys):
+    # the ledger plan counts 240 and the random program 64, under the limit; the tree
+    # counts 347, its uniform terminals by the label rows walk_counts reads
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "346")
+    code = main(["verify-error", "--n", "16", "--w", "2", "--k", "3", "--robps", "1"])
     assert code == 2
-    assert "error: merge tree evaluation needs" in capsys.readouterr().err
+    assert "error: merge tree evaluation needs 347 evaluations" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["--n", "16", "--w", "2", "--k", "3"],
-                                  ["--n", "64", "--w", "2", "--k", "0"]])
+                                  ["--n", "64", "--w", "2", "--k", "0"],
+                                  ["--n", "64", "--w", "2", "--k", "16"]])
 def test_verify_error_reaches_past_flat_enumeration(tmp_path, argv):
-    # flat enumeration of every (x, y, i) refuses both; the merge tree measures them
+    # flat enumeration of every (x, y, i) refuses each; the merge tree measures them
     out = tmp_path / "verify.jsonl"
     assert main(["verify-error", *argv, "--robps", "2", "--out", str(out)]) == 0
     assert [r["measured"] for r in read_records(out) if r["record"] == "instance"] == ["0/1"] * 2

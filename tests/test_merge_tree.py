@@ -274,6 +274,44 @@ def test_pass_seed_reader_capacity_counted_before_evaluation(monkeypatch):
     assert fraction_form(reader, tree) == robust_form(reader, program, 0, 2)
 
 
+@pytest.mark.parametrize("d_step", [1, 2, 3])
+def test_uniform_leaf_is_walk_counts_on_every_segment(d_step):
+    # the tree reads uniform_prpd as walk_counts; a segment read one step off differs on a
+    # random width-3 program
+    program = random_robp(4, 3, d_step=d_step, seed=d_step)
+    for a in range(program.n + 1):
+        for b in range(a, program.n + 1):
+            leaf = uniform_prpd((b - a) * d_step)
+            assert merge_tree_form(leaf, program, a, b) == dyadic_form(leaf, program, a, b)
+
+
+def test_uniform_shaped_generators_are_read_from_their_bundles():
+    # corrupted_uniform_prpd(m, m) has uniform_prpd's shape but not its bundle function;
+    # uniform_bundle at a shape uniform_prpd never builds is refused as its bundles are
+    leaf = corrupted_uniform_prpd(2, 2)
+    program = random_robp(4, 2, seed=3)
+    for prpd in (leaf, behind(leaf, enumeration_sampler(2, n=1)),
+                 build_ck([leaf, leaf], w=2, gamma=Fraction(1, 2))):
+        b = prpd.out_len
+        assert merge_tree_form(prpd, program, 0, b) == dyadic_form(prpd, program, 0, b)
+    assert merge_tree_form(leaf, program, 0, 2) != merge_tree_form(uniform_prpd(2), program, 0, 2)
+    with pytest.raises(ContractError, match="a 3-bit string"):
+        merge_tree_form(replace(uniform_prpd(2), s_in=3), program, 0, 2)
+
+
+def test_uniform_leaf_capacity_is_its_label_rows(monkeypatch):
+    # the leaf's 3 steps of 2 label rows, its 1 matrix summed and the reader's 4 entries
+    reader = behind(uniform_prpd(3), enumeration_sampler(3, n=2))
+    program = random_robp(3, 2, seed=4)
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "10")
+    with pytest.raises(CapacityError, match="merge tree evaluation needs 11 evaluations"):
+        merge_tree_form(reader, program, 0, 3)
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "11")
+    tree = merge_tree_form(reader, program, 0, 3)
+    monkeypatch.delenv("PRPD_ENUM_LIMIT")
+    assert tree == dyadic_form(reader, program, 0, 3)
+
+
 @pytest.mark.parametrize("form", [robust_form, matrix_form, merge_tree_form])
 @pytest.mark.parametrize("a,b", [(-1, 1), (-2, 0), (3, 5)])
 def test_segment_outside_program_refused(form, a, b):

@@ -190,8 +190,7 @@ def test_inf_norm_subadditive_submultiplicative(data):
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_signed_walk_sum_matches_weighted_walk_matrices(data):
-    # steps of up to 10 bits and strings of up to 20 steps cross chunk boundaries; the
-    # calls on one program, at different segments, share its chunk memo
+    # steps of up to 10 bits and strings of up to 20 steps cross chunk boundaries
     w = data.draw(st.integers(1, 4))
     d_step = data.draw(st.integers(1, 10))
     n = data.draw(st.integers(1, 20))
@@ -210,9 +209,10 @@ def test_signed_walk_sum_matches_weighted_walk_matrices(data):
         if all(type(c) is int for _, c in weighted):
             assert all(type(e) is int for row in total for e in row)
         calls.append((a, b, weighted, total))
-    # read again from the filled memo, every call gives the same matrix
+    # every call again gives the same matrix, and the program holds its fields alone
     for a, b, weighted, total in calls:
         assert signed_walk_sum(program, a, b, weighted) == total
+    assert list(vars(program)) == [f.name for f in dataclasses.fields(Robp)]
 
 
 def wide_step_robp(n, w, d_step, seed):
@@ -227,26 +227,13 @@ def wide_step_robp(n, w, d_step, seed):
                 transitions=tuple(tuple(rng.choices(maps, k=1 << d_step)) for _ in range(n)))
 
 
-def test_chunk_memo_is_lazy():
+def test_chunk_tables_are_lazy():
     # one string on 2^20-label steps: a table of every label would take seconds
     program = wide_step_robp(2, 3, d_step=20, seed=5)
     r = "01" * 20
     with deadline(1):
         total = signed_walk_sum(program, 0, 2, [(r, 1)])
     assert total == walk_matrix(program, 0, 2, r)
-    # one entry per chunk walked: each 20-bit step is a chunk of its own
-    assert sorted(program.chunk_memo) == [(0, 1), (1, 1)]
-    assert [len(table) for table in program.chunk_memo.values()] == [1, 1]
-
-
-def test_chunk_memo_is_invisible():
-    program = random_robp(6, 3, d_step=2, seed=11)
-    fresh = parse_robp(serialize_robp(program))
-    before = repr(program)
-    signed_walk_sum(program, 1, 6, [("0110100111", 2), ("1111000010", -1)])
-    assert program.chunk_memo
-    assert program == fresh and hash(program) == hash(fresh) and repr(program) == before
-    assert [f.name for f in dataclasses.fields(Robp)] == ["n", "w", "d_step", "transitions"]
 
 
 def test_serialize_parse_roundtrip():
