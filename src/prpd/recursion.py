@@ -107,13 +107,21 @@ class SamplerSlot:
     cert_delta: Fraction
 
 
+def _selects_every_seed(child: RobustPrpd, g: Sampler) -> bool:
+    """Whether g's function, not its certificate, selects each flat seed of child once per x."""
+    return g.sample is pass_seed and g.d == g.m == child.seed_len
+
+
 def behind(child: RobustPrpd, g: Sampler) -> RobustPrpd:
     """child read behind sampler g: x, s -> child at the flat seed g.sample(x, s).
 
     The composition G(Samp(x, s)) is itself a robust generator, with outer
     seed g's input, inner seed g's seed and child's weight; it carries
-    (child, g) as `reads`.
+    (child, g) as `reads`. Behind a sampler that selects every flat seed once,
+    with no outer seed on either side, the composition is child itself.
     """
+    if _selects_every_seed(child, g) and g.n == child.s_out == 0:
+        return child
     cut = child.s_out
 
     def bundle(x: str, s: str) -> List[Tuple[str, int]]:
@@ -633,15 +641,8 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
 
 
 def _passes_seed(prpd: RobustPrpd) -> bool:
-    """Whether prpd reads its child behind pass_seed with d = m = the child's flat seed.
-
-    Such a sampler selects every flat seed once whatever the outer seed is
-    (told by the sampler's function, not its certificate).
-    """
-    if prpd.reads is None:
-        return False
-    child, g = prpd.reads
-    return g.sample is pass_seed and g.d == g.m == child.seed_len
+    """Whether prpd reads its child behind a sampler that selects every flat seed once."""
+    return prpd.reads is not None and _selects_every_seed(*prpd.reads)
 
 
 def _is_uniform(prpd: RobustPrpd) -> bool:
@@ -653,67 +654,55 @@ Form = Dict[str, Mat]       # x -> the int sum of A(x, y) over the generator's 2
 
 
 class _MergeTree:
-    """Forms of one generator tree on one program.
+    """The plan of one generator tree on one program.
 
-    Forms are memoised per (generator, segment start) for one evaluation only.
+    A step per (generator, segment start), in the order its forms are made,
+    readers first: its cost (products, averaged matrices, leaf strings or
+    uniform label rows) and the closure that makes its form from the forms
+    made before it.
     """
 
     def __init__(self, robp: Robp):
         self.robp = robp
-        self.forms: Dict[Tuple[int, int], Form] = {}
+        self.steps: Dict[Tuple[int, int], Tuple[int, Callable[[dict], Form]]] = {}
 
-    def layout(self, prpd: RobustPrpd, a: int) -> Tuple[Optional[MergeNode], int]:
-        """The node's layout and the start of its B half; None for a node read from its bundles."""
-        node = prpd.merge
-        if node is None or node.children[0].out_len % self.robp.d_step:
-            return None, a
-        for i, j, _ in node.terms:
-            if node.lens[i] + node.lens[j] > prpd.s_in:
-                raise ContractError(f"merge term ({i}, {j}) reads {node.lens[i]} + "
-                                    f"{node.lens[j]} inner seed bits, the node has {prpd.s_in}")
-        return node, a + node.children[0].out_len // self.robp.d_step
-
-    def cost(self, prpd: RobustPrpd, a: int, seen: set) -> int:
-        """Products, averaged matrices, leaf strings and uniform label rows; memo hits free."""
-        if (id(prpd), a) in seen:
-            return 0
-        seen.add((id(prpd), a))
-        node, mid = self.layout(prpd, a)
-        if _is_uniform(prpd):       # walk_counts reads every label row of its steps once
-            return (prpd.out_len // self.robp.d_step) << self.robp.d_step
-        if _passes_seed(prpd):
-            child = prpd.reads[0]
-            return self.cost(child, a, seen) + (1 << child.s_out) + (1 << prpd.s_out)
-        if node is None:
-            return (1 << prpd.seed_len) * prpd.mu
-        return (1 << prpd.s_out) * len(node.terms) + sum(
-            self.cost(reader, start, seen) for reader in node.readers for start in (a, mid))
-
-    def form(self, prpd: RobustPrpd, a: int) -> Form:
+    def plan(self, prpd: RobustPrpd, a: int) -> Tuple[int, int]:
+        """Plan prpd's form on the segment from a, once, after its readers'; its key."""
         key = (id(prpd), a)
-        if key in self.forms:
-            return self.forms[key]
-        node, mid = self.layout(prpd, a)
-        if _passes_seed(prpd):
+        if key in self.steps:
+            return key
+        robp, node = self.robp, prpd.merge
+        b = a + prpd.out_len // robp.d_step
+        if _is_uniform(prpd):       # walk_counts reads every label row of its steps once
+            step = (b - a) << robp.d_step, lambda forms: {"": walk_counts(robp, a, b)}
+        elif _passes_seed(prpd):
             # every flat seed of the child once, whatever x is: the sum of the child's form
-            total = reduce(mat_add, self.form(prpd.reads[0], a).values())
-            form = dict.fromkeys(all_bits(prpd.s_out), total)
-        elif _is_uniform(prpd):
-            form = {"": walk_counts(self.robp, a, a + prpd.out_len // self.robp.d_step)}
-        elif node is None:
-            form = dyadic_form(prpd, self.robp, a, a + prpd.out_len // self.robp.d_step)
+            child = prpd.reads[0]
+            at = self.plan(child, a)
+            step = (1 << child.s_out) + (1 << prpd.s_out), lambda forms: dict.fromkeys(
+                all_bits(prpd.s_out), reduce(mat_add, forms[at].values()))
+        elif node is None or node.children[0].out_len % robp.d_step:
+            step = (1 << prpd.seed_len) * prpd.mu, lambda forms: dyadic_form(prpd, robp, a, b)
         else:
-            a_forms = [self.form(r, a) for r in node.readers]
-            b_forms = [self.form(r, mid) for r in node.readers]
+            for i, j, _ in node.terms:
+                if node.lens[i] + node.lens[j] > prpd.s_in:
+                    raise ContractError(f"merge term ({i}, {j}) reads {node.lens[i]} + "
+                                        f"{node.lens[j]} inner seed bits, the node has {prpd.s_in}")
+            mid = a + node.children[0].out_len // robp.d_step
+            halves = [[self.plan(r, start) for r in node.readers] for start in (a, mid)]
             # term (i, j) leaves s_in - lens[i] - lens[j] inner seed bits unread
             terms = [(i, j, sign << (prpd.s_in - node.lens[i] - node.lens[j]))
                      for i, j, sign in node.terms]
             cuts = [r.s_out for r in node.readers]
-            form = {x: _term_sum(terms, [v[x[:c]] for v, c in zip(a_forms, cuts)],
-                                 [v[x[:c]] for v, c in zip(b_forms, cuts)])
-                    for x in all_bits(prpd.s_out)}
-        self.forms[key] = form
-        return form
+
+            def make(forms):
+                a_forms, b_forms = ([forms[k] for k in keys] for keys in halves)
+                return {x: _term_sum(terms, [v[x[:c]] for v, c in zip(a_forms, cuts)],
+                                     [v[x[:c]] for v, c in zip(b_forms, cuts)])
+                        for x in all_bits(prpd.s_out)}
+            step = (1 << prpd.s_out) * len(node.terms), make
+        self.steps[key] = step
+        return key
 
 
 def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Form:
@@ -723,16 +712,22 @@ def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Form:
     so sum_y A(x, y) = sum sign * 2^(s_in - lens[i] - lens[j]) * (sum A_i at x)
     * (sum B_j at x) exactly, each read from its reader's form at x[:s_out].
     A reader behind pass_seed with d = m = the child's flat seed is the sum
-    of its child's form at every x; a reader behind any other sampler has no
+    of its child's form at every x (with no outer seed, behind returns the
+    child itself); a reader behind any other sampler has no
     layout and is read from its bundles; uniform_prpd's generator is read as
     walk_counts. A term that reads more inner seed bits than the node has
-    raises ContractError. Its products, averaged matrices, leaf strings and
-    uniform label rows are counted against the enumeration budget first.
+    raises ContractError. The plan's products, averaged matrices, leaf
+    strings and uniform label rows, each (generator, start) once, are counted
+    against the enumeration budget before any form is made.
     """
     check_segment(robp, a, b, prpd.out_len)
     tree = _MergeTree(robp)
-    check_capacity(tree.cost(prpd, a, set()), "merge tree evaluation")
-    return tree.form(prpd, a)
+    top = tree.plan(prpd, a)
+    check_capacity(sum(cost for cost, _ in tree.steps.values()), "merge tree evaluation")
+    forms = {}
+    for key, (_, make) in tree.steps.items():
+        forms[key] = make(forms)
+    return forms[top]
 
 
 def measure_robust_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[int] = None) -> Fraction:

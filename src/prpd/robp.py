@@ -28,8 +28,7 @@ CHUNK_BITS = 8
 
 
 def identity(w: int) -> Mat:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(w)) for i in range(w))
+    return tuple(tuple(int(i == j) for j in range(w)) for i in range(w))
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
@@ -207,7 +206,7 @@ def walk_counts(robp: Robp, a: int, b: int) -> Mat:
                 counts[i][j] += 1
         steps.append(tuple(map(tuple, counts)))
     # from the first step's counts, so a one-step segment makes no product
-    return reduce(mat_mul, steps or [tuple(tuple(int(i == j) for j in range(w)) for i in range(w))])
+    return reduce(mat_mul, steps or [identity(w)])
 
 
 def exact_average(robp: Robp, a: int, b: int) -> Mat:

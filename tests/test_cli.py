@@ -157,12 +157,13 @@ def test_ledger_check_refuses_check_value_past_digit_limit(tmp_path, capsys):
 
 
 def test_cli_reports_capacity_error(monkeypatch, capsys):
-    # the ledger plan counts 240 and the random program 64, under the limit; the tree
-    # counts 347, its uniform terminals by the label rows walk_counts reads
-    monkeypatch.setenv("PRPD_ENUM_LIMIT", "346")
-    code = main(["verify-error", "--n", "16", "--w", "2", "--k", "3", "--robps", "1"])
+    # the ledger plan counts 580 and the random program 256, under the limit; the tree
+    # counts 839, each (generator, start) once and its uniform terminals by the label rows
+    # walk_counts reads
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "838")
+    code = main(["verify-error", "--n", "64", "--w", "2", "--k", "3", "--robps", "1"])
     assert code == 2
-    assert "error: merge tree evaluation needs 347 evaluations" in capsys.readouterr().err
+    assert "error: merge tree evaluation needs 839 evaluations" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["--n", "16", "--w", "2", "--k", "3"],

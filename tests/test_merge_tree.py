@@ -23,7 +23,7 @@ from prpd import (CapacityError, ContractError, InputError, RecursionParams, Rob
                   uniform_prpd, walk_matrix)
 from prpd.bits import all_bits
 from prpd.pdist import dyadic_form
-from prpd.recursion import behind, merge_tree_form
+from prpd.recursion import _MergeTree, behind, merge_tree_form
 
 from helpers import (assumed_sampler, corrupted_uniform_prpd, rand_bits, rand_child,
                      rand_depth1_tree, rand_depth2_tree, rand_merge, rand_table_sampler)
@@ -182,6 +182,73 @@ def test_pinned_builds_match_flat(n, w, k):
     prpd, _ = recursive_prpd(n, w, params=RecursionParams(k=k))
     for seed in range(3):
         assert_same_forms(prpd, random_robp(n, w, seed=seed))
+
+
+def test_child_behind_identity_sampler_is_the_child():
+    # pass_seed over the whole flat seed, with no outer seed on either side: G(Samp) = G,
+    # so a recursive build's merge readers are its table's own generators
+    prpd, _ = recursive_prpd(8, 3, params=RecursionParams(k=2))
+    for child in (uniform_prpd(4), prpd, prpd.merge.children[1]):
+        assert behind(child, enumeration_sampler(child.seed_len)) is child
+    assert all(r is c for r, c in zip(prpd.merge.readers, prpd.merge.children))
+
+
+@pytest.mark.parametrize("case", ["outer input", "child outer seed", "lambda pass"])
+def test_reader_is_fresh_unless_identity(case):
+    # an outer seed on either side, or a function other than pass_seed itself, keeps the
+    # composition a reader of its own, still evaluated as its bundles are
+    child = uniform_prpd(2)
+    if case == "outer input":
+        g = enumeration_sampler(2, n=1)
+    elif case == "child outer seed":
+        child = RobustPrpd(out_len=2, s_out=1, s_in=2, mu=1, bundle=lambda x, y: [(x + y[1:], 1)])
+        g = enumeration_sampler(child.seed_len)
+    else:
+        g = assumed_sampler(Sampler(n=0, d=2, m=2, sample=lambda x, s: s))
+    reader = behind(child, g)
+    assert reader is not child and reader.reads[0] is child and reader.reads[1] is g
+    program = random_robp(child.out_len, 2, seed=4)
+    assert merge_tree_form(reader, program, 0, program.n) == dyadic_form(reader, program, 0,
+                                                                        program.n)
+
+
+def tree_edges(prpd, a, d_step, seen):
+    """The reads of the merge tree below (prpd, a), each (generator, start) followed once.
+
+    The pairs reached are added to seen.
+    """
+    if (id(prpd), a) in seen:
+        return 0
+    seen.add((id(prpd), a))
+    node = prpd.merge
+    if node is None:
+        return 0
+    mid = a + node.children[0].out_len // d_step
+    return sum(1 + tree_edges(r, start, d_step, seen) for r in node.readers for start in (a, mid))
+
+
+def test_verify_unit_plan_pinned(monkeypatch):
+    # the verify workload's shape: one step per distinct (generator, start), planned by
+    # following each read once, and one budget check on the plan's total
+    prpd, _ = recursive_prpd(8, 3, params=RecursionParams(k=2))
+    program = random_robp(8, 3, seed=0)
+    seen = set()
+    edges = tree_edges(prpd, 0, program.d_step, seen)
+    calls = []
+    plan = _MergeTree.plan
+    monkeypatch.setattr(_MergeTree, "plan", lambda self, g, a: calls.append(a) or plan(self, g, a))
+    tree = _MergeTree(program)
+    top = tree.plan(prpd, 0)
+    assert set(tree.steps) == seen and len(seen) == 23 and list(tree.steps)[-1] == top
+    assert len(calls) == 1 + edges
+    assert sum(cost for cost, _ in tree.steps.values()) == 65
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "64")
+    with pytest.raises(CapacityError, match="merge tree evaluation needs 65 evaluations"):
+        merge_tree_form(prpd, program, 0, 8)
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "65")
+    form = merge_tree_form(prpd, program, 0, 8)
+    monkeypatch.delenv("PRPD_ENUM_LIMIT")
+    assert form == dyadic_form(prpd, program, 0, 8)
 
 
 def test_pass_seed_shortcut_matches_behind_reader():
