@@ -3,9 +3,8 @@
 from .errors import (CapacityError, ConstructionError, ContractError, InputError,
                      ParseError, PrpdError)
 from .robp import (Mat, Robp, exact_average, identity, inf_norm, mat_add, mat_mul, mat_pow,
-                   mat_scale, mat_sub, max_norm, parse_robp, random_robp, serialize_robp,
-                   signed_walk_sum, step_matrix, walk_matrix)
-from .pdist import (PseudoDist, RobustPrpd, dump_prpd, matrix_form, robust_form, to_pseudodist,
+                   mat_scale, mat_sub, max_norm, random_robp, serialize_robp, signed_walk_sum)
+from .pdist import (PseudoDist, RobustPrpd, matrix_form, robust_form, to_pseudodist,
                     uniform_prpd)
 from .sampler import (Certificate, Sampler, TvProfile, certify, enumeration_sampler,
                       expander_walk_sampler, require_certified, tv_profile)

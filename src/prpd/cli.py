@@ -285,8 +285,12 @@ def main(argv=None) -> int:
         return 2
     text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     print(*lines, f"runtime={time.time() - start:.3f}s", sep="\n")

@@ -21,15 +21,7 @@ class InputError(PrpdError, ValueError):
 
 
 class ParseError(PrpdError, ValueError):
-    """Malformed text input; records where parsing stopped."""
-
-    def __init__(self, message: str, line: int | None = None, field: int | None = None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", field {field}" if field is not None else "") + ")"
-        super().__init__(message + loc)
-        self.line = line
-        self.field = field
+    """A ledger of the wrong shape."""
 
 
 class CapacityError(PrpdError):

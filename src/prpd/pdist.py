@@ -119,15 +119,6 @@ def to_pseudodist(prpd: RobustPrpd) -> PseudoDist:
         for s, sign in bundle))
 
 
-def dump_prpd(prpd: RobustPrpd) -> str:
-    """Canonical full-table serialization, used to compare builds bit for bit."""
-    lines = [f"prpd out_len={prpd.out_len} s_out={prpd.s_out} s_in={prpd.s_in} mu={prpd.mu}"]
-    for x, y, bundle in seed_bundles(prpd, "robust generator dump"):
-        lines += [f"{x or '-'} {y or '-'} {i} {s} {'+' if sign > 0 else '-'}"
-                  for i, (s, sign) in enumerate(bundle)]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # matrix forms on a fixed program segment: dicts from a seed to a w x w matrix
 

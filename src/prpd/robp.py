@@ -14,8 +14,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional
 
-from .bits import bits_to_int
-from .errors import ContractError, InputError, ParseError, check_capacity, check_renders
+from .errors import ContractError, InputError, check_capacity, check_renders
 
 Mat = tuple  # w-tuple of w-tuples of numbers
 
@@ -112,42 +111,12 @@ class Robp:
                         raise InputError(f"step {t + 1} label {v}: successor {s} out of range [0, {self.w})")
 
 
-def _label_int(robp: Robp, label) -> int:
-    if isinstance(label, str):
-        if len(label) != robp.d_step:
-            raise InputError(f"label {label!r} is not {robp.d_step} bits")
-        return bits_to_int(label)
-    v = int(label)
-    if not (0 <= v < 1 << robp.d_step):
-        raise InputError(f"label {v} out of range for d_step={robp.d_step}")
-    return v
-
-
-def step_matrix(robp: Robp, t: int, label) -> Mat:
-    """0/1 row-stochastic matrix of step t (1-based) under the given label."""
-    if not (1 <= t <= robp.n):
-        raise InputError(f"step index {t} out of range [1, {robp.n}]")
-    row = robp.transitions[t - 1][_label_int(robp, label)]
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if row[i] == j else zero for j in range(robp.w)) for i in range(robp.w))
-
-
 def check_segment(robp: Robp, a: int, b: int, bits: Optional[int] = None) -> None:
     """InputError unless 0 <= a <= b <= n and, if given, `bits` is what steps a..b consume."""
     if not (0 <= a <= b <= robp.n):
         raise InputError(f"segment [{a}, {b}] out of range [0, {robp.n}]")
     if bits is not None and bits != (b - a) * robp.d_step:
         raise InputError(f"{bits} bits given, segment [{a}, {b}] consumes {(b - a) * robp.d_step}")
-
-
-def walk_matrix(robp: Robp, a: int, b: int, r: str) -> Mat:
-    """Product of step matrices along label string r (one 1 per row)."""
-    check_segment(robp, a, b, len(r))
-    result = identity(robp.w)
-    for t in range(a + 1, b + 1):
-        chunk = r[(t - a - 1) * robp.d_step:(t - a) * robp.d_step]
-        result = mat_mul(result, step_matrix(robp, t, chunk))
-    return result
 
 
 def _chunk_walk(robp: Robp, t: int, chunk: str) -> tuple:
@@ -161,7 +130,7 @@ def _chunk_walk(robp: Robp, t: int, chunk: str) -> tuple:
 
 
 def signed_walk_sum(robp: Robp, a: int, b: int, weighted: Iterable) -> Mat:
-    """Unscaled sum of c * walk_matrix(robp, a, b, r) over (r, c) pairs.
+    """Unscaled sum of c * W(r) over (r, c) pairs, W(r) the 0/1 walk matrix of r on [a, b].
 
     r is read in chunks of whole steps, at most CHUNK_BITS bits each unless
     one step is wider. A chunk's successor tuple is looked up in this call's
@@ -236,46 +205,3 @@ def serialize_robp(robp: Robp) -> str:
         for v in range(1 << robp.d_step):
             lines.append(" ".join(str(s) for s in robp.transitions[t][v]))
     return "\n".join(lines) + "\n"
-
-
-def parse_robp(text: str) -> Robp:
-    rows = []
-    header = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "robp":
-                raise ParseError("header must be 'robp n w d_step'", line=lineno)
-            try:
-                n, w, d_step = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("header fields must be integers", line=lineno) from None
-            if n < 1 or w < 1 or d_step < 1:
-                raise ParseError("header fields must be positive", line=lineno)
-            header = (n, w, d_step)
-            continue
-        fields = line.split()
-        n, w, d_step = header
-        if len(fields) != w:
-            raise ParseError(f"expected {w} successors, got {len(fields)}", line=lineno)
-        row = []
-        for fieldno, f in enumerate(fields, start=1):
-            try:
-                s = int(f)
-            except ValueError:
-                raise ParseError(f"successor {f!r} is not an integer", line=lineno, field=fieldno) from None
-            if not (0 <= s < w):
-                raise ParseError(f"successor {s} out of range [0, {w})", line=lineno, field=fieldno)
-            row.append(s)
-        rows.append(tuple(row))
-    if header is None:
-        raise ParseError("missing header line", line=1)
-    n, w, d_step = header
-    labels = 1 << d_step
-    if len(rows) != n * labels:
-        raise ParseError(f"expected {n * labels} successor rows, got {len(rows)}")
-    steps = tuple(tuple(rows[t * labels + v] for v in range(labels)) for t in range(n))
-    return Robp(n=n, w=w, d_step=d_step, transitions=steps)

@@ -1,6 +1,9 @@
 """Paper lemmas and oracles that only the tests call.
 
-The zero matrix, the pseudodistribution algebra (realization turns scale /
+The zero matrix, the brute-force walk oracle (step_matrix and walk_matrix:
+the Fraction product of 0/1 step matrices that every walk kernel is tested
+against), the generator-table dump that compares builds byte for byte
+(dump_prpd), the pseudodistribution algebra (realization turns scale /
 union / concat into matrix scale / sum / product exactly), the Fraction view
 of a generator's int form, the mean of a form, the norm statistics of a
 matrix form, a sampler's average over a per-seed table and the three
@@ -19,16 +22,61 @@ from functools import reduce
 from typing import Dict, Iterable, Optional, Tuple
 
 from prpd import (Certificate, InputError, Mat, PseudoDist, Robp, RobustPrpd, Sampler,
-                  TvProfile, exact_average, inf_norm, mat_add, mat_mul, mat_scale, mat_sub,
-                  signed_walk_sum)
-from prpd.bits import all_bits
+                  TvProfile, exact_average, identity, inf_norm, mat_add, mat_mul, mat_scale,
+                  mat_sub, signed_walk_sum)
+from prpd.bits import all_bits, bits_to_int
 from prpd.errors import check_capacity
+from prpd.pdist import seed_bundles
 from prpd.recursion import merge_tree_form
+from prpd.robp import check_segment
 
 
 def zeros(w: int) -> Mat:
     zero = Fraction(0)
     return tuple(tuple(zero for _ in range(w)) for _ in range(w))
+
+
+# ---------------------------------------------------------------------------
+# the brute-force walk oracle and the generator-table dump
+
+
+def _label_int(robp: Robp, label) -> int:
+    if isinstance(label, str):
+        if len(label) != robp.d_step:
+            raise InputError(f"label {label!r} is not {robp.d_step} bits")
+        return bits_to_int(label)
+    v = int(label)
+    if not (0 <= v < 1 << robp.d_step):
+        raise InputError(f"label {v} out of range for d_step={robp.d_step}")
+    return v
+
+
+def step_matrix(robp: Robp, t: int, label) -> Mat:
+    """0/1 row-stochastic matrix of step t (1-based) under the given label."""
+    if not (1 <= t <= robp.n):
+        raise InputError(f"step index {t} out of range [1, {robp.n}]")
+    row = robp.transitions[t - 1][_label_int(robp, label)]
+    one, zero = Fraction(1), Fraction(0)
+    return tuple(tuple(one if row[i] == j else zero for j in range(robp.w)) for i in range(robp.w))
+
+
+def walk_matrix(robp: Robp, a: int, b: int, r: str) -> Mat:
+    """Product of step matrices along label string r (one 1 per row)."""
+    check_segment(robp, a, b, len(r))
+    result = identity(robp.w)
+    for t in range(a + 1, b + 1):
+        chunk = r[(t - a - 1) * robp.d_step:(t - a) * robp.d_step]
+        result = mat_mul(result, step_matrix(robp, t, chunk))
+    return result
+
+
+def dump_prpd(prpd: RobustPrpd) -> str:
+    """Canonical full-table serialization, used to compare builds bit for bit."""
+    lines = [f"prpd out_len={prpd.out_len} s_out={prpd.s_out} s_in={prpd.s_in} mu={prpd.mu}"]
+    for x, y, bundle in seed_bundles(prpd, "robust generator dump"):
+        lines += [f"{x or '-'} {y or '-'} {i} {s} {'+' if sign > 0 else '-'}"
+                  for i, (s, sign) in enumerate(bundle)]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

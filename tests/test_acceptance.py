@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from prpd import (ConstructionError, SzSchedule, build_ck, certify,
-                  dump_prpd, enumeration_sampler, expander_walk_sampler,
+                  enumeration_sampler, expander_walk_sampler,
                   grid_bits, inf_norm, ledger_check, mat_add, mat_mul, mat_scale,
                   mat_sub, matrix_form, max_norm, measure_robust_error, random_robp,
                   recursive_prpd, snap_collision_bound,
@@ -23,8 +23,8 @@ from prpd.bits import all_bits, int_to_bits
 from helpers import (corrupted_uniform_prpd, perturbed, rand_flat_map, rand_pdist,
                      rand_matrix, rand_stochastic, rand_substochastic,
                      rand_table_sampler, weighted_exact_prpd)
-from lemmas import (average, bad_fraction, concat, form_stats, realize, sampled_average, scale,
-                    snap_error_bound, sz_failure_bound, union)
+from lemmas import (average, bad_fraction, concat, dump_prpd, form_stats, realize,
+                    sampled_average, scale, snap_error_bound, sz_failure_bound, union)
 
 
 def _report(num, text):

@@ -5,15 +5,14 @@ from math import comb
 
 import pytest
 
-from prpd import (ConstructionError, ContractError, build_ck, certify, dump_prpd,
-                  exact_average, expander_walk_sampler, inf_norm, mat_mul, mat_scale,
+from prpd import (ConstructionError, ContractError, build_ck, certify, exact_average, expander_walk_sampler, inf_norm, mat_mul, mat_scale,
                   mat_sub, matrix_form, measure_robust_error, merge_terms, random_robp,
                   signed_walk_sum, uniform_prpd)
 from prpd.bits import all_bits
 from prpd.recursion import MergeNode
 
 from helpers import corrupted_uniform_prpd, weighted_exact_prpd
-from lemmas import average, zeros
+from lemmas import average, dump_prpd, zeros
 
 GAMMA = Fraction(1, 256)
 

@@ -245,6 +245,16 @@ def test_records_go_to_stdout_without_out(tmp_path, capsys):
     assert stdout[-1].startswith("runtime=") and lines_with_out[-1].startswith("runtime=")
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # exit 1 would claim a bound failed; the file is opened only after the command ran
+    out = tmp_path / "missing" / "out.jsonl"
+    assert main(["verify-error", "--n", "8", "--w", "2", "--k", "1", "--robps", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
+    assert not out.parent.exists()
+
+
 def _nodes(data, kind=None):
     return [nd for nd in data["nodes"] if kind in (None, nd["kind"])]
 

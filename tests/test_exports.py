@@ -1,4 +1,4 @@
-"""The package exports what its commands, scripts and benchmark call, and little else."""
+"""The package exports what its commands, scripts and benchmark call, and nothing else."""
 
 import argparse
 import ast
@@ -13,14 +13,6 @@ from prpd.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "prpd"
-
-# exported with no caller outside the tests, each for a reason
-ALLOWED = {
-    "walk_matrix": "the brute-force oracle every walk kernel is tested against",
-    "dump_prpd": "the text format that compares generator tables byte for byte",
-    "parse_robp": "reads the text format serialize_robp writes; its caller would be a new flag",
-}
-
 
 def exported_names():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
@@ -54,10 +46,8 @@ def referenced_names():
 
 def test_exports_have_non_test_callers():
     exported, referenced = exported_names(), referenced_names()
-    unused = [name for name in exported if name not in referenced and name not in ALLOWED]
+    unused = [name for name in exported if name not in referenced]
     assert unused == [], "exported, but called only by tests: move them to tests/lemmas.py"
-    for name in ALLOWED:
-        assert name in exported and name not in referenced, f"{name} needs no allowance"
     assert len(exported) == len(set(exported))
 
 
@@ -76,8 +66,7 @@ def test_definitions_have_non_test_callers():
     referenced = referenced_names()
     unused = sorted(node.name for node in package_definitions()
                     if not node.name.startswith("__")
-                    and referenced[node.name] == names_in(node)[node.name]
-                    and node.name not in ALLOWED)
+                    and referenced[node.name] == names_in(node)[node.name])
     assert unused == [], "defined, but called only by tests: move them to tests/lemmas.py"
 
 

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from prpd import (ContractError, InputError, RobustPrpd, dump_prpd, exact_average,
-                  identity, inf_norm, mat_add, mat_scale, matrix_form, random_robp,
-                  robust_form, to_pseudodist, uniform_prpd, walk_matrix)
+from prpd import (ContractError, InputError, RobustPrpd, exact_average, identity, inf_norm,
+                  mat_add, mat_scale, matrix_form, random_robp, robust_form, to_pseudodist,
+                  uniform_prpd)
 from prpd.bits import all_bits
 
 from helpers import rand_prpd
-from lemmas import average, form_stats, realize, zeros
+from lemmas import average, dump_prpd, form_stats, realize, walk_matrix, zeros
 
 
 def test_uniform_prpd_matrix_form_is_walk():

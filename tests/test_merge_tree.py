@@ -20,14 +20,14 @@ from hypothesis import strategies as st
 from prpd import (CapacityError, ContractError, InputError, RecursionParams, RobustPrpd, Sampler,
                   build_ck, enumeration_sampler, inf_norm, mat_add, mat_scale, mat_sub,
                   matrix_form, measure_robust_error, random_robp, recursive_prpd, robust_form,
-                  uniform_prpd, walk_matrix)
+                  uniform_prpd)
 from prpd.bits import all_bits
 from prpd.pdist import dyadic_form
 from prpd.recursion import _MergeTree, behind, merge_tree_form
 
 from helpers import (assumed_sampler, corrupted_uniform_prpd, rand_bits, rand_child,
                      rand_depth1_tree, rand_depth2_tree, rand_merge, rand_table_sampler)
-from lemmas import fraction_form, measure_average_error, sampled_average
+from lemmas import fraction_form, measure_average_error, sampled_average, walk_matrix
 from test_recursion import PINNED_DUMPS
 
 

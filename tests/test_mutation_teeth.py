@@ -20,12 +20,13 @@ import pytest
 
 from prpd import (ContractError, RecursionParams, Sampler, build_ck, exact_average, inf_norm,
                   ledger_check, mat_sub, measure_robust_error, random_robp, recursive_prpd,
-                  uniform_prpd, walk_matrix)
+                  uniform_prpd)
 from prpd.cli import main
 from prpd.recursion import behind, merge_tree_form
 from prpd.sampler import pass_seed
 
 from helpers import assumed_sampler
+from lemmas import walk_matrix
 
 
 @pytest.mark.parametrize("n,w,k", [(8, 2, 1), (8, 3, 2)])

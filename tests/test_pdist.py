@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prpd import InputError, exact_average, mat_add, mat_mul, mat_scale, random_robp, walk_matrix
+from prpd import InputError, exact_average, mat_add, mat_mul, mat_scale, random_robp
 
 from helpers import rand_pdist
 from lemmas import (concat, dump_pdist, identity_robp, pdist, realize, scale, uniform_pdist,
-                    union, zeros as mat_zeros)
+                    union, walk_matrix, zeros as mat_zeros)
 
 ZERO2 = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
 

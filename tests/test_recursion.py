@@ -10,14 +10,14 @@ from math import comb
 
 import pytest
 
-from prpd import (InputError, MODE_EXACT, ParseError, RecursionParams, Robp, dump_prpd,
+from prpd import (InputError, MODE_EXACT, ParseError, RecursionParams, Robp,
                   exact_average, inf_norm, ledger_check, ledger_from_dict, ledger_to_dict,
                   mat_sub, measure_robust_error, random_robp, recursive_prpd, robust_form)
 from prpd.recursion import (C_MAX, K_MAX, cascade_bound, derive_k, is_terminal, ledger_plan,
                             next_power_of_two)
 
 from helpers import deadline
-from lemmas import identity_robp, measure_average_error
+from lemmas import dump_prpd, identity_robp, measure_average_error
 
 
 def test_terminal_h0_is_uniform_bit():

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prpd import (CapacityError, InputError, ParseError, Robp, exact_average, identity, inf_norm, mat_add,
-                  mat_mul, mat_pow, mat_scale, max_norm, parse_robp, random_robp, serialize_robp,
-                  signed_walk_sum, step_matrix, walk_matrix)
+from prpd import (CapacityError, InputError, Robp, exact_average, identity, inf_norm, mat_add,
+                  mat_mul, mat_pow, mat_scale, max_norm, random_robp, serialize_robp,
+                  signed_walk_sum)
 from prpd.bits import all_bits
 from prpd.robp import walk_counts
 
 from helpers import deadline, rand_matrix
-from lemmas import identity_robp, swap_on_one_robp
+from lemmas import identity_robp, step_matrix, swap_on_one_robp, walk_matrix
 
 HALF = Fraction(1, 2)
 
@@ -236,9 +236,11 @@ def test_chunk_tables_are_lazy():
     assert total == walk_matrix(program, 0, 2, r)
 
 
-def test_serialize_parse_roundtrip():
-    program = random_robp(4, 3, d_step=2, seed=17)
-    assert parse_robp(serialize_robp(program)) == program
+def test_serialize_robp_text():
+    # the header, then one successor row per (step, label), step-major
+    assert serialize_robp(swap_on_one_robp(2)) == "robp 2 2 1\n0 1\n1 0\n0 1\n1 0\n"
+    program = Robp(n=1, w=3, d_step=2, transitions=(((0, 1, 2), (2, 2, 0), (1, 0, 1), (0, 0, 0)),))
+    assert serialize_robp(program) == "robp 1 3 2\n0 1 2\n2 2 0\n1 0 1\n0 0 0\n"
 
 
 def test_random_robp_deterministic():
@@ -253,28 +255,3 @@ def test_random_robp_counts_its_entries(monkeypatch):
         random_robp(5, 3, d_step=2)
     monkeypatch.setenv("PRPD_ENUM_LIMIT", "60")
     assert random_robp(5, 3, d_step=2).n == 5
-
-
-def test_parse_rejects_bad_successor():
-    text = "robp 1 2 1\n0 1\n0 2\n"
-    with pytest.raises(ParseError) as err:
-        parse_robp(text)
-    assert err.value.line == 3
-    assert "out of range" in str(err.value)
-
-
-def test_parse_rejects_malformed():
-    with pytest.raises(ParseError):
-        parse_robp("robp 1 2\n0 1\n0 1\n")  # short header
-    with pytest.raises(ParseError):
-        parse_robp("robp 1 2 1\n0 1\n")  # missing row
-    with pytest.raises(ParseError):
-        parse_robp("robp 1 2 1\n0 x\n0 1\n")  # non-integer field
-    with pytest.raises(ParseError):
-        parse_robp("# only comments\n")
-
-
-def test_parse_skips_comments():
-    program = random_robp(2, 2, seed=8)
-    text = "# generated\n" + serialize_robp(program) + "# trailing\n"
-    assert parse_robp(text) == program
