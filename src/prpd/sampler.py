@@ -11,11 +11,13 @@ a covering certificate.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from itertools import repeat
+from typing import Callable, Optional, Tuple
 
-from .bits import all_bits, bits_to_int, int_to_bits
+from .bits import all_bits
 from .errors import ContractError, InputError, check_capacity
 
 METHOD_BRUTE = "brute-force"
@@ -70,42 +72,71 @@ def enumeration_sampler(m: int, n: int = 0) -> Sampler:
     return Sampler(n=n, d=m, m=m, sample=pass_seed, cert=cert)
 
 
+# The walk's step for each 2-bit seed symbol, as v -> a*v + b mod 2^m.
+_WALK_STEPS = ((1, 1), (1, -1), (5, 3), (3, 1))
+
+
+def _composed_steps(bits: int, mask: int) -> Tuple[Tuple[int, int], ...]:
+    """For every value of a bits-long seed chunk, the walk it drives as one map (a, b).
+
+    The chunk's 2-bit steps are composed left to right, then an odd last bit
+    steps +1 or -1; a and b are reduced by mask = 2^m - 1. Affine maps mod 2^m
+    compose exactly: v -> a2*(a1*v + b1) + b2 is v -> (a1*a2)*v + (a2*b1 + b2).
+    """
+    table = []
+    for value in range(1 << bits):
+        a, b = 1, 0
+        for shift in range(bits - 2, (bits & 1) - 1, -2):
+            a2, b2 = _WALK_STEPS[(value >> shift) & 3]
+            a, b = (a * a2) & mask, (a2 * b + b2) & mask
+        if bits & 1:
+            b = (b + (1 if value & 1 else -1)) & mask
+        table.append((a, b))
+    return tuple(table)
+
+
 def expander_walk_sampler(n: int, d: int, m: int, seed: int = 0) -> Sampler:
     """Heuristic walk over Z_{2^m}; returned uncertified, certify before use.
 
-    The outer input folds to a start vertex, the seed drives affine steps.
-    The degenerate d = m case passes the seed straight through.
+    The outer input, cut into m-bit chunks from the left, XOR-folds onto a
+    salt to give the start vertex. Each 2-bit seed symbol is an affine step
+    (_WALK_STEPS) and an odd last seed bit steps +1 or -1. The walk runs on
+    ints: each whole seed byte is one map from a 256-entry table of composed
+    steps, and the leftover bits one map from a table per leftover length.
+    The tables depend on m only and are never changed. The degenerate d = m
+    case passes the seed straight through.
     """
     if n < 0 or d < 0 or m < 1:
         raise InputError("expander_walk_sampler needs n, d >= 0 and m >= 1")
-    size = 1 << m
-    salt = (seed * 0x9E3779B1 + 0x85EBCA77) % size
+    mask = (1 << m) - 1
+    salt = (seed * 0x9E3779B1 + 0x85EBCA77) & mask
 
     if d == m:
         return Sampler(n=n, d=d, m=m, sample=pass_seed, cert=None)
 
-    def fold(x: str) -> int:
-        v = salt
-        for pos in range(0, len(x), m):
-            v ^= bits_to_int(x[pos:pos + m])
-        return v % size
+    byte_steps = _composed_steps(8, mask)
+    tail_steps = tuple(_composed_steps(bits, mask) for bits in range(8))
+    width = f"0{m}b"
 
     def sample(x: str, s: str) -> str:
-        v = fold(x)
-        for pos in range(0, len(s) - 1, 2):
-            c = bits_to_int(s[pos:pos + 2])
-            if c == 0:
-                v = v + 1
-            elif c == 1:
-                v = v - 1
-            elif c == 2:
-                v = 5 * v + 3
-            else:
-                v = 3 * v + 1
-            v %= size
-        if len(s) % 2:
-            v = (v + (1 if s[-1] == "1" else size - 1)) % size
-        return int_to_bits(v, m)
+        v = salt
+        if x:
+            # x's last chunk is its low len(x) % m bits; the rest are whole chunks
+            r, part = int(x, 2), len(x) % m
+            v ^= r & ((1 << part) - 1)
+            r >>= part
+            while r:
+                v ^= r & mask
+                r >>= m
+        if s:
+            r, tail = int(s, 2), len(s) & 7
+            for byte in (r >> tail).to_bytes(len(s) >> 3, "big"):
+                a, b = byte_steps[byte]
+                v = (a * v + b) & mask
+            if tail:
+                a, b = tail_steps[tail][r & ((1 << tail) - 1)]
+                v = (a * v + b) & mask
+        return format(v, width)
 
     return Sampler(n=n, d=d, m=m, sample=sample, cert=None)
 
@@ -114,18 +145,20 @@ def tv_profile(g: Sampler) -> TvProfile:
     """Exact TV(p_x, uniform) for every x, by full enumeration.
 
     Over 2^(d+m), an output hit c times is |c*2^m - 2^d| from uniform and a
-    missed one 2^d, so each TV is one Fraction of an int sum.
+    missed one 2^d, so each TV is one Fraction of an int sum. Each x is
+    counted in one pass over the seeds; the Counter keeps outputs in
+    first-seen order, so a wrong-length output is reported as the first one
+    met in (x, s) order.
     """
     check_capacity((1 << g.n) * (1 << g.d), "sampler TV profile")
     unif, den = 1 << g.d, 1 << (g.d + g.m + 1)
+    seeds = tuple(all_bits(g.d))
     per_x = []
     for x in all_bits(g.n):
-        counts: Dict[str, int] = {}
-        for s in all_bits(g.d):
-            out = g.sample(x, s)
+        counts = Counter(map(g.sample, repeat(x), seeds))
+        for out in counts:
             if len(out) != g.m:
                 raise ContractError(f"sampler output {out!r} is not {g.m} bits")
-            counts[out] = counts.get(out, 0) + 1
         hit_mass = sum(abs((c << g.m) - unif) for c in counts.values())
         miss_mass = ((1 << g.m) - len(counts)) * unif
         per_x.append(Fraction(hit_mass + miss_mass, den))

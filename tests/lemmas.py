@@ -8,7 +8,8 @@ union / concat into matrix scale / sum / product exactly), the Fraction view
 of a generator's int form, the mean of a form, the norm statistics of a
 matrix form, a sampler's average over a per-seed table and the three
 sampler-product rules with their worst-case bounds, the fraction of a
-sampler's bad outer inputs, the plain average error of a generator, the snap
+sampler's bad outer inputs, the expander walk on strings that the int walk
+is tested against, the plain average error of a generator, the snap
 and Saks-Zhou failure bounds, and two example programs. The package keeps
 what its commands, scripts and benchmark call; these stay next to the
 assertions that check them.
@@ -19,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from prpd import (Certificate, InputError, Mat, PseudoDist, Robp, RobustPrpd, Sampler,
                   TvProfile, exact_average, identity, inf_norm, mat_add, mat_mul, mat_scale,
                   mat_sub, signed_walk_sum)
-from prpd.bits import all_bits, bits_to_int
+from prpd.bits import all_bits, bits_to_int, int_to_bits
 from prpd.errors import check_capacity
 from prpd.pdist import seed_bundles
 from prpd.recursion import merge_tree_form
@@ -235,6 +236,42 @@ def right_product_error(map_a: Dict[str, Mat], map_b: Dict[str, Mat], f: Sampler
 def bad_fraction(profile: TvProfile, eps) -> Fraction:
     """The fraction of outer inputs whose TV distance exceeds eps."""
     return Fraction(profile.bad_count(eps), len(profile.per_x))
+
+
+def reference_walk(m: int, seed: int = 0) -> Callable[[str, str], str]:
+    """expander_walk_sampler(n, d, m, seed).sample for d != m, on strings, one step at a time.
+
+    The outer input is sliced into m-bit strings and the seed into 2-bit
+    symbols, each parsed on its own: the walk as it ran before the package
+    read seeds through tables of composed affine maps.
+    """
+    size = 1 << m
+    salt = (seed * 0x9E3779B1 + 0x85EBCA77) % size
+
+    def fold(x: str) -> int:
+        v = salt
+        for pos in range(0, len(x), m):
+            v ^= bits_to_int(x[pos:pos + m])
+        return v % size
+
+    def sample(x: str, s: str) -> str:
+        v = fold(x)
+        for pos in range(0, len(s) - 1, 2):
+            c = bits_to_int(s[pos:pos + 2])
+            if c == 0:
+                v = v + 1
+            elif c == 1:
+                v = v - 1
+            elif c == 2:
+                v = 5 * v + 3
+            else:
+                v = 3 * v + 1
+            v %= size
+        if len(s) % 2:
+            v = (v + (1 if s[-1] == "1" else size - 1)) % size
+        return int_to_bits(v, m)
+
+    return sample
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,27 @@ def test_verify_error_out_pinned(tmp_path, n, w, k, robps):
     assert digest == VERIFY_OUT_SHA256[(n, w, k, robps)]
 
 
+# sha256 of the certify-sampler --kind expander-walk --out file, keyed by
+# (n, d, m, seed, eps, delta): a split verdict, a certified walk and a refused one
+CERTIFY_OUT_SHA256 = {
+    ("6", "8", "6", "0", "33/64", "1/2"):
+        "b7e36cccc629fde0264c883e9000122b8d882a8b41cea2054cd68f648f0dddce",
+    ("7", "11", "5", "3", "1/2", "0"):
+        "93f2d44821211f7261c1a4d36a9ff9c9780ab070e74c858ced77725dbaf5cf95",
+    ("4", "3", "9", "1", "1/4", "1/2"):
+        "9255bb601e4d37e3ee95de2f41178a1f499636d610419df47351e43e28566d72",
+}
+
+
+@pytest.mark.parametrize("n,d,m,seed,eps,delta", CERTIFY_OUT_SHA256)
+def test_certify_sampler_out_pinned(tmp_path, n, d, m, seed, eps, delta):
+    out = tmp_path / "certify.jsonl"
+    assert main(["certify-sampler", "--kind", "expander-walk", "--n", n, "--d", d, "--m", m,
+                 "--seed", seed, "--eps", eps, "--delta", delta, "--out", str(out)]) in (0, 1)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == CERTIFY_OUT_SHA256[(n, d, m, seed, eps, delta)]
+
+
 def test_ledger_check_rejects_cert_delta_just_over_requirement(tmp_path):
     # the required delta at node (3, 2) is about 2.2e-10, far below any float
     # tolerance, so only an exact comparison sees a doubled certificate

@@ -1,15 +1,17 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
-from prpd import (Certificate, InputError, Sampler, certify, enumeration_sampler,
+from prpd import (Certificate, ContractError, InputError, Sampler, certify, enumeration_sampler,
                   expander_walk_sampler, inf_norm, mat_sub, tv_profile)
 from prpd.bits import all_bits
 
-from helpers import rand_flat_map, rand_table_sampler
-from lemmas import average, bad_fraction, form_stats, sampled_average
+from helpers import rand_bits, rand_flat_map, rand_table_sampler
+from lemmas import average, bad_fraction, form_stats, reference_walk, sampled_average
 
 
 def sampled_mean(g, f, x):
@@ -85,6 +87,78 @@ def test_expander_walk_certifies_at_measured_profile():
     profile = tv_profile(g)
     ok, _ = certify(g, profile.max_tv, 0)
     assert ok
+
+
+# every leftover length d % 8, odd and even, after zero to two whole seed bytes
+WALK_GRID = [(d, m) for d in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17) for m in (1, 2, 5, 6, 9)
+             if d != m]
+
+
+@pytest.mark.parametrize("d,m", WALK_GRID)
+def test_expander_walk_matches_string_walk(d, m):
+    # n % m leaves a partial fold chunk at n = m + 1 and 2m + 3; past 2^12 (x, s)
+    # pairs, a seeded sample of them (every pair up to 2^16 took over a minute on
+    # two cores, doubling the suite)
+    for n in sorted({0, 1, m, m + 1, 2 * m + 3}):
+        for seed in (0, 7, -3):
+            g, reference = expander_walk_sampler(n, d, m, seed=seed), reference_walk(m, seed)
+            if n + d <= 12:
+                seeds = list(all_bits(d))
+                for x in all_bits(n):
+                    assert (list(map(g.sample, repeat(x), seeds))
+                            == list(map(reference, repeat(x), seeds))), (n, seed, x)
+                oracle = Sampler(n=n, d=d, m=m, sample=reference)
+                assert tv_profile(g).per_x == tv_profile(oracle).per_x
+            else:
+                rng = random.Random(f"{n} {d} {m} {seed}")
+                for _ in range(512):
+                    x, s = rand_bits(rng, n), rand_bits(rng, d)
+                    assert g.sample(x, s) == reference(x, s), (n, seed, x, s)
+
+
+# sha256 of per_x, one line per seed, for expander_walk_sampler(6, 8, 6, seed) with
+# seeds 0-7 (the certify benchmark's pool), as the string walk gives them
+BENCH_PER_X_SHA256 = "e0fdf1fed37feacde6491fe5c5434ff882395f1089922ecf82d0c3cfd3caaa96"
+
+
+def per_x_digest(profiles):
+    lines = "".join(",".join(map(str, profile.per_x)) + "\n" for profile in profiles)
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def test_expander_walk_bench_profiles_pinned():
+    profiles = [tv_profile(expander_walk_sampler(6, 8, 6, seed=seed)) for seed in range(8)]
+    assert per_x_digest(profiles) == BENCH_PER_X_SHA256
+
+
+def wrong_width_at(n, d, m, bad_x, bad_s):
+    """The seed itself as output (d = m), but one bit short at (bad_x, bad_s) only."""
+    def sample(x, s):
+        return s[1:] if (x, s) == (bad_x, bad_s) else s
+    return Sampler(n=n, d=d, m=m, sample=sample)
+
+
+@pytest.mark.parametrize("bad_x,bad_s", [("101", "1101"), ("111", "0110"), ("111", "1111")])
+def test_tv_profile_names_first_wrong_width_output(bad_x, bad_s):
+    # late in (x, s) order, and at the last x only; the output is named exactly
+    g = wrong_width_at(3, 4, 4, bad_x, bad_s)
+    with pytest.raises(ContractError, match=rf"^sampler output {bad_s[1:]!r} is not 4 bits$"):
+        tv_profile(g)
+
+
+def test_tv_profile_names_the_earliest_of_several_wrong_outputs():
+    # at x = 110 two short outputs, '11' met before '10'; at x = 111 every output is short
+    def sample(x, s):
+        short = x == "111" or (x == "110" and s in ("011", "101"))
+        return s[::-1][:2] if short else s
+    with pytest.raises(ContractError, match=r"^sampler output '11' is not 3 bits$"):
+        tv_profile(Sampler(n=3, d=3, m=3, sample=sample))
+
+
+def test_tv_profile_right_width_outputs_profile_as_before():
+    # the same sampler with no wrong output is exact, as enumeration is
+    g = wrong_width_at(3, 4, 4, None, None)
+    assert tv_profile(g).per_x == (Fraction(0),) * 8
 
 
 def test_expander_walk_degenerate_is_enumeration():
