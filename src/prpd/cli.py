@@ -197,7 +197,7 @@ def _load_ledger(path: str):
 
 
 def cmd_ledger_check(args, emit):
-    report = ledger_check(ledger_from_dict(_load_ledger(args.ledger)), c=args.c)
+    report = ledger_check(ledger_from_dict(_load_ledger(args.ledger)))
 
     def exact(v):
         return frac_str(v) if type(v) is Fraction else v
@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ledger-check", help="re-verify an exported ledger")
     p.add_argument("--ledger", required=True)
-    p.add_argument("--c", type=_positive, default=None)
     p.set_defaults(func=cmd_ledger_check)
     for p in sub.choices.values():
         p.add_argument("--out", help="write JSON-line records to this path, not to stdout")

@@ -20,10 +20,6 @@ class InputError(PrpdError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class ParseError(PrpdError, ValueError):
-    """A ledger of the wrong shape."""
-
-
 class CapacityError(PrpdError):
     """An enumeration would exceed the configured budget.
 

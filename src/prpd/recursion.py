@@ -22,8 +22,8 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
                     get_args, get_origin, get_type_hints)
 
 from .bits import all_bits, suffix
-from .errors import (ConstructionError, ContractError, InputError, ParseError,
-                     check_capacity, check_renders)
+from .errors import (ConstructionError, ContractError, InputError, check_capacity,
+                     check_renders)
 from .pdist import RobustPrpd, dyadic_form, uniform_bundle, uniform_prpd
 from .robp import (Mat, Robp, check_segment, inf_norm, mat_add, mat_mul, mat_scale, mat_sub,
                    walk_counts)
@@ -82,16 +82,17 @@ def ck_requirements(m_bits: int, w: int, k: int, gamma) -> Tuple[Tuple[Fraction,
     """Per-index sampler accuracy eps_i, shared failure delta, binding index.
 
     delta takes the most conservative reading: the minimum over sampled
-    indices i <= ceil(k/2), i.e. the largest binomial; the index attaining
-    it is returned.
+    indices i <= ceil(k/2), i.e. the largest binom(2m-1, i); the index
+    attaining it is returned. That index is the split cap = ceil(k/2) itself:
+    binom(2m-1, i) strictly increases for i <= m-1, and eps_cap divides by
+    binom(m-1, cap), which is 0 past cap = m-1.
     """
     num, den = Fraction(gamma).as_integer_ratio()
     cap = (k + 1) // 2
     eps = tuple(Fraction(num ** (i + 1), den ** (i + 1) * w * comb(m_bits - 1, i))
                 for i in range(cap + 1))
-    binding = max(range(cap + 1), key=lambda i: comb(2 * m_bits - 1, i))
-    delta = Fraction(num ** (k + 1), den ** (k + 1) * w * w * comb(2 * m_bits - 1, binding))
-    return eps, delta, binding
+    delta = Fraction(num ** (k + 1), den ** (k + 1) * w * w * comb(2 * m_bits - 1, cap))
+    return eps, delta, cap
 
 
 @dataclass(frozen=True)
@@ -506,23 +507,20 @@ class LedgerReport:
 _TOL = 1e-9
 
 
-def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
+def ledger_check(ledger: SeedLedger) -> LedgerReport:
     """Judge a ledger against ledger_plan of its own (n_padded, k, w, gamma).
 
     The plan fixes the nodes, kinds, caps, error bounds, merge gammas and
     sampler requirements; recorded copies must equal it. Then: used values
-    against c times the inductive bounds (c the ledger's own unless given),
-    the merge layout (non-overlap, read lengths, child summaries against the
-    child nodes), and the replay of the proof's chains. Every seed length the
-    proof chains is c times a c-free one, so the replay runs at c = 1 and its
-    verdicts depend on the header alone. A header outside check_domain or a c
-    outside [1, 2^64] raises InputError. A check whose sides are both int or
-    Fraction is decided exactly; only a side computed through log2 gets _TOL.
+    against the header's c times the inductive bounds, the merge layout
+    (non-overlap, read lengths, child summaries against the child nodes), and
+    the replay of the proof's chains. Every seed length the proof chains is c
+    times a c-free one, so the replay runs at c = 1 and its verdicts depend on
+    the header alone. A header outside check_domain raises InputError. A check
+    whose sides are both int or Fraction is decided exactly; only a side
+    computed through log2 gets _TOL.
     """
     check_domain(ledger.n, ledger.n_padded, ledger.w, ledger.k, ledger.gamma, ledger.c)
-    cc = c if c is not None else ledger.c
-    if not 1 <= cc <= C_MAX:
-        raise InputError(f"c must lie in [1, 2^64], got {cc}")
     n, w, gamma = ledger.n_padded, ledger.w, ledger.gamma
     plan = ledger_plan(n, ledger.k, w, gamma)
     recorded: Dict[Tuple[int, int], List[LedgerNode]] = {}
@@ -552,8 +550,8 @@ def ledger_check(ledger: SeedLedger, c: Optional[int] = None) -> LedgerReport:
         if node.kind != p.kind:
             continue
         so_bound, si_bound = bounds(h, k)
-        add(h, k, "used s_out <= bound", node.s_out, cc * so_bound)
-        add(h, k, "used s_in <= bound", node.s_in, cc * si_bound)
+        add(h, k, "used s_out <= bound", node.s_out, ledger.c * so_bound)
+        add(h, k, "used s_in <= bound", node.s_in, ledger.c * si_bound)
         add(h, k, "used mu <= max(1, binom(2^h-1,k))", node.mu, p.mu_cap)
         differing = sum(a != b for a, b in zip(
             (p.mu_cap, p.error_bound, p.merge_gamma, p.delta_binding_i),
@@ -763,12 +761,12 @@ def frac_str(q) -> str:
 
 def _parse_frac(s: str) -> Fraction:
     if not isinstance(s, str):
-        raise ParseError(f"fraction {s!r} is not a 'num/den' string")
+        raise InputError(f"fraction {s!r} is not a 'num/den' string")
     num, _, den = s.partition("/")
     try:
         return Fraction(int(num), int(den or "1"))
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad fraction {s!r}") from None
+        raise InputError(f"bad fraction {s!r}") from None
 
 
 def ledger_to_dict(value: SeedLedger) -> dict:
@@ -784,7 +782,7 @@ def ledger_to_dict(value: SeedLedger) -> dict:
 
 
 def _reader(hint) -> Callable:
-    """A function reading a JSON value as a `hint`, or raising ParseError."""
+    """A function reading a JSON value as a `hint`, or raising InputError."""
     args = get_args(hint)
     if hint is Fraction:
         return _parse_frac
@@ -798,7 +796,7 @@ def _reader(hint) -> Callable:
         def read_items(value):
             items = _typed(value, list)
             if fixed and len(items) != len(reads):
-                raise ParseError(f"{value!r} must have {len(reads)} entries")
+                raise InputError(f"{value!r} must have {len(reads)} entries")
             return container([read(item) for read, item in
                               zip(reads if fixed else repeat(reads[0]), items)])
         return read_items
@@ -814,12 +812,12 @@ def _reader(hint) -> Callable:
 
 def _typed(value, kind: type):
     if type(value) is not kind:             # not isinstance: a bool is no int here
-        raise ParseError(f"{value!r} is not a JSON {kind.__name__}")
+        raise InputError(f"{value!r} is not a JSON {kind.__name__}")
     return value
 
 
 def ledger_from_dict(data: dict) -> SeedLedger:
-    """Inverse of ledger_to_dict; raises ParseError on a ledger of the wrong shape.
+    """Inverse of ledger_to_dict; raises InputError on a ledger of the wrong shape.
 
     That is a missing key, a bad fraction, a value of the wrong JSON type (an
     int must be a non-bool int), a header outside its domain, a negative int in
@@ -830,20 +828,17 @@ def ledger_from_dict(data: dict) -> SeedLedger:
     try:
         ledger = _read_ledger(data)
     except KeyError as exc:
-        raise ParseError(f"ledger is missing key {exc}") from None
-    try:
-        check_domain(ledger.n, ledger.n_padded, ledger.w, ledger.k, ledger.gamma, ledger.c)
-    except InputError as exc:
-        raise ParseError(f"ledger header {exc}") from None
+        raise InputError(f"ledger is missing key {exc}") from None
+    check_domain(ledger.n, ledger.n_padded, ledger.w, ledger.k, ledger.gamma, ledger.c)
     for nd in ledger.nodes:
         ints = [nd.h, nd.k, nd.s_out, nd.s_in, nd.mu, nd.mu_cap, nd.delta_binding_i or 0,
                 *nd.len_a, *nd.len_b, *chain.from_iterable(nd.children),
                 *chain.from_iterable((s.i, s.out_bits, s.n, s.d) for s in nd.samplers)]
         if min(ints) < 0:
-            raise ParseError(f"node ({nd.h},{nd.k}) holds a negative count, length or index")
+            raise InputError(f"node ({nd.h},{nd.k}) holds a negative count, length or index")
         if nd.kind == "merge" and (None in (nd.merge_gamma, nd.delta_binding_i) or
                                    {len(nd.len_a), len(nd.len_b), len(nd.children)} != {nd.k + 1}):
-            raise ParseError(f"merge node ({nd.h},{nd.k}) lacks merge_gamma, delta_binding_i "
+            raise InputError(f"merge node ({nd.h},{nd.k}) lacks merge_gamma, delta_binding_i "
                              f"or k+1 entries of len_a, len_b and children")
     return ledger
 

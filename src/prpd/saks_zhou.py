@@ -12,10 +12,8 @@ function of the previous snapped matrix and not of the offline randomness.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Tuple
 
 from .bits import bits_to_int
@@ -77,25 +75,25 @@ def robp_from_matrix(m: Mat, n1: int, d: int) -> Robp:
     """(n1, w+1, d) program whose restricted average is the n1-th power.
 
     Each of the w real states fans its 2^d labels across the successors in
-    proportion to the grid entries; leftover labels go to an absorbing dummy
-    state, so exact_average restricted to the real states equals M^n1.
+    proportion to the grid entries, in successor order; leftover labels go to
+    an absorbing dummy state, so exact_average restricted to the real states
+    equals M^n1.
     """
     if n1 < 1:
         raise InputError("n1 must be at least 1")
     w = len(m)
     scale = 1 << d
     _check_substochastic(m, "matrix")
-    cums = []
+    columns = []                  # state i's successor under each label, in label order
     for i, row in enumerate(m):
-        counts = []
+        column = []
         for j, e in enumerate(row):
             c = Fraction(e) * scale
             if c.denominator != 1:
                 raise InputError(f"entry ({i},{j}) = {e} is not a multiple of 2^-{d}")
-            counts.append(c.numerator)
-        cums.append(list(accumulate(counts)))
-    # label v of state i goes to the first j whose cumulative count passes v, else the dummy
-    step = tuple(tuple(bisect_right(cum, v) for cum in cums) + (w,) for v in range(scale))
+            column += [j] * c.numerator
+        columns.append(column + [w] * (scale - len(column)))
+    step = tuple(row + (w,) for row in zip(*columns))
     return Robp(n=n1, w=w + 1, d_step=d, transitions=tuple(step for _ in range(n1)))
 
 

@@ -9,17 +9,22 @@ of a generator's int form, the mean of a form, the norm statistics of a
 matrix form, a sampler's average over a per-seed table and the three
 sampler-product rules with their worst-case bounds, the fraction of a
 sampler's bad outer inputs, the expander walk on strings that the int walk
-is tested against, the plain average error of a generator, the snap
-and Saks-Zhou failure bounds, and two example programs. The package keeps
+is tested against, the plain average error of a generator, the merge
+level's delta by an argmax over its binomials, the snap and Saks-Zhou
+failure bounds, the grid step program by bisection, and two example
+programs. The package keeps
 what its commands, scripts and benchmark call; these stay next to the
 assertions that check them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
+from math import comb
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from prpd import (Certificate, InputError, Mat, PseudoDist, Robp, RobustPrpd, Sampler,
@@ -286,6 +291,16 @@ def measure_average_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[
     return inf_norm(mat_sub(average(form), exact_average(robp, a, b)))
 
 
+def argmax_delta(m_bits: int, w: int, k: int, gamma) -> Tuple[Fraction, int]:
+    """ck_requirements' (delta, binding index), the index found by search.
+
+    The binding index is the first i <= ceil(k/2) attaining the largest
+    binom(2m-1, i), and delta is gamma^(k+1) / (w^2 binom(2m-1, i)) there.
+    """
+    binding = max(range((k + 1) // 2 + 1), key=lambda i: comb(2 * m_bits - 1, i))
+    return Fraction(gamma) ** (k + 1) / (w * w * comb(2 * m_bits - 1, binding)), binding
+
+
 def snap_error_bound(d: int) -> Fraction:
     return Fraction(2, 1 << d)
 
@@ -294,6 +309,17 @@ def sz_failure_bound(w: int, n2: int, d: int, eps) -> Fraction:
     """Explicit two-events-per-level union bound over (y, z_1..z_n2)."""
     eps = Fraction(eps)
     return n2 * (eps + w * w * ((1 << d) * eps + Fraction(1, 1 << d)))
+
+
+def bisect_step(m: Mat, d: int) -> Tuple[Tuple[int, ...], ...]:
+    """robp_from_matrix's label rows for a grid matrix m, built by bisection.
+
+    Label v of state i goes to the first j whose cumulative count of grid
+    labels passes v, and to the dummy state w = len(m) if none does.
+    """
+    scale = 1 << d
+    cums = [list(accumulate(int(Fraction(e) * scale) for e in row)) for row in m]
+    return tuple(tuple(bisect_right(cum, v) for cum in cums) + (len(m),) for v in range(scale))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Each test prints a single PASS line with its measured headline numbers
 (visible under pytest -s or -rP). Tolerances are pinned here, not deferred.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -266,7 +267,7 @@ def test_c07_full_recursion_cascade_and_ledger():
                     assert measure_robust_error(sub, program) <= node.error_bound
                 assert node.mu <= node.mu_cap
             for c in (1, 2):
-                report = ledger_check(ledger, c=c)
+                report = ledger_check(dataclasses.replace(ledger, c=c))
                 assert report.ok, [f"({f.h},{f.k}) {f.name}" for f in report.failures()]
             worst_reports.append((n, k, worst, len(ledger.nodes)))
     # terminal case: 2k >= 2^h at the top gives the exact uniform generator

@@ -5,14 +5,14 @@ from math import comb
 
 import pytest
 
-from prpd import (ConstructionError, ContractError, build_ck, certify, exact_average, expander_walk_sampler, inf_norm, mat_mul, mat_scale,
-                  mat_sub, matrix_form, measure_robust_error, merge_terms, random_robp,
-                  signed_walk_sum, uniform_prpd)
+from prpd import (ConstructionError, ContractError, InputError, build_ck, certify, exact_average,
+                  expander_walk_sampler, inf_norm, mat_mul, mat_scale, mat_sub, matrix_form,
+                  measure_robust_error, merge_terms, random_robp, signed_walk_sum, uniform_prpd)
 from prpd.bits import all_bits
-from prpd.recursion import MergeNode
+from prpd.recursion import MergeNode, ck_requirements
 
 from helpers import corrupted_uniform_prpd, weighted_exact_prpd
-from lemmas import average, dump_prpd, zeros
+from lemmas import argmax_delta, average, dump_prpd, zeros
 
 GAMMA = Fraction(1, 256)
 
@@ -32,6 +32,20 @@ def child_bundle(node, side, i, x, y):
     else:
         z = x[:child.s_out] + y_part
     return child.bundle(z[:child.s_out], z[child.s_out:])
+
+
+def test_ck_requirements_binds_at_split_index():
+    # binom(2m-1, i) strictly increases for i <= m-1, and k <= 2m-2 keeps ceil(k/2) <= m-1:
+    # the argmax over the sampled indices is ceil(k/2); past it eps divides by binom(m-1, i) = 0
+    gamma = Fraction(3, 7)
+    for m_bits in range(1, 70):
+        for k in range(2 * m_bits - 1):
+            _, delta, binding = ck_requirements(m_bits, 2, k, gamma)
+            assert binding == (k + 1) // 2
+            assert (delta, binding) == argmax_delta(m_bits, 2, k, gamma)
+        for k in range(2 * m_bits - 1, 2 * m_bits + 2):
+            with pytest.raises(ZeroDivisionError):
+                ck_requirements(m_bits, 2, k, gamma)
 
 
 def test_one_family_serves_both_halves():
@@ -223,3 +237,20 @@ def test_refuses_sampler_output_mismatch():
     certify(g, Fraction(1), Fraction(1))
     with pytest.raises(ConstructionError, match="flat child seed"):
         build_ck(children, w=2, gamma=GAMMA, samplers=[g])
+
+
+BUILD_CK_REFUSALS = {
+    "empty-family": (lambda: build_ck([], 2, GAMMA), "need an approximation family"),
+    "gamma-zero": (lambda: build_ck([uniform_prpd(4)], 2, 0), "gamma must be positive"),
+    "child-length": (lambda: build_ck([uniform_prpd(4), uniform_prpd(3)], 2, GAMMA),
+                     "G_1 emits 3 bits, expected 4"),
+    "sampler-count": (lambda: build_ck([uniform_prpd(4)] * 2, 2, GAMMA, samplers=[]),
+                      r"need one sampler per index 0\.\.1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", BUILD_CK_REFUSALS)
+def test_build_ck_refusals(case):
+    build, message = BUILD_CK_REFUSALS[case]
+    with pytest.raises(InputError, match=message):
+        build()

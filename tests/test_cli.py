@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -55,7 +56,9 @@ def test_ledger_check_roundtrip(tmp_path):
     assert main(["ledger-check", "--ledger", str(ledger_path), "--out", str(check_out)]) == 0
     records = read_records(check_out)
     assert records[-1]["record"] == "summary" and records[-1]["ok"]
-    assert main(["ledger-check", "--ledger", str(ledger_path), "--c", "3"]) == 0
+    ledger_record["ledger"]["c"] = 3          # the header's c scales the used-length bounds
+    ledger_path.write_text(json.dumps(ledger_record))
+    assert main(["ledger-check", "--ledger", str(ledger_path)]) == 0
     # the records file build-prpd wrote holds exactly one ledger record
     assert main(["ledger-check", "--ledger", str(build_out), "--out", str(check_out)]) == 0
     assert read_records(check_out) == records
@@ -66,8 +69,8 @@ def test_ledger_check_at_largest_c_keeps_replay_ties(tmp_path):
     # sides used to differ by an ulp, failing an honest ledger
     out = tmp_path / "build.jsonl"
     assert main(["build-prpd", "--n", "4", "--w", "3", "--k", "1", "--gamma", "1/1048576",
-                 "--out", str(out)]) == 0
-    assert main(["ledger-check", "--ledger", str(out), "--c", str(1 << 64)]) == 0
+                 "--c", str(1 << 64), "--out", str(out)]) == 0
+    assert main(["ledger-check", "--ledger", str(out)]) == 0
 
 
 @pytest.mark.parametrize("argv", [["build-prpd", "--k", "0"], ["verify-error", "--eps", "1/2"]])
@@ -140,20 +143,40 @@ def test_non_integer_enum_limit_exits_2(monkeypatch, capsys):
     assert "PRPD_ENUM_LIMIT must be an integer, got '4M'" in capsys.readouterr().err
 
 
-def test_ledger_check_refuses_check_value_past_digit_limit(tmp_path, capsys):
-    # every child weight of merge node (1, 0) at 10^3000: the mu identity's sum has about
-    # 6000 digits, which str(int) refuses, so the check cannot be written
+def _write_huge_child_weights(path):
+    """An n=8, k=2 ledger with every child weight of merge node (1, 0) at 10^3000."""
     _, ledger = recursive_prpd(8, 2, params=RecursionParams(k=2))
     data = ledger_to_dict(ledger)
     node = next(nd for nd in data["nodes"] if (nd["h"], nd["k"]) == (1, 0))
     assert node["kind"] == "merge"
     for child in node["children"]:
         child[3] = 10 ** 3000
-    path, out = tmp_path / "ledger.json", tmp_path / "checks.jsonl"
     path.write_text(json.dumps(data))
+
+
+def test_ledger_check_refuses_check_value_past_digit_limit(tmp_path, capsys):
+    # the mu identity's sum has about 6000 digits, which str(int) refuses, so the check
+    # cannot be written
+    path, out = tmp_path / "ledger.json", tmp_path / "checks.jsonl"
+    _write_huge_child_weights(path)
     assert main(["ledger-check", "--ledger", str(path), "--out", str(out)]) == 2
     assert not out.exists()
     assert "mu identity" in capsys.readouterr().err
+
+
+def test_ledger_check_writes_any_value_without_digit_limit(tmp_path):
+    # with the int-to-str limit off (0), the same weight sum, past the default limit of 4300
+    # digits, is written as it is
+    path, out = tmp_path / "ledger.json", tmp_path / "checks.jsonl"
+    _write_huge_child_weights(path)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert main(["ledger-check", "--ledger", str(path), "--out", str(out)]) == 1
+        failed = [r for r in read_records(out) if r["record"] == "check" and not r["ok"]]
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert any("mu identity" in r["name"] and r["rhs"] > 10 ** 4300 for r in failed)
 
 
 def test_cli_reports_capacity_error(monkeypatch, capsys):
@@ -211,6 +234,34 @@ def test_certify_sampler_out_pinned(tmp_path, n, d, m, seed, eps, delta):
                  "--seed", seed, "--eps", eps, "--delta", delta, "--out", str(out)]) in (0, 1)
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == CERTIFY_OUT_SHA256[(n, d, m, seed, eps, delta)]
+
+
+# sha256 of the ledger-check --out file on the PINNED_LEDGERS builds of test_recursion.py,
+# exported with "c" set in the header, keyed by (n, w, k, c): the records the checker wrote
+# when the scaling c came from a command-line flag instead
+LEDGER_CHECK_OUT_SHA256 = {
+    (8, 2, 1, 1): "fc869686d5e6b05a3f9999968fc4fd884ab79c5b096d31ae276fe5c5cbf25baf",
+    (8, 2, 1, 3): "18f94b657a1e64e55a8a0b46c394a442f42034dab5fc98643c3a89a0fde9fe34",
+    (8, 2, 1, 1 << 64): "26a05512d4d74404af0e66e56c5fd57738e25eda0ab54c7a84c0f7e0b7d94a10",
+    (8, 3, 2, 1): "54ecd0adfb7e17750cd412708d9f358a2a160b9e1efa51fe2514fb95e83ae563",
+    (8, 3, 2, 3): "16240eb29283dd2f7066eb7323872c7a57521a75d76ff1d919f8c0b32c5914aa",
+    (8, 3, 2, 1 << 64): "8291e65d8ec2eb9fbbe0c76f0dbcf733eac547e77939baf48bae948a1bfae13b",
+    (16, 2, 3, 1): "7e9aadded6a372c52555da722a50c34446f4c73a82afe588c5c6b0b43a8ff9cf",
+    (16, 2, 3, 3): "8c286cce2bee3d938a9ba574349854195cb04c00c22d9fb9087b120aad35259a",
+    (16, 2, 3, 1 << 64): "57a1386984bc6c0d906f124991b79ec2927dcb2b39e93837badd29cfc20f5585",
+}
+
+
+@pytest.mark.parametrize("n,w,k,c", LEDGER_CHECK_OUT_SHA256)
+def test_ledger_check_out_pinned(tmp_path, n, w, k, c):
+    _, ledger = recursive_prpd(n, w, params=RecursionParams(k=k))
+    data = ledger_to_dict(ledger)
+    data["c"] = c
+    path, out = tmp_path / "ledger.json", tmp_path / "checks.jsonl"
+    path.write_text(json.dumps(data))
+    assert main(["ledger-check", "--ledger", str(path), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == LEDGER_CHECK_OUT_SHA256[(n, w, k, c)]
 
 
 def test_ledger_check_rejects_cert_delta_just_over_requirement(tmp_path):
@@ -482,16 +533,12 @@ BAD_INPUTS = {
                       _edited_ledger(lambda data: data.update(w=0))),
     "ledger-header-c-zero": (["ledger-check", "--ledger", "ledger.json"],
                              _edited_ledger(lambda data: data.update(c=0))),
-    "ledger-check-c-zero": (["ledger-check", "--ledger", "ledger.json", "--c", "0"],
-                            HONEST_LEDGER),
     "build-c-negative": (["build-prpd", "--n", "8", "--w", "2", "--k", "1", "--c", "-1"], None),
     "build-c-huge": (["build-prpd", "--n", "8", "--w", "2", "--k", "1", "--c", str(10 ** 400)],
                      None),
     "build-k-huge": (["build-prpd", "--n", "8", "--w", "2", "--k", "4097"], None),
     # the top bound (11^3/4096)^1201 has more digits than str(int) renders
     "build-k-past-digit-limit": (["build-prpd", "--n", "8", "--w", "2", "--k", "1200"], None),
-    "ledger-check-c-huge": (["ledger-check", "--ledger", "ledger.json", "--c", str(10 ** 400)],
-                            HONEST_LEDGER),
     "ledger-header-c-huge": (["ledger-check", "--ledger", "ledger.json"],
                              _edited_ledger(lambda data: data.update(c=10 ** 400))),
     "ledger-header-k-huge": (["ledger-check", "--ledger", "ledger.json"],
@@ -510,6 +557,7 @@ BAD_INPUTS = {
                                        "--d", "1", "--eps", "0", "--delta", "0"], None),
     # an eps no k <= K_MAX meets is refused before any cascade bound is built
     "build-eps-negative": (["build-prpd", "--n", "8", "--w", "2", "--eps", "-1"], None),
+    "build-eps-not-rational": (["build-prpd", "--n", "8", "--w", "2", "--eps", "x"], None),
     "build-eps-unreachable": (["build-prpd", "--n", "8", "--w", "2", "--eps", "1e-3000"], None),
     "verify-eps-zero": (["verify-error", "--n", "1024", "--w", "2", "--eps", "0"], None),
     # a given k whose top bound, 1331/4096 at k = 0, misses a given eps

@@ -92,7 +92,7 @@ FLAGS = {
     "certify-sampler": ["--kind", "--n", "--d", "--m", "--eps", "--delta", "--seed", "--out"],
     "sz-demo": ["--w", "--n1", "--n2", "--d", "--eps", "--approximator", "--matrices", "--seed",
                 "--out"],
-    "ledger-check": ["--ledger", "--c", "--out"],
+    "ledger-check": ["--ledger", "--out"],
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prpd import InputError, exact_average, mat_add, mat_mul, mat_scale, random_robp
+from prpd import (InputError, PseudoDist, exact_average, mat_add, mat_mul, mat_scale,
+                  random_robp, uniform_prpd)
 
 from helpers import rand_pdist
 from lemmas import (concat, dump_pdist, identity_robp, pdist, realize, scale, uniform_pdist,
@@ -146,3 +148,22 @@ def test_algebra_homomorphism_property(data):
 def test_dump_format():
     pd = pdist(2, [("01", Fraction(-3, 2)), ("11", 2)])
     assert dump_pdist(pd) == "01 -3/2\n11 2/1\n"
+
+
+PDIST_REFUSALS = {
+    "no-entries": (lambda: PseudoDist(2, ()), "needs at least one entry"),
+    "entry-length": (lambda: PseudoDist(2, (("0", Fraction(1)),)), "'0' is not a 2-bit string"),
+    "entry-symbol": (lambda: PseudoDist(2, (("0x", Fraction(1)),)), "'0x' is not a 2-bit string"),
+    "mu-zero": (lambda: dataclasses.replace(uniform_prpd(2), mu=0), "mu must be at least 1"),
+    "s-out-negative": (lambda: dataclasses.replace(uniform_prpd(2), s_out=-1),
+                       "seed lengths must be non-negative"),
+    "s-in-negative": (lambda: dataclasses.replace(uniform_prpd(2), s_in=-1),
+                      "seed lengths must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", PDIST_REFUSALS)
+def test_pdist_refusals(case):
+    build, message = PDIST_REFUSALS[case]
+    with pytest.raises(InputError, match=message):
+        build()

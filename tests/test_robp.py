@@ -255,3 +255,25 @@ def test_random_robp_counts_its_entries(monkeypatch):
         random_robp(5, 3, d_step=2)
     monkeypatch.setenv("PRPD_ENUM_LIMIT", "60")
     assert random_robp(5, 3, d_step=2).n == 5
+
+
+ROBP_REFUSALS = {
+    "n-zero": (lambda: Robp(n=0, w=2, d_step=1, transitions=()),
+               "Robp needs n >= 1, w >= 1, d_step >= 1"),
+    "step-count": (lambda: Robp(n=2, w=2, d_step=1, transitions=(((0, 1), (1, 0)),)),
+                   "expected 2 steps, got 1"),
+    "label-rows": (lambda: Robp(n=1, w=2, d_step=1, transitions=(((0, 1),),)),
+                   "step 1 has 1 label rows, expected 2"),
+    "successor-count": (lambda: Robp(n=1, w=2, d_step=1, transitions=(((0, 1), (1,)),)),
+                        "step 1 label 1 has 1 successors, expected 2"),
+    "successor-range": (lambda: Robp(n=1, w=2, d_step=1, transitions=(((0, 1), (1, 2)),)),
+                        r"step 1 label 1: successor 2 out of range \[0, 2\)"),
+    "mat-pow-negative": (lambda: mat_pow(identity(2), -1), "matrix power must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", ROBP_REFUSALS)
+def test_robp_refusals(case):
+    build, message = ROBP_REFUSALS[case]
+    with pytest.raises(InputError, match=message):
+        build()

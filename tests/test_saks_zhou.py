@@ -16,7 +16,7 @@ from prpd.bits import all_bits, int_to_bits
 
 from helpers import (assumed_sampler, corrupted_uniform_prpd, deadline, rand_substochastic,
                      rand_table_sampler)
-from lemmas import sampled_average, snap_error_bound, sz_failure_bound
+from lemmas import bisect_step, sampled_average, snap_error_bound, sz_failure_bound
 
 
 def test_snap_value_on_grid_unchanged():
@@ -153,6 +153,34 @@ def test_robp_from_matrix_label_rows_match_scan():
         m = tuple(tuple(Fraction(c, scale) for c in row) for row in counts)
         step = robp_from_matrix(m, 2, d).transitions
         assert step[0] == step[1] == scanned_label_rows(counts, w, scale)
+
+
+def grid_row(rng, w, scale):
+    """w grid counts summing to 2^d half the time, else to at most 2^d, some of them 0."""
+    total = scale if rng.random() < 0.5 else rng.randint(0, scale)
+    support = [j for j in range(w) if rng.random() < 0.7] or [rng.randrange(w)]
+    cuts = sorted(rng.randint(0, total) for _ in support[1:])
+    row = [0] * w
+    for j, lo, hi in zip(support, [0] + cuts, cuts + [total]):
+        row[j] = hi - lo
+    return row
+
+
+def test_robp_from_matrix_matches_bisect_construction():
+    rng = random.Random(23)
+    zero_entries = full_rows = 0
+    for w in range(1, 5):
+        for d in range(1, 9):
+            scale = 1 << d
+            for n1 in (1, 2):
+                for _ in range(60):
+                    counts = [grid_row(rng, w, scale) for _ in range(w)]
+                    zero_entries += sum(row.count(0) for row in counts)
+                    full_rows += sum(sum(row) == scale for row in counts)
+                    m = tuple(tuple(Fraction(c, scale) for c in row) for row in counts)
+                    step = bisect_step(m, d)
+                    assert robp_from_matrix(m, n1, d).transitions == (step,) * n1
+    assert zero_entries and full_rows
 
 
 NOT_SQUARE = {
@@ -350,6 +378,10 @@ def test_sz_power_single_level_is_single_snap():
 
 
 def test_sz_schedule_validation():
+    with pytest.raises(InputError, match="n1 and n2 must be at least 1"):
+        SzSchedule(n1=0, n2=1, d=1, eps=Fraction(0), y="", offsets=("0",))
+    with pytest.raises(InputError, match="n1 and n2 must be at least 1"):
+        SzSchedule(n1=2, n2=0, d=1, eps=Fraction(0), y="", offsets=())
     with pytest.raises(InputError):
         SzSchedule(n1=2, n2=1, d=0, eps=Fraction(0), y="", offsets=("",))
     with pytest.raises(InputError):
@@ -361,3 +393,23 @@ def test_sz_schedule_validation():
 def test_sz_failure_bound_expression():
     assert sz_failure_bound(2, 1, 4, Fraction(1, 128)) == (
         Fraction(1, 128) + 4 * (16 * Fraction(1, 128) + Fraction(1, 16)))
+
+
+HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
+SAKS_ZHOU_REFUSALS = {
+    "offset-range": (lambda: snap_value(HALF, 4, 2), r"offset 4 out of range \[0, 2\^2\)"),
+    "collision-width": (lambda: snap_collision_rate(((HALF,),), identity(2), 2),
+                        "matrices must have equal width"),
+    "negative-entry": (lambda: robp_from_matrix(((-QUARTER,),), 1, 2),
+                       "matrix has a negative entry"),
+    "row-sum": (lambda: robp_from_matrix(((HALF, 3 * QUARTER), (0, 0)), 1, 2),
+                "matrix has a row sum above 1"),
+    "n1-zero": (lambda: robp_from_matrix(((HALF,),), 0, 2), "n1 must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", SAKS_ZHOU_REFUSALS)
+def test_saks_zhou_refusals(case):
+    build, message = SAKS_ZHOU_REFUSALS[case]
+    with pytest.raises(InputError, match=message):
+        build()

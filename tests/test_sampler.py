@@ -253,3 +253,9 @@ def test_matrix_estimate_deviation_bound():
 def test_certify_refuses_negative_eps_or_delta(eps, delta):
     with pytest.raises(InputError, match="non-negative"):
         certify(enumeration_sampler(2), eps, delta)
+
+
+@pytest.mark.parametrize("n,d,m", [(-1, 2, 2), (2, -1, 2), (2, 2, 0)])
+def test_expander_walk_refuses_bad_sizes(n, d, m):
+    with pytest.raises(InputError, match="needs n, d >= 0 and m >= 1"):
+        expander_walk_sampler(n, d, m)

@@ -59,3 +59,9 @@ def test_width_mismatch_error():
     b = rand_stochastic(rng, 3)
     with pytest.raises(InputError):
         telescoping_product(a, b, [a], [b], 0)
+
+
+def test_negative_k_error():
+    a = rand_stochastic(random.Random(4), 2)
+    with pytest.raises(InputError, match="k must be non-negative"):
+        telescoping_product(a, a, [a], [a], -1)
