@@ -12,12 +12,13 @@ to the inductive bounds they must stay under.
 from __future__ import annotations
 
 import math
+import re
 import sys
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain, repeat
-from math import comb
+from math import comb, gcd
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
                     get_args, get_origin, get_type_hints)
 
@@ -87,11 +88,15 @@ def ck_requirements(m_bits: int, w: int, k: int, gamma) -> Tuple[Tuple[Fraction,
     binom(2m-1, i) strictly increases for i <= m-1, and eps_cap divides by
     binom(m-1, cap), which is 0 past cap = m-1.
     """
-    num, den = Fraction(gamma).as_integer_ratio()
+    eps, delta, cap = _requirement_ratios(m_bits, w, k, *Fraction(gamma).as_integer_ratio())
+    return tuple(Fraction(*r) for r in eps), Fraction(*delta), cap
+
+
+def _requirement_ratios(m_bits: int, w: int, k: int, num: int, den: int):
+    """ck_requirements at gamma = num/den as unreduced (numerator, denominator) int pairs."""
     cap = (k + 1) // 2
-    eps = tuple(Fraction(num ** (i + 1), den ** (i + 1) * w * comb(m_bits - 1, i))
-                for i in range(cap + 1))
-    delta = Fraction(num ** (k + 1), den ** (k + 1) * w * w * comb(2 * m_bits - 1, cap))
+    eps = [(num ** (i + 1), den ** (i + 1) * w * comb(m_bits - 1, i)) for i in range(cap + 1)]
+    delta = (num ** (k + 1), den ** (k + 1) * w * w * comb(2 * m_bits - 1, cap))
     return eps, delta, cap
 
 
@@ -178,7 +183,8 @@ def build_ck(children: Sequence[RobustPrpd], w: int, gamma,
     k = len(children) - 1
     if k < 0:
         raise InputError("need an approximation family G_0..G_k")
-    gamma = Fraction(gamma)
+    if type(gamma) is not Fraction:
+        gamma = Fraction(gamma)
     if gamma <= 0:
         raise InputError("gamma must be positive")
     m_bits = children[0].out_len
@@ -445,19 +451,29 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
 # inductive seed-length bounds and the ledger check
 
 
-def _log2_frac(q: Fraction) -> float:
+def _lg(v: int) -> float:
     # exact for powers of two so dyadic desk parameters compare without wobble
-    def lg(v: int) -> float:
-        return float(v.bit_length() - 1) if v & (v - 1) == 0 else math.log2(v)
-
-    return lg(q.numerator) - lg(q.denominator)
+    return float(v.bit_length() - 1) if v & (v - 1) == 0 else math.log2(v)
 
 
-def inductive_seed_bounds(h: int, k: int, n: int, w: int, gamma: Fraction) -> Tuple[float, float]:
-    """Inductive (s_out, s_in) bounds for node (h, k) at c = 1; constant c scales both."""
-    L_n = _log2_frac(Fraction(n) / gamma)
-    L_nw = _log2_frac(Fraction(n * w) / gamma)
-    L_knw = _log2_frac(Fraction(max(k, 1) * n * w) / gamma)
+def _log2_frac(q: Fraction) -> float:
+    return _lg(q.numerator) - _lg(q.denominator)
+
+
+def _neg_log2_ratio(num: int, den: int) -> float:
+    """-_log2_frac(Fraction(num, den)) for positive ints, with no Fraction made."""
+    g = gcd(num, den)
+    return -(_lg(num // g) - _lg(den // g))
+
+
+def _log2_over(v: int, gamma: Fraction) -> float:
+    """log2(v / gamma) for a positive int v."""
+    return _log2_frac(Fraction(v) / gamma)
+
+
+def _seed_bounds(h: int, k: int, L_n: float, L_nw: float, L_knw: float) -> Tuple[float, float]:
+    """The inductive (s_out, s_in) bounds of node (h, k) from log2 of n, nw and max(k,1)nw
+    over gamma, at c = 1."""
     if k <= 1:
         s_out = h * (3 * k * L_n + 7 * L_nw)
         s_in = k * L_n + 4 * L_knw
@@ -467,11 +483,10 @@ def inductive_seed_bounds(h: int, k: int, n: int, w: int, gamma: Fraction) -> Tu
     return s_out, s_in
 
 
-def inductive_sampler_seed(i: int, k: int, n: int, w: int, gamma: Fraction) -> float:
-    """Per-index sampler seed budget i*log2(n/gamma) + 2*log2(knw/gamma) at c = 1."""
-    L_n = _log2_frac(Fraction(n) / gamma)
-    L_knw = _log2_frac(Fraction(max(k, 1) * n * w) / gamma)
-    return i * L_n + 2 * L_knw
+def inductive_seed_bounds(h: int, k: int, n: int, w: int, gamma: Fraction) -> Tuple[float, float]:
+    """Inductive (s_out, s_in) bounds for node (h, k) at c = 1; constant c scales both."""
+    return _seed_bounds(h, k, _log2_over(n, gamma), _log2_over(n * w, gamma),
+                        _log2_over(max(k, 1) * n * w, gamma))
 
 
 class LedgerCheck(NamedTuple):     # a tuple, cheap to build: one ledger makes thousands
@@ -527,18 +542,21 @@ def ledger_check(ledger: SeedLedger) -> LedgerReport:
     for nd in ledger.nodes:
         recorded.setdefault((nd.h, nd.k), []).append(nd)
     checks: List[LedgerCheck] = []
-    # the replay asks for each node's bounds and each k's sampler budgets many times
-    bounds = cache(lambda h, k: inductive_seed_bounds(h, k, n, w, gamma))
-    budgets = cache(lambda k: [inductive_sampler_seed(i, k, n, w, gamma) for i in range(k + 1)])
+    # the replay asks for each node's bounds and each k's sampler budgets many times: the
+    # header's logs are taken once, log2(max(k,1)nw/gamma) once per k; a sampler budget
+    # is i*log2(n/gamma) + 2*log2(knw/gamma)
+    L_n, L_nw = _log2_over(n, gamma), _log2_over(n * w, gamma)
+    L_knw = cache(lambda k: _log2_over(max(k, 1) * n * w, gamma))
+    bounds = cache(lambda h, k: _seed_bounds(h, k, L_n, L_nw, L_knw(k)))
+    budgets = cache(lambda k: [i * L_n + 2 * L_knw(k) for i in range(k + 1)])
+    num, den = gamma.as_integer_ratio()
 
-    def add(h, k, name, lhs, rhs, equal=False):
-        if equal:
-            ok = lhs == rhs
-        elif isinstance(lhs, float) or isinstance(rhs, float):
-            ok = lhs <= rhs + _TOL          # int/float comparison is exact at any size
-        else:
-            ok = lhs <= rhs
-        checks.append(LedgerCheck(h, k, name, lhs, rhs, ok))
+    def add(h, k, name, lhs, rhs, equal=False):         # both sides exact
+        checks.append(LedgerCheck(h, k, name, lhs, rhs, lhs == rhs if equal else lhs <= rhs))
+
+    def add_float(h, k, name, lhs, rhs):        # rhs a float from the log2 replay
+        # an int lhs against a float compares exactly at any size
+        checks.append(LedgerCheck(h, k, name, lhs, rhs, lhs <= rhs + _TOL))
 
     for (h, k), p in plan.items():
         found = recorded.get((h, k), ())
@@ -550,8 +568,8 @@ def ledger_check(ledger: SeedLedger) -> LedgerReport:
         if node.kind != p.kind:
             continue
         so_bound, si_bound = bounds(h, k)
-        add(h, k, "used s_out <= bound", node.s_out, ledger.c * so_bound)
-        add(h, k, "used s_in <= bound", node.s_in, ledger.c * si_bound)
+        add_float(h, k, "used s_out <= bound", node.s_out, ledger.c * so_bound)
+        add_float(h, k, "used s_in <= bound", node.s_in, ledger.c * si_bound)
         add(h, k, "used mu <= max(1, binom(2^h-1,k))", node.mu, p.mu_cap)
         differing = sum(a != b for a, b in zip(
             (p.mu_cap, p.error_bound, p.merge_gamma, p.delta_binding_i),
@@ -608,24 +626,28 @@ def ledger_check(ledger: SeedLedger) -> LedgerReport:
         add(h, k, "mu identity: sum of term blocks", node.mu,
             sum(mus[i] * mus[j] for i, j, _ in terms), equal=True)
 
-        # arithmetic replay of the proof's chains, global gamma, c = 1
-        eps_req, delta_req, _ = ck_requirements(1 << (h - 1), w, k, gamma)
-        log_delta = -_log2_frac(delta_req)
+        # arithmetic replay of the proof's chains, global gamma, c = 1: -log2 of each
+        # requirement of ck_requirements(2^(h-1), w, k, gamma), from its int ratio
+        eps_ratios, delta_ratio, _ = _requirement_ratios(1 << (h - 1), w, k, num, den)
+        log_delta = _neg_log2_ratio(*delta_ratio)
+        log_eps = [_neg_log2_ratio(*r) for r in eps_ratios]
         d_budget = budgets(k)
         for i in range(split + 1):
-            need = -_log2_frac(eps_req[i]) + math.log2(max(2.0, log_delta))
-            add(h, k, f"replay: d_{i} formula covers log(1/eps_{i})+loglog(1/delta)",
-                need, d_budget[i])
+            need = log_eps[i] + math.log2(max(2.0, log_delta))
+            add_float(h, k, f"replay: d_{i} formula covers log(1/eps_{i})+loglog(1/delta)",
+                      need, d_budget[i])
             for j in range(min(i, k - i) + 1):
-                add(h, k, f"replay: d_{i}+d_{j} <= s_in bound", d_budget[i] + d_budget[j], si_bound)
+                add_float(h, k, f"replay: d_{i}+d_{j} <= s_in bound", d_budget[i] + d_budget[j],
+                          si_bound)
         for i in range(split + 1, k + 1):
-            add(h, k, f"replay: s_in bound(h-1,{i}) + d_{k - i} <= s_in bound",
-                bounds(h - 1, i)[1] + d_budget[k - i], si_bound)
+            add_float(h, k, f"replay: s_in bound(h-1,{i}) + d_{k - i} <= s_in bound",
+                      bounds(h - 1, i)[1] + d_budget[k - i], si_bound)
         for i in range(k + 1):
-            add(h, k, f"replay: s_out bound(h-1,{i}) <= s_out bound", bounds(h - 1, i)[0], so_bound)
+            add_float(h, k, f"replay: s_out bound(h-1,{i}) <= s_out bound", bounds(h - 1, i)[0],
+                      so_bound)
         for i in range(split + 1):
-            lhs = sum(bounds(h - 1, i)) + log_delta - _log2_frac(eps_req[i])
-            add(h, k, f"replay: sampler outer budget at i={i} <= s_out bound", lhs, so_bound)
+            lhs = sum(bounds(h - 1, i)) + log_delta + log_eps[i]
+            add_float(h, k, f"replay: sampler outer budget at i={i} <= s_out bound", lhs, so_bound)
     for h, k in sorted(recorded.keys() - plan.keys()):
         add(h, k, "node recorded iff planned", len(recorded[(h, k)]), 0, equal=True)
     if ledger.eps_target is not None:
@@ -751,7 +773,8 @@ def measure_robust_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[i
 
 def frac_str(q) -> str:
     """q as 'num/den'; InputError if a part has more digits than str(int) renders."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     try:
         return f"{q.numerator}/{q.denominator}"
     except ValueError:
@@ -759,12 +782,16 @@ def frac_str(q) -> str:
                          "past the int-to-str limit of this Python") from None
 
 
+# what frac_str writes: ASCII digits, a minus sign only on the numerator
+_FRACTION = re.compile(r"-?[0-9]+/[0-9]+")
+
+
 def _parse_frac(s: str) -> Fraction:
-    if not isinstance(s, str):
+    if type(s) is not str or not _FRACTION.fullmatch(s):
         raise InputError(f"fraction {s!r} is not a 'num/den' string")
-    num, _, den = s.partition("/")
+    num, den = s.split("/")
     try:
-        return Fraction(int(num), int(den or "1"))
+        return Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError):
         raise InputError(f"bad fraction {s!r}") from None
 
@@ -777,43 +804,60 @@ def ledger_to_dict(value: SeedLedger) -> dict:
     if kind is Fraction:
         return frac_str(value)
     if kind is tuple or kind is list:
-        return [ledger_to_dict(v) for v in value]
+        return [v if type(v) is int else ledger_to_dict(v) for v in value]
     return {name: ledger_to_dict(v) for name, v in vars(value).items()}      # a dataclass
 
 
 def _reader(hint) -> Callable:
-    """A function reading a JSON value as a `hint`, or raising InputError."""
+    """A function reading a JSON value as a `hint`, or raising InputError.
+
+    Made once per type at import: a scalar or a tuple of ints is checked in one
+    closure, a dataclass is built from its fields' readers in field order.
+    """
     args = get_args(hint)
     if hint is Fraction:
         return _parse_frac
+    if hint is int or hint is str:
+        def read_scalar(value):
+            if type(value) is not hint:         # not isinstance: a bool is no int here
+                raise _not_a(value, hint)
+            return value
+        return read_scalar
     if get_origin(hint) is Union:                       # Optional[X]
         read = _reader(args[0])
         return lambda value: None if value is None else read(value)
     if get_origin(hint) in (tuple, list):
         container, reads = get_origin(hint), [_reader(a) for a in args if a is not Ellipsis]
         fixed = len(args) > 1 and args[-1] is not Ellipsis      # Tuple[int, int, int, int]
+        ints = {a for a in args if a is not Ellipsis} == {int}
 
         def read_items(value):
-            items = _typed(value, list)
-            if fixed and len(items) != len(reads):
+            if type(value) is not list:
+                raise _not_a(value, list)
+            if fixed and len(value) != len(reads):
                 raise InputError(f"{value!r} must have {len(reads)} entries")
+            if ints:
+                for item in value:
+                    if type(item) is not int:       # not isinstance: a bool is no int here
+                        raise _not_a(item, int)
+                return container(value)
             return container([read(item) for read, item in
-                              zip(reads if fixed else repeat(reads[0]), items)])
+                              zip(reads if fixed else repeat(reads[0]), value)])
         return read_items
     if is_dataclass(hint):
-        fields = [(name, _reader(t)) for name, t in get_type_hints(hint).items()]
+        hints = get_type_hints(hint)
+        fields = [(f.name, _reader(hints[f.name])) for f in dataclass_fields(hint)]
 
         def read_object(value):
-            value = _typed(value, dict)
-            return hint(**{name: read(value[name]) for name, read in fields})
+            if type(value) is not dict:
+                raise _not_a(value, dict)
+            return hint(*[read(value[name]) for name, read in fields])
         return read_object
-    return partial(_typed, kind=hint)
+    raise TypeError(f"no ledger reader for {hint!r}")
 
 
-def _typed(value, kind: type):
-    if type(value) is not kind:             # not isinstance: a bool is no int here
-        raise InputError(f"{value!r} is not a JSON {kind.__name__}")
-    return value
+def _not_a(value, kind: type) -> InputError:
+    return InputError(f"{value!r} is not a JSON {kind.__name__}")
 
 
 def ledger_from_dict(data: dict) -> SeedLedger:
@@ -821,9 +865,10 @@ def ledger_from_dict(data: dict) -> SeedLedger:
 
     That is a missing key, a bad fraction, a value of the wrong JSON type (an
     int must be a non-bool int), a header outside its domain, a negative int in
-    a node or sampler slot (each is a count, a length or an index), and a merge
-    node without its merge gamma and binding index or k+1 entries of len_a,
-    len_b and children.
+    a node or sampler slot (each is a count, a length or an index), a negative
+    cert_eps or cert_delta (a TV distance and a failure probability), and a
+    merge node without its merge gamma and binding index or k+1 entries of
+    len_a, len_b and children.
     """
     try:
         ledger = _read_ledger(data)
@@ -836,6 +881,9 @@ def ledger_from_dict(data: dict) -> SeedLedger:
                 *chain.from_iterable((s.i, s.out_bits, s.n, s.d) for s in nd.samplers)]
         if min(ints) < 0:
             raise InputError(f"node ({nd.h},{nd.k}) holds a negative count, length or index")
+        if any(s.cert_eps < 0 or s.cert_delta < 0 for s in nd.samplers):
+            raise InputError(f"node ({nd.h},{nd.k}) holds a negative certificate: cert_eps is "
+                             "a TV distance and cert_delta a failure probability")
         if nd.kind == "merge" and (None in (nd.merge_gamma, nd.delta_binding_i) or
                                    {len(nd.len_a), len(nd.len_b), len(nd.children)} != {nd.k + 1}):
             raise InputError(f"merge node ({nd.h},{nd.k}) lacks merge_gamma, delta_binding_i "

@@ -64,12 +64,15 @@ def pass_seed(x: str, s: str) -> str:
     return s
 
 
+# every enumeration sampler's certificate: it is frozen, and certify() replaces a cert
+_EXACT = Certificate(eps=Fraction(0), delta=Fraction(0), method=METHOD_ANALYTIC)
+
+
 def enumeration_sampler(m: int, n: int = 0) -> Sampler:
     """d = m and g(x, s) = s: exact for every x, a (0, 0)-sampler."""
     if n < 0 or m < 0:
         raise InputError("enumeration_sampler needs n, m >= 0")
-    cert = Certificate(eps=Fraction(0), delta=Fraction(0), method=METHOD_ANALYTIC)
-    return Sampler(n=n, d=m, m=m, sample=pass_seed, cert=cert)
+    return Sampler(n=n, d=m, m=m, sample=pass_seed, cert=_EXACT)
 
 
 # The walk's step for each 2-bit seed symbol, as v -> a*v + b mod 2^m.

@@ -11,8 +11,9 @@ sampler-product rules with their worst-case bounds, the fraction of a
 sampler's bad outer inputs, the expander walk on strings that the int walk
 is tested against, the plain average error of a generator, the merge
 level's delta by an argmax over its binomials, the snap and Saks-Zhou
-failure bounds, the grid step program by bisection, and two example
-programs. The package keeps
+failure bounds, the grid step program by bisection, two example programs,
+and the reflective ledger codec the specialised one is tested against. The
+package keeps
 what its commands, scripts and benchmark call; these stay next to the
 assertions that check them.
 """
@@ -20,12 +21,13 @@ assertions that check them.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate
+from functools import partial, reduce
+from itertools import accumulate, repeat
 from math import comb
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import (Callable, Dict, Iterable, Optional, Tuple, Union, get_args, get_origin,
+                    get_type_hints)
 
 from prpd import (Certificate, InputError, Mat, PseudoDist, Robp, RobustPrpd, Sampler,
                   TvProfile, exact_average, identity, inf_norm, mat_add, mat_mul, mat_scale,
@@ -33,7 +35,7 @@ from prpd import (Certificate, InputError, Mat, PseudoDist, Robp, RobustPrpd, Sa
 from prpd.bits import all_bits, bits_to_int, int_to_bits
 from prpd.errors import check_capacity
 from prpd.pdist import seed_bundles
-from prpd.recursion import merge_tree_form
+from prpd.recursion import _parse_frac, frac_str, merge_tree_form
 from prpd.robp import check_segment
 
 
@@ -335,3 +337,54 @@ def swap_on_one_robp(n: int) -> Robp:
     """Width-2 program where label 1 swaps the two states."""
     step = ((0, 1), (1, 0))
     return Robp(n=n, w=2, d_step=1, transitions=tuple(step for _ in range(n)))
+
+
+# ---------------------------------------------------------------------------
+# the reflective ledger codec: a closure per JSON value, a dataclass built by keyword
+
+
+def reference_reader(hint) -> Callable:
+    """A function reading a JSON value as a `hint`, or raising InputError."""
+    args = get_args(hint)
+    if hint is Fraction:
+        return _parse_frac
+    if get_origin(hint) is Union:                       # Optional[X]
+        read = reference_reader(args[0])
+        return lambda value: None if value is None else read(value)
+    if get_origin(hint) in (tuple, list):
+        container, reads = get_origin(hint), [reference_reader(a) for a in args
+                                              if a is not Ellipsis]
+        fixed = len(args) > 1 and args[-1] is not Ellipsis      # Tuple[int, int, int, int]
+
+        def read_items(value):
+            items = _typed(value, list)
+            if fixed and len(items) != len(reads):
+                raise InputError(f"{value!r} must have {len(reads)} entries")
+            return container([read(item) for read, item in
+                              zip(reads if fixed else repeat(reads[0]), items)])
+        return read_items
+    if is_dataclass(hint):
+        fields = [(name, reference_reader(t)) for name, t in get_type_hints(hint).items()]
+
+        def read_object(value):
+            value = _typed(value, dict)
+            return hint(**{name: read(value[name]) for name, read in fields})
+        return read_object
+    return partial(_typed, kind=hint)
+
+
+def _typed(value, kind: type):
+    if type(value) is not kind:             # not isinstance: a bool is no int here
+        raise InputError(f"{value!r} is not a JSON {kind.__name__}")
+    return value
+
+
+def reference_ledger_to_dict(value):
+    """The ledger, or any value inside it, as JSON values, each read through vars()."""
+    if type(value) in (int, str) or value is None:
+        return value
+    if type(value) is Fraction:
+        return frac_str(Fraction(value))
+    if type(value) in (tuple, list):
+        return [reference_ledger_to_dict(v) for v in value]
+    return {name: reference_ledger_to_dict(v) for name, v in vars(value).items()}

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -7,10 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from prpd import RecursionParams, ledger_check, ledger_from_dict, ledger_to_dict, recursive_prpd
+from prpd import (InputError, RecursionParams, SeedLedger, ledger_check, ledger_from_dict,
+                  ledger_to_dict, recursive_prpd)
 from prpd.cli import main
+from prpd.recursion import _read_ledger
 
 from helpers import deadline
+from lemmas import reference_reader
 
 
 def read_records(path):
@@ -486,6 +490,13 @@ def _negative_sampler_seeds(data):
     top.update(len_a=[-1, -1], len_b=[-1, -1], s_in=-2)
 
 
+def _negative_cert_eps(data):
+    # a TV distance below 0: below every requirement, but no distance at all
+    for node in data["nodes"]:
+        for slot in node["samplers"]:
+            slot["cert_eps"] = "-1/2"
+
+
 HONEST_LEDGER = _edited_ledger(lambda data: None)
 BAD_FRACTION_LEDGER = json.dumps({"n": 4, "n_padded": 4, "w": 2, "gamma": "1/0", "k": 1,
                                   "c": 1, "sampler_mode": "exact-enumeration", "nodes": []})
@@ -529,6 +540,8 @@ BAD_INPUTS = {
                             _edited_ledger(lambda data: data["nodes"][-1].update(s_out="x"))),
     "ledger-mu-bool": (["ledger-check", "--ledger", "ledger.json"],
                        _edited_ledger(lambda data: data["nodes"][-1].update(mu=True))),
+    "ledger-cert-eps-negative": (["ledger-check", "--ledger", "ledger.json"],
+                                 _edited_ledger(_negative_cert_eps)),
     "ledger-w-zero": (["ledger-check", "--ledger", "ledger.json"],
                       _edited_ledger(lambda data: data.update(w=0))),
     "ledger-header-c-zero": (["ledger-check", "--ledger", "ledger.json"],
@@ -612,9 +625,8 @@ def _fuzz_fields():
 FUZZ_FIELDS = _fuzz_fields()
 
 
-def _fuzz_exit_code(tmp_path, edits):
-    """ledger-check's exit code on the honest ledger with each (fields, JSON value) edit made."""
-    path, out = tmp_path / "ledger.json", tmp_path / "checks.jsonl"
+def _fuzzed(edits):
+    """The honest ledger's JSON data with each (fields, JSON value) edit made."""
     data = json.loads(HONEST_LEDGER)
     for fields, value in edits:
         target = data
@@ -624,9 +636,31 @@ def _fuzz_exit_code(tmp_path, edits):
             target[fields[-1]] = copy.deepcopy(value)
         except (KeyError, IndexError, TypeError):
             pass                        # an earlier edit replaced a parent of this field
-    path.write_text(json.dumps(data))
+    return data
+
+
+def _fuzz_exit_code(tmp_path, edits):
+    """ledger-check's exit code on the honest ledger with each (fields, JSON value) edit made."""
+    path, out = tmp_path / "ledger.json", tmp_path / "checks.jsonl"
+    path.write_text(json.dumps(_fuzzed(edits)))
     with deadline(10):
         return main(["ledger-check", "--ledger", str(path), "--out", str(out)])
+
+
+def test_specialised_reader_matches_reference_on_fuzz_edits():
+    # the ledger reader made once per type at import against the reflective one: on every
+    # single edit, equal dataclasses from both, or the same refusal (a missing key raises
+    # KeyError, which ledger_from_dict turns into InputError)
+    reference = reference_reader(SeedLedger)
+    for fields, value in itertools.product(FUZZ_FIELDS, FUZZ_VALUES.values()):
+        data = _fuzzed([(fields, value)])
+        outcomes = []
+        for read in (reference, _read_ledger):
+            try:
+                outcomes.append(read(data))
+            except (InputError, KeyError) as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1], (fields, value)
 
 
 @pytest.mark.parametrize("value", FUZZ_VALUES)

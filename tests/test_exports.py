@@ -150,3 +150,48 @@ def test_only_environment_read_is_the_enum_limit():
         u, k = env_reads(ast.parse(path.read_text()))
         uses, keys = uses + u, keys + k
     assert keys == ["PRPD_ENUM_LIMIT"] and uses == len(keys)
+
+
+MEMOS = {"cache", "lru_cache"}
+
+
+def process_wide_memos(tree):
+    """Module-level functions and methods a functools memo decorates, and memos made outside
+    any function body. A memo made inside a function lives for one call and is not listed."""
+    names = MEMOS | {alias.asname for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                     for alias in node.names if alias.name in MEMOS and alias.asname}
+
+    def is_memo(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return ((isinstance(node, ast.Name) and node.id in names)
+                or (isinstance(node, ast.Attribute) and node.attr in names))
+
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                if not in_function and not isinstance(child, ast.Lambda):
+                    found.extend(child.name for d in child.decorator_list if is_memo(d))
+                visit(child, True)
+            else:
+                if not in_function and isinstance(child, ast.Call) and is_memo(child):
+                    found.append(ast.unparse(child.func))
+                visit(child, in_function)
+
+    visit(tree, False)
+    return found
+
+
+def test_no_process_wide_memo():
+    # a memo that outlives a call would keep state between calls and let a bench unit that
+    # repeats an input time cache hits; _ten_to is keyed on the interpreter's digit limit
+    source = ("import functools\nfrom functools import cache as memo\n"
+              "@functools.lru_cache(maxsize=None)\ndef f(): pass\ng = memo(f)\n"
+              "class C:\n    @cache\n    def m(self): pass\n"
+              "def h():\n    return functools.cache(lambda: 1)\n")
+    assert process_wide_memos(ast.parse(source)) == ["f", "memo", "m"]
+    found = {(path.name, name) for path in PACKAGE.glob("*.py")
+             for name in process_wide_memos(ast.parse(path.read_text()))}
+    assert found == {("errors.py", "_ten_to")}

@@ -10,14 +10,16 @@ from math import comb
 
 import pytest
 
-from prpd import (InputError, MODE_EXACT, RecursionParams, Robp, exact_average, inf_norm,
-                  ledger_check, ledger_from_dict, ledger_to_dict, mat_sub, measure_robust_error,
-                  random_robp, recursive_prpd, robust_form)
-from prpd.recursion import (C_MAX, K_MAX, cascade_bound, derive_k, is_terminal, ledger_plan,
+from prpd import (InputError, MODE_EXACT, RecursionParams, Robp, SeedLedger, exact_average,
+                  inf_norm, ledger_check, ledger_from_dict, ledger_to_dict, mat_sub,
+                  measure_robust_error, random_robp, recursive_prpd, robust_form)
+from prpd.recursion import (C_MAX, K_MAX, _parse_frac, cascade_bound, derive_k, frac_str,
+                            is_terminal, ledger_plan,
                             next_power_of_two)
 
 from helpers import deadline
-from lemmas import dump_prpd, identity_robp, measure_average_error
+from lemmas import (dump_prpd, identity_robp, measure_average_error, reference_ledger_to_dict,
+                    reference_reader)
 
 
 def test_terminal_h0_is_uniform_bit():
@@ -212,6 +214,36 @@ def test_every_negative_node_int_refused():
             ledger_from_dict(edited)
 
 
+def test_every_negative_certificate_refused():
+    # cert_eps is a TV distance and cert_delta a failure probability: neither is negative
+    _, ledger = recursive_prpd(8, 2, params=RecursionParams(k=1))
+    data = ledger_to_dict(ledger)
+    slots = [(a, b) for a, node in enumerate(data["nodes"]) for b in range(len(node["samplers"]))]
+    assert slots
+    for (a, b), field, value in itertools.product(slots, ("cert_eps", "cert_delta"),
+                                                  ("-1/2", "-3/1")):
+        edited = copy.deepcopy(data)
+        edited["nodes"][a]["samplers"][b][field] = value
+        with pytest.raises(InputError, match="negative certificate"):
+            ledger_from_dict(edited)
+    # every slot at once, as a ledger whose every replayed check still holds
+    for a, b in slots:
+        data["nodes"][a]["samplers"][b].update(cert_eps="-1/2", cert_delta="-3/1")
+    with pytest.raises(InputError, match="negative certificate"):
+        ledger_from_dict(data)
+
+
+@pytest.mark.parametrize("text", ["3/", "1_0/3", " 4/ 5", "+1/2", "1/-2", "\u0663/4", "1/0", "x"])
+def test_fraction_text_frac_str_never_writes_refused(text):
+    with pytest.raises(InputError):
+        _parse_frac(text)
+
+
+def test_fraction_text_round_trips():
+    for q in (Fraction(0), Fraction(-3, 4), Fraction(10 ** 50, 3), Fraction(7)):
+        assert _parse_frac(frac_str(q)) == q
+
+
 def test_measure_average_error_zero_for_exact_builds():
     prpd, _ = recursive_prpd(4, 2, params=RecursionParams(k=1))
     assert measure_average_error(prpd, random_robp(4, 2, seed=9)) == 0
@@ -281,3 +313,37 @@ def test_ledger_json_pinned(n, w, k):
     _, ledger = recursive_prpd(n, w, params=RecursionParams(k=k))
     text = json.dumps(ledger_to_dict(ledger), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_LEDGERS[(n, w, k)]
+
+
+def grid_ledgers():
+    """Ledgers at n_padded 2..128, k 0..5, w in {1, 2, 3, 5} and gamma the default, 2^-20
+    or 1/1000, in that nesting order."""
+    for n, k, w, gamma in itertools.product([1 << h for h in range(1, 8)], range(6), (1, 2, 3, 5),
+                                            (None, Fraction(1, 1 << 20), Fraction(1, 1000))):
+        yield recursive_prpd(n, w, params=RecursionParams(gamma=gamma, k=k))[1]
+
+
+# sha256 over repr(tuple(check)) of every ledger_check row on grid_ledgers(): 122,340 rows,
+# sixteen of them float ties that pass only through _TOL. A change to any row's name,
+# value, float bit or verdict shows here
+GRID_CHECKS_SHA256 = "b96d8e1bfe330cb1d944a87fa0a3d3145f840219df29df20acd65a0682e6927a"
+
+
+def test_ledger_check_rows_pinned_on_grid():
+    digest, rows = hashlib.sha256(), 0
+    for ledger in grid_ledgers():
+        for chk in ledger_check(ledger).checks:
+            digest.update(repr(tuple(chk)).encode())
+            rows += 1
+    assert rows == 122340
+    assert digest.hexdigest() == GRID_CHECKS_SHA256
+
+
+def test_codec_matches_reflective_reference_on_grid():
+    # the codec specialised at import against the reflective one: equal dataclasses read,
+    # and the same JSON bytes written in the same key order, which build-prpd --out records keep
+    read = reference_reader(SeedLedger)
+    for ledger in grid_ledgers():
+        data = ledger_to_dict(ledger)
+        assert json.dumps(data) == json.dumps(reference_ledger_to_dict(ledger))
+        assert ledger_from_dict(data) == read(data) == ledger
