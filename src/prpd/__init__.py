@@ -1,6 +1,6 @@
 """Exactly-verifiable pseudorandom pseudodistributions for read-once branching programs."""
 
-from .errors import CapacityError, ConstructionError, ContractError, InputError, PrpdError
+from .errors import CapacityError, ContractError, InputError, PrpdError
 from .robp import (Mat, Robp, exact_average, identity, inf_norm, mat_add, mat_mul, mat_pow,
                    mat_scale, mat_sub, max_norm, random_robp, serialize_robp, signed_walk_sum)
 from .pdist import (PseudoDist, RobustPrpd, matrix_form, robust_form, to_pseudodist,

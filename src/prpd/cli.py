@@ -187,13 +187,13 @@ def _load_ledger(path: str):
             pos = space.match(text, pos).end()
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read ledger {path}: {exc}") from None
-    ledgers = [v["ledger"] for v in values if isinstance(v, dict) and v.get("record") == "ledger"]
+    ledgers = [v for v in values if isinstance(v, dict) and v.get("record") == "ledger"]
     if len(values) == 1 and not ledgers:
         return values[0]
-    if len(ledgers) != 1:
+    if len(ledgers) != 1 or "ledger" not in ledgers[0]:
         raise InputError(f"{path} holds {len(ledgers)} ledger records among {len(values)} "
-                         "JSON values; need exactly one")
-    return ledgers[0]
+                         "JSON values; need exactly one, holding a 'ledger' key")
+    return ledgers[0]["ledger"]
 
 
 def cmd_ledger_check(args, emit):

@@ -29,11 +29,7 @@ class CapacityError(PrpdError):
 
 
 class ContractError(PrpdError):
-    """A value was used without the certificate or shape its consumer requires."""
-
-
-class ConstructionError(PrpdError):
-    """A construction hypothesis failed; the message names the inequality."""
+    """A value was used without the certificate, shape or hypothesis its consumer requires."""
 
 
 def enum_limit() -> int:

@@ -23,12 +23,11 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
                     get_args, get_origin, get_type_hints)
 
 from .bits import all_bits, suffix
-from .errors import (ConstructionError, ContractError, InputError, check_capacity,
-                     check_renders)
+from .errors import ContractError, InputError, check_capacity, check_renders
 from .pdist import RobustPrpd, dyadic_form, uniform_bundle, uniform_prpd
 from .robp import (Mat, Robp, check_segment, inf_norm, mat_add, mat_mul, mat_scale, mat_sub,
                    walk_counts)
-from .sampler import Sampler, enumeration_sampler, pass_seed
+from .sampler import Sampler, enumeration_sampler, pass_seed, require_certified
 
 # the provenance recursive_prpd records; ledger_check judges a ledger of any provenance
 MODE_EXACT = "exact-enumeration"
@@ -79,25 +78,25 @@ def telescoping_error_bound(k: int, gamma) -> Fraction:
 # hypotheses of one merge level
 
 
-def ck_requirements(m_bits: int, w: int, k: int, gamma) -> Tuple[Tuple[Fraction, ...], Fraction, int]:
-    """Per-index sampler accuracy eps_i, shared failure delta, binding index.
+def ck_requirements(m_bits: int, w: int, k: int, gamma) -> Tuple[Tuple[Fraction, ...], Fraction]:
+    """Per-index sampler accuracy eps_i for i <= split = ceil(k/2), and the shared failure delta.
 
-    delta takes the most conservative reading: the minimum over sampled
-    indices i <= ceil(k/2), i.e. the largest binom(2m-1, i); the index
-    attaining it is returned. That index is the split cap = ceil(k/2) itself:
-    binom(2m-1, i) strictly increases for i <= m-1, and eps_cap divides by
-    binom(m-1, cap), which is 0 past cap = m-1.
+    split is len(eps) - 1. delta takes the most conservative reading: the
+    minimum over sampled indices i <= split, i.e. the largest binom(2m-1, i).
+    That index is split itself: binom(2m-1, i) strictly increases for
+    i <= m-1, and eps_split divides by binom(m-1, split), which is 0 past
+    split = m-1.
     """
-    eps, delta, cap = _requirement_ratios(m_bits, w, k, *Fraction(gamma).as_integer_ratio())
-    return tuple(Fraction(*r) for r in eps), Fraction(*delta), cap
+    eps, delta = _requirement_ratios(m_bits, w, k, *Fraction(gamma).as_integer_ratio())
+    return tuple(Fraction(*r) for r in eps), Fraction(*delta)
 
 
 def _requirement_ratios(m_bits: int, w: int, k: int, num: int, den: int):
     """ck_requirements at gamma = num/den as unreduced (numerator, denominator) int pairs."""
-    cap = (k + 1) // 2
-    eps = [(num ** (i + 1), den ** (i + 1) * w * comb(m_bits - 1, i)) for i in range(cap + 1)]
-    delta = (num ** (k + 1), den ** (k + 1) * w * w * comb(2 * m_bits - 1, cap))
-    return eps, delta, cap
+    split = (k + 1) // 2
+    eps = [(num ** (i + 1), den ** (i + 1) * w * comb(m_bits - 1, i)) for i in range(split + 1)]
+    delta = (num ** (k + 1), den ** (k + 1) * w * w * comb(2 * m_bits - 1, split))
+    return eps, delta
 
 
 @dataclass(frozen=True)
@@ -174,10 +173,11 @@ def build_ck(children: Sequence[RobustPrpd], w: int, gamma,
     children[i] must be a gamma^(i+1)-robust generator for either half with
     weight at most binom(m-1, i); the result approximates the product with
     robust error (11*gamma)^(k+1) and weight at most binom(2m-1, k). Every
-    violated hypothesis raises a ConstructionError naming the inequality.
-    Passing samplers=None installs exact enumeration samplers (certified at
-    (0, 0) analytically). The generator returned carries its layout as
-    `merge`; the layout's bundle is the generator's bundle.
+    violated hypothesis raises a ContractError naming it; a sampler's
+    certificate must cover (eps_i, delta) of ck_requirements, judged by
+    require_certified. Passing samplers=None installs exact enumeration
+    samplers (certified at (0, 0) analytically). The generator returned
+    carries its layout as `merge`; the layout's bundle is the generator's bundle.
     """
     children = tuple(children)
     k = len(children) - 1
@@ -193,13 +193,10 @@ def build_ck(children: Sequence[RobustPrpd], w: int, gamma,
             raise InputError(f"G_{i} emits {child.out_len} bits, expected {m_bits}")
         cap = comb(m_bits - 1, i)
         if child.mu > cap:
-            raise ConstructionError(
-                f"weight hypothesis mu(G_{i}) <= binom(m-1, i) fails: "
-                f"{child.mu} > binom({m_bits - 1}, {i}) = {cap}"
-            )
-    split = (k + 1) // 2
-
-    eps_req, delta_req, binding = ck_requirements(m_bits, w, k, gamma)
+            raise ContractError(f"weight hypothesis mu(G_{i}) <= binom(m-1, i) fails: "
+                                f"{child.mu} > binom({m_bits - 1}, {i}) = {cap}")
+    eps_req, delta_req = ck_requirements(m_bits, w, k, gamma)
+    split = len(eps_req) - 1
     if samplers is None:
         samplers = [enumeration_sampler(children[i].seed_len) for i in range(split + 1)]
     samplers = list(samplers)
@@ -207,21 +204,9 @@ def build_ck(children: Sequence[RobustPrpd], w: int, gamma,
         raise InputError(f"need one sampler per index 0..{split}, got {len(samplers)}")
     for i, g in enumerate(samplers):
         if g.m != children[i].seed_len:
-            raise ConstructionError(
-                f"sampler g_{i} emits {g.m} bits, flat child seed is {children[i].seed_len}"
-            )
-        if g.cert is None:
-            raise ContractError(f"sampler g_{i} is uncertified; certify() it first")
-        if g.cert.eps > eps_req[i]:
-            raise ConstructionError(
-                f"sampler g_{i} accuracy fails eps_{i} <= gamma^{i + 1}/(w*binom(m-1,{i})): "
-                f"{g.cert.eps} > {eps_req[i]}"
-            )
-        if g.cert.delta > delta_req:
-            raise ConstructionError(
-                f"sampler g_{i} failure fails delta <= gamma^{k + 1}/(w^2*binom(2m-1,{binding})): "
-                f"{g.cert.delta} > {delta_req}"
-            )
+            raise ContractError(f"sampler g_{i} emits {g.m} bits, flat child seed is "
+                                f"{children[i].seed_len}")
+        require_certified(g, eps_req[i], delta_req, what=f"sampler g_{i}")
 
     lens = tuple(samplers[i].d if i <= split else children[i].s_in for i in range(k + 1))
     terms = merge_terms(k)
@@ -366,8 +351,9 @@ def ledger_plan(n_padded: int, k: int, w: int, gamma: Fraction) -> Dict[Tuple[in
             plan[(h, kk)] = NodePlan("terminal", cap, bound)
             continue
         merge_gamma = cascade_bound(h - 1, 0, gamma)
-        eps_req, delta_req, binding = ck_requirements(1 << (h - 1), w, kk, merge_gamma)
-        plan[(h, kk)] = NodePlan("merge", cap, bound, merge_gamma, eps_req, delta_req, binding)
+        eps_req, delta_req = ck_requirements(1 << (h - 1), w, kk, merge_gamma)
+        plan[(h, kk)] = NodePlan("merge", cap, bound, merge_gamma, eps_req, delta_req,
+                                 len(eps_req) - 1)
     # a requirement's denominator adds at most w^2 * binom(2^top, k/2) to the top bound's;
     # a weight cap binom(2^h - 1, k) has at most the digits of 2^(top*k)
     log2 = math.log10(2)
@@ -456,19 +442,10 @@ def _lg(v: int) -> float:
     return float(v.bit_length() - 1) if v & (v - 1) == 0 else math.log2(v)
 
 
-def _log2_frac(q: Fraction) -> float:
-    return _lg(q.numerator) - _lg(q.denominator)
-
-
-def _neg_log2_ratio(num: int, den: int) -> float:
-    """-_log2_frac(Fraction(num, den)) for positive ints, with no Fraction made."""
+def _log2_ratio(num: int, den: int) -> float:
+    """log2(num/den) for positive ints, from the lowest-terms parts Fraction(num, den) has."""
     g = gcd(num, den)
-    return -(_lg(num // g) - _lg(den // g))
-
-
-def _log2_over(v: int, gamma: Fraction) -> float:
-    """log2(v / gamma) for a positive int v."""
-    return _log2_frac(Fraction(v) / gamma)
+    return _lg(num // g) - _lg(den // g)
 
 
 def _seed_bounds(h: int, k: int, L_n: float, L_nw: float, L_knw: float) -> Tuple[float, float]:
@@ -485,8 +462,8 @@ def _seed_bounds(h: int, k: int, L_n: float, L_nw: float, L_knw: float) -> Tuple
 
 def inductive_seed_bounds(h: int, k: int, n: int, w: int, gamma: Fraction) -> Tuple[float, float]:
     """Inductive (s_out, s_in) bounds for node (h, k) at c = 1; constant c scales both."""
-    return _seed_bounds(h, k, _log2_over(n, gamma), _log2_over(n * w, gamma),
-                        _log2_over(max(k, 1) * n * w, gamma))
+    return _seed_bounds(h, k, *(_log2_ratio(v * gamma.denominator, gamma.numerator)
+                                for v in (n, n * w, max(k, 1) * n * w)))
 
 
 class LedgerCheck(NamedTuple):     # a tuple, cheap to build: one ledger makes thousands
@@ -545,11 +522,11 @@ def ledger_check(ledger: SeedLedger) -> LedgerReport:
     # the replay asks for each node's bounds and each k's sampler budgets many times: the
     # header's logs are taken once, log2(max(k,1)nw/gamma) once per k; a sampler budget
     # is i*log2(n/gamma) + 2*log2(knw/gamma)
-    L_n, L_nw = _log2_over(n, gamma), _log2_over(n * w, gamma)
-    L_knw = cache(lambda k: _log2_over(max(k, 1) * n * w, gamma))
+    num, den = gamma.as_integer_ratio()
+    L_n, L_nw = _log2_ratio(n * den, num), _log2_ratio(n * w * den, num)
+    L_knw = cache(lambda k: _log2_ratio(max(k, 1) * n * w * den, num))
     bounds = cache(lambda h, k: _seed_bounds(h, k, L_n, L_nw, L_knw(k)))
     budgets = cache(lambda k: [i * L_n + 2 * L_knw(k) for i in range(k + 1)])
-    num, den = gamma.as_integer_ratio()
 
     def add(h, k, name, lhs, rhs, equal=False):         # both sides exact
         checks.append(LedgerCheck(h, k, name, lhs, rhs, lhs == rhs if equal else lhs <= rhs))
@@ -628,9 +605,9 @@ def ledger_check(ledger: SeedLedger) -> LedgerReport:
 
         # arithmetic replay of the proof's chains, global gamma, c = 1: -log2 of each
         # requirement of ck_requirements(2^(h-1), w, k, gamma), from its int ratio
-        eps_ratios, delta_ratio, _ = _requirement_ratios(1 << (h - 1), w, k, num, den)
-        log_delta = _neg_log2_ratio(*delta_ratio)
-        log_eps = [_neg_log2_ratio(*r) for r in eps_ratios]
+        eps_ratios, delta_ratio = _requirement_ratios(1 << (h - 1), w, k, num, den)
+        log_delta = -_log2_ratio(*delta_ratio)
+        log_eps = [-_log2_ratio(*r) for r in eps_ratios]
         d_budget = budgets(k)
         for i in range(split + 1):
             need = log_eps[i] + math.log2(max(2.0, log_delta))

@@ -161,6 +161,8 @@ class SzSchedule:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise InputError("n1 and n2 must be at least 1")
+        if self.n1 == 1 and self.n2 > 1:
+            raise InputError("n1 = 1 with n2 >= 2 is outside sz_error_bound's regime")
         if self.d < 1:
             raise InputError("snap precision d must be at least 1")
         if len(self.offsets) != self.n2:
@@ -179,5 +181,10 @@ def sz_power(m: Mat, schedule: SzSchedule, approximator: Callable[[Mat, str], Ma
 
 
 def sz_error_bound(n: int, w: int, d: int) -> Fraction:
-    """Final accuracy of the snapped chain: n*w*2^(-d+1)."""
+    """Final accuracy of the snapped chain: n*w*2^(-d+1), for n = n1^n2 with n1 >= 2 or n2 = 1.
+
+    Level i's error is at most n1 times level i-1's plus w*2^(1-d), so the
+    chain stays within w*2^(1-d)*(1 + n1 + ... + n1^(n2-1)), which is at most
+    n*w*2^(1-d) exactly in that regime; SzSchedule refuses the rest.
+    """
     return Fraction(2 * n * w, 1 << d)

@@ -31,8 +31,8 @@ class Certificate:
     method: str
 
     def covers(self, eps, delta) -> bool:
-        """Certificates are monotone: (eps, delta) covers anything weaker."""
-        return self.eps <= Fraction(eps) and self.delta <= Fraction(delta)
+        """Certificates are monotone: (eps, delta) covers anything weaker, compared as given."""
+        return self.eps <= eps and self.delta <= delta
 
 
 @dataclass

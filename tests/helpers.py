@@ -143,13 +143,13 @@ def weighted_exact_prpd(out_len: int, mu: int) -> RobustPrpd:
     return RobustPrpd(out_len=out_len, s_out=0, s_in=out_len, mu=mu, bundle=bundle)
 
 
-def assumed_sampler(g: Sampler) -> Sampler:
-    """g with an assumed (0, 0) certificate, so build_ck installs it.
+def assumed_sampler(g: Sampler, eps=Fraction(0), delta=Fraction(0)) -> Sampler:
+    """g with an assumed (eps, delta) certificate, by default (0, 0), so build_ck installs it.
 
     For tests that judge how a generator is evaluated, not how accurate its
-    samplers are.
+    samplers are, and for tests that put a certificate at a given requirement.
     """
-    g.cert = Certificate(eps=Fraction(0), delta=Fraction(0), method="assumed")
+    g.cert = Certificate(eps=Fraction(eps), delta=Fraction(delta), method="assumed")
     return g
 
 

@@ -11,7 +11,7 @@ from math import comb
 
 import pytest
 
-from prpd import (ConstructionError, SzSchedule, build_ck, certify,
+from prpd import (ContractError, SzSchedule, build_ck, certify,
                   enumeration_sampler, expander_walk_sampler,
                   grid_bits, inf_norm, ledger_check, mat_add, mat_mul, mat_scale,
                   mat_sub, matrix_form, max_norm, measure_robust_error, random_robp,
@@ -226,7 +226,7 @@ def test_c06_one_level_construction():
     for m_bits, k in [(1, 1), (1, 2), (2, 2)]:
         children = [weighted_exact_prpd(m_bits, max(1, comb(m_bits - 1, i)))
                     for i in range(k + 1)]
-        with pytest.raises(ConstructionError, match="weight hypothesis"):
+        with pytest.raises(ContractError, match="weight hypothesis"):
             build_ck(children, w=2, gamma=gamma)
     # genuinely lossy children keep the cascade bound with nonzero error
     lossy_gamma = Fraction(1, 16)

@@ -5,13 +5,14 @@ from math import comb
 
 import pytest
 
-from prpd import (ConstructionError, ContractError, InputError, build_ck, certify, exact_average,
-                  expander_walk_sampler, inf_norm, mat_mul, mat_scale, mat_sub, matrix_form,
-                  measure_robust_error, merge_terms, random_robp, signed_walk_sum, uniform_prpd)
+from prpd import (ContractError, InputError, build_ck, certify, enumeration_sampler,
+                  exact_average, expander_walk_sampler, inf_norm, mat_mul, mat_scale, mat_sub,
+                  matrix_form, measure_robust_error, merge_terms, random_robp, signed_walk_sum,
+                  uniform_prpd)
 from prpd.bits import all_bits
 from prpd.recursion import MergeNode, ck_requirements
 
-from helpers import corrupted_uniform_prpd, weighted_exact_prpd
+from helpers import assumed_sampler, corrupted_uniform_prpd, weighted_exact_prpd
 from lemmas import argmax_delta, average, dump_prpd, zeros
 
 GAMMA = Fraction(1, 256)
@@ -40,7 +41,8 @@ def test_ck_requirements_binds_at_split_index():
     gamma = Fraction(3, 7)
     for m_bits in range(1, 70):
         for k in range(2 * m_bits - 1):
-            _, delta, binding = ck_requirements(m_bits, 2, k, gamma)
+            eps, delta = ck_requirements(m_bits, 2, k, gamma)
+            binding = len(eps) - 1
             assert binding == (k + 1) // 2
             assert (delta, binding) == argmax_delta(m_bits, 2, k, gamma)
         for k in range(2 * m_bits - 1, 2 * m_bits + 2):
@@ -202,7 +204,7 @@ def test_oblivious_construction():
 def test_refuses_unsatisfiable_weight_hypothesis():
     # binom(m-1, i) = 0 admits no generator of weight >= 1
     children = [uniform_prpd(1), uniform_prpd(1)]
-    with pytest.raises(ConstructionError, match=r"weight hypothesis.*binom\(0, 1\) = 0"):
+    with pytest.raises(ContractError, match=r"weight hypothesis.*binom\(0, 1\) = 0"):
         build_ck(children, w=2, gamma=GAMMA)
 
 
@@ -211,7 +213,7 @@ def test_refuses_insufficient_sampler_accuracy():
     g = expander_walk_sampler(6, 2, children[0].seed_len, seed=5)
     ok, _ = certify(g, Fraction(1, 2), Fraction(1, 4))
     assert ok  # certified, but far too weak for gamma = 1/256
-    with pytest.raises(ConstructionError, match="eps_0"):
+    with pytest.raises(ContractError, match=r"sampler g_0 certified at \(1/2, 1/4\)"):
         build_ck(children, w=2, gamma=GAMMA, samplers=[g])
 
 
@@ -220,7 +222,7 @@ def test_refuses_insufficient_sampler_failure_probability():
     g = expander_walk_sampler(6, 2, children[0].seed_len, seed=5)
     ok, _ = certify(g, 0, 1)
     assert ok  # at TV 0, but on a failing fraction of x bounded only by 1
-    with pytest.raises(ConstructionError, match="failure fails delta"):
+    with pytest.raises(ContractError, match=r"sampler g_0 certified at \(0, 1\)"):
         build_ck(children, w=2, gamma=GAMMA, samplers=[g])
 
 
@@ -235,8 +237,29 @@ def test_refuses_sampler_output_mismatch():
     children = [uniform_prpd(2)]
     g = expander_walk_sampler(6, 3, 3, seed=5)
     certify(g, Fraction(1), Fraction(1))
-    with pytest.raises(ConstructionError, match="flat child seed"):
+    with pytest.raises(ContractError, match="flat child seed"):
         build_ck(children, w=2, gamma=GAMMA, samplers=[g])
+
+
+def test_certificate_at_the_requirement_is_the_boundary():
+    # a sampler certified at exactly (eps_i, delta) is installed; one certified above it, in
+    # eps alone or in delta alone, at any sampled index, is refused
+    children = [uniform_prpd(4)] * 3
+    eps_req, delta_req = ck_requirements(4, 2, 2, GAMMA)
+    assert len(eps_req) == 2
+
+    def samplers(raised=None, eps_up=0, delta_up=0):
+        return [assumed_sampler(enumeration_sampler(4), eps_i + (eps_up if i == raised else 0),
+                                delta_req + (delta_up if i == raised else 0))
+                for i, eps_i in enumerate(eps_req)]
+
+    node = build_ck(children, w=2, gamma=GAMMA, samplers=samplers()).merge
+    assert [(g.cert.eps, g.cert.delta) for g in node.samplers] == [(e, delta_req) for e in eps_req]
+    for i, eps_i in enumerate(eps_req):
+        for up in (dict(eps_up=Fraction(1, eps_i.denominator ** 2)),
+                   dict(delta_up=Fraction(1, delta_req.denominator ** 2))):
+            with pytest.raises(ContractError, match=f"sampler g_{i} certified at"):
+                build_ck(children, w=2, gamma=GAMMA, samplers=samplers(i, **up))
 
 
 BUILD_CK_REFUSALS = {

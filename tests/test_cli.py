@@ -511,6 +511,9 @@ BAD_INPUTS = {
     "d-zero": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "1", "--d", "0"], None),
     "matrices-negative": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "1", "--d", "6",
                            "--matrices", "-1"], None),
+    # n1 = 1 chains n2 snaps, each up to w*2^(1-d), against a bound of one snap
+    "sz-n1-one-chain": (["sz-demo", "--w", "2", "--n1", "1", "--n2", "2", "--d", "3",
+                         "--matrices", "20"], None),
     "sz-exact-eps-ignored": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "1", "--d", "6",
                               "--eps", "1/4"], None),
     "armoni-eps-zero": (["sz-demo", "--w", "2", "--n1", "2", "--n2", "1", "--d", "6",
@@ -563,6 +566,11 @@ BAD_INPUTS = {
     "ledger-records-without-ledger": (["ledger-check", "--ledger", "ledger.json"], _records()),
     "ledger-records-two-ledgers": (["ledger-check", "--ledger", "ledger.json"],
                                    _records(HONEST_LEDGER, HONEST_LEDGER)),
+    # a ledger record must hold its ledger, alone or after a config record
+    "ledger-record-without-ledger-key": (["ledger-check", "--ledger", "ledger.json"],
+                                         '{"record": "ledger"}\n'),
+    "ledger-records-without-ledger-key": (["ledger-check", "--ledger", "ledger.json"],
+                                          _records() + '{"record": "ledger"}\n'),
     "certify-n-negative": (["certify-sampler", "--kind", "enumeration", "--m", "4", "--n", "-1",
                             "--eps", "0", "--delta", "0"], None),
     # an enumeration sampler has d = m; a --d that differs is not ignored

@@ -80,6 +80,31 @@ def test_only_pdist_and_recursion_call_bundles():
     assert callers == ["pdist.py", "recursion.py"]
 
 
+def cert_comparisons(tree):
+    """The comparisons in an AST with an operand that reads some .cert.eps or .cert.delta."""
+    def reads_cert(node):
+        return any(isinstance(n, ast.Attribute) and n.attr in ("eps", "delta")
+                   and isinstance(n.value, ast.Attribute) and n.value.attr == "cert"
+                   for n in ast.walk(node))
+
+    return [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(reads_cert(side) for side in [node.left, *node.comparators])]
+
+
+def test_only_sampler_judges_certificates():
+    # Certificate.covers, through require_certified, is the one judge of a sampler's
+    # certificate; a module comparing cert fields itself would be a second one. Copying
+    # them (into a ledger slot) is no comparison
+    source = ("if g.cert.eps > e: pass\nok = Fraction(s.cert.delta) <= d\n"
+              "slot = Slot(cert_eps=g.cert.eps)\nok = slot.cert_eps <= e\n")
+    assert cert_comparisons(ast.parse(source)) == ["g.cert.eps > e",
+                                                   "Fraction(s.cert.delta) <= d"]
+    judged = {path.name: cert_comparisons(ast.parse(path.read_text()))
+              for path in [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+              if path.name != "sampler.py"}
+    assert {name: found for name, found in judged.items() if found} == {}
+
+
 def test_pdist_is_the_module():
     # the package re-exports no function called pdist, so its attribute is the module
     assert isinstance(prpd.pdist, types.ModuleType)

@@ -223,6 +223,23 @@ def test_armoni_grid_exact_input_is_exact():
     assert armoni_pow(m, 2, gen, samp, "", eps) == mat_pow(m, 2)
 
 
+def test_armoni_certificate_at_the_requirement_is_the_boundary():
+    # the offline sampler needs (eps/(6*mu), eps/w^2): exactly that is accepted, and one
+    # certified above it in eps alone or in delta alone is refused
+    m = rand_substochastic(random.Random(6), 2)
+    eps = Fraction(1, 8)
+    d = grid_bits(2, 2, eps)
+    gen = uniform_prpd(2 * d)
+    need_eps, need_delta = eps / (6 * gen.mu), eps / 4
+    samp = assumed_sampler(enumeration_sampler(gen.seed_len), need_eps, need_delta)
+    assert armoni_pow(m, 2, gen, samp, "", eps) == mat_pow(snap_matrix(m, 0, d), 2)
+    for eps_up, delta_up in ((Fraction(1, 10 ** 9), 0), (0, Fraction(1, 10 ** 9))):
+        samp = assumed_sampler(enumeration_sampler(gen.seed_len), need_eps + eps_up,
+                               need_delta + delta_up)
+        with pytest.raises(ContractError, match="offline sampler certified at"):
+            armoni_pow(m, 2, gen, samp, "", eps)
+
+
 def test_armoni_contract_errors():
     m = ((Fraction(1, 2),),)
     eps = Fraction(1, 4)
@@ -388,6 +405,18 @@ def test_sz_schedule_validation():
         SzSchedule(n1=2, n2=2, d=3, eps=Fraction(0), y="", offsets=("000",))
     with pytest.raises(InputError):
         SzSchedule(n1=2, n2=1, d=3, eps=Fraction(0), y="", offsets=("01",))
+
+
+def test_sz_schedule_refuses_n1_one_chain():
+    # at n1 = 1 each level adds up to w*2^(1-d) and nothing shrinks it: n2 levels reach
+    # n2*w*2^(1-d), past sz_error_bound(1, w, d) = w*2^(1-d); one level stays within it
+    with pytest.raises(InputError, match="outside sz_error_bound's regime"):
+        SzSchedule(n1=1, n2=2, d=3, eps=Fraction(0), y="", offsets=("000", "000"))
+    m = ((Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 5), Fraction(3, 5)))
+    for z in all_bits(3):
+        schedule = SzSchedule(n1=1, n2=1, d=3, eps=Fraction(0), y="", offsets=(z,))
+        result = sz_power(m, schedule, lambda mat, y: mat_pow(mat, 1))
+        assert inf_norm(mat_sub(result, m)) <= sz_error_bound(1, 2, 3)
 
 
 def test_sz_failure_bound_expression():
