@@ -1,4 +1,8 @@
-"""Fixed-width binary strings, the seed currency of every module here."""
+"""Fixed-width binary strings: a generator's seeds and outputs, and snap offsets.
+
+Samplers do not use them: a sampler maps (int, int) to int, and
+recursion.behind converts at its edge, where a generator reads a sampler.
+"""
 
 from __future__ import annotations
 

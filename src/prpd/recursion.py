@@ -22,12 +22,12 @@ from math import comb, gcd
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
                     get_args, get_origin, get_type_hints)
 
-from .bits import all_bits, suffix
+from .bits import all_bits, bits_to_int, int_to_bits, suffix
 from .errors import ContractError, InputError, check_capacity, check_renders
 from .pdist import RobustPrpd, dyadic_form, uniform_bundle, uniform_prpd
 from .robp import (Mat, Robp, check_segment, inf_norm, mat_add, mat_mul, mat_scale, mat_sub,
                    walk_counts)
-from .sampler import Sampler, enumeration_sampler, pass_seed, require_certified
+from .sampler import Sampler, check_outputs, enumeration_sampler, pass_seed, require_certified
 
 # the provenance recursive_prpd records; ledger_check judges a ledger of any provenance
 MODE_EXACT = "exact-enumeration"
@@ -124,13 +124,18 @@ def behind(child: RobustPrpd, g: Sampler) -> RobustPrpd:
     seed g's input, inner seed g's seed and child's weight; it carries
     (child, g) as `reads`. Behind a sampler that selects every flat seed once,
     with no outer seed on either side, the composition is child itself.
+    Generator seeds are strings and sampler seeds ints: the bundle parses x
+    and s, refuses an output out of range as tv_profile does, and formats
+    the output at g.m bits.
     """
     if _selects_every_seed(child, g) and g.n == child.s_out == 0:
         return child
     cut = child.s_out
 
     def bundle(x: str, s: str) -> List[Tuple[str, int]]:
-        z = g.sample(x, s)
+        z = g.sample(bits_to_int(x), bits_to_int(s))
+        check_outputs((z,), g.m)
+        z = int_to_bits(z, g.m)
         return child.bundle(z[:cut], z[cut:])
 
     return RobustPrpd(out_len=child.out_len, s_out=g.n, s_in=g.d, mu=child.mu, bundle=bundle,
@@ -167,7 +172,8 @@ class MergeNode:
 
 
 def build_ck(children: Sequence[RobustPrpd], w: int, gamma,
-             samplers: Optional[Sequence[Sampler]] = None) -> RobustPrpd:
+             samplers: Optional[Sequence[Sampler]] = None, *,
+             requirements: Optional[Tuple[Tuple[Fraction, ...], Fraction]] = None) -> RobustPrpd:
     """Merge a graded half-segment family into one generator for the doubled segment.
 
     children[i] must be a gamma^(i+1)-robust generator for either half with
@@ -176,8 +182,10 @@ def build_ck(children: Sequence[RobustPrpd], w: int, gamma,
     violated hypothesis raises a ContractError naming it; a sampler's
     certificate must cover (eps_i, delta) of ck_requirements, judged by
     require_certified. Passing samplers=None installs exact enumeration
-    samplers (certified at (0, 0) analytically). The generator returned
-    carries its layout as `merge`; the layout's bundle is the generator's bundle.
+    samplers (certified at (0, 0) analytically). requirements, when given,
+    are ck_requirements(m, w, k, gamma) as a plan already holds them, and are
+    not derived again. The generator returned carries its layout as `merge`;
+    the layout's bundle is the generator's bundle.
     """
     children = tuple(children)
     k = len(children) - 1
@@ -195,7 +203,7 @@ def build_ck(children: Sequence[RobustPrpd], w: int, gamma,
         if child.mu > cap:
             raise ContractError(f"weight hypothesis mu(G_{i}) <= binom(m-1, i) fails: "
                                 f"{child.mu} > binom({m_bits - 1}, {i}) = {cap}")
-    eps_req, delta_req = ck_requirements(m_bits, w, k, gamma)
+    eps_req, delta_req = requirements or ck_requirements(m_bits, w, k, gamma)
     split = len(eps_req) - 1
     if samplers is None:
         samplers = [enumeration_sampler(children[i].seed_len) for i in range(split + 1)]
@@ -384,7 +392,8 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
     shorter programs extended with identity steps). Terminal nodes
     (h = 0 or 2k >= 2^h) are the exact uniform generator with s_out = 0, and
     every merge re-selects its low-index children through build_ck's
-    enumeration samplers.
+    enumeration samplers, judged against the requirements its plan node
+    holds.
     """
     params = params or RecursionParams()
     n_pad = next_power_of_two(n)
@@ -415,7 +424,8 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
             prpd = uniform_prpd(1 << h)
         else:
             children = [table[(h - 1, i)] for i in range(kk + 1)]
-            prpd = build_ck(children, w=w, gamma=p.merge_gamma)
+            prpd = build_ck(children, w=w, gamma=p.merge_gamma,
+                            requirements=(p.eps_required, p.delta_required))
             slots = tuple(SamplerSlot(i=i, out_bits=g.m, n=g.n, d=g.d, eps_required=eps_i,
                                       delta_required=p.delta_required, cert_method=g.cert.method,
                                       cert_eps=g.cert.eps, cert_delta=g.cert.delta)

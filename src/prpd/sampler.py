@@ -7,6 +7,11 @@ between the sample multiset and uniform is the exact worst case over
 [0,1]-valued test functions, so the per-x TV profile decides the (eps,
 delta) property outright. Constructions refuse samplers that do not carry
 a covering certificate.
+
+A sampler is a function on ints: g.sample(x, s) takes the n-bit outer input
+x and the d-bit seed s and returns the m-bit output, each read MSB first,
+so its order is the lexicographic order of the bit strings. Callers that
+hold strings convert at their own edge.
 """
 
 from __future__ import annotations
@@ -15,9 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
-from .bits import all_bits
 from .errors import ContractError, InputError, check_capacity
 
 METHOD_BRUTE = "brute-force"
@@ -40,7 +44,7 @@ class Sampler:
     n: int
     d: int
     m: int
-    sample: Callable[[str, str], str]
+    sample: Callable[[int, int], int]
     cert: Optional[Certificate] = None
 
 
@@ -59,7 +63,7 @@ class TvProfile:
         return sum(1 for tv in self.per_x if tv > eps)
 
 
-def pass_seed(x: str, s: str) -> str:
+def pass_seed(x: int, s: int) -> int:
     """g(x, s) = s: with d = m every seed is selected once, whatever x is."""
     return s
 
@@ -103,10 +107,11 @@ def expander_walk_sampler(n: int, d: int, m: int, seed: int = 0) -> Sampler:
 
     The outer input, cut into m-bit chunks from the left, XOR-folds onto a
     salt to give the start vertex. Each 2-bit seed symbol is an affine step
-    (_WALK_STEPS) and an odd last seed bit steps +1 or -1. The walk runs on
-    ints: each whole seed byte is one map from a 256-entry table of composed
-    steps, and the leftover bits one map from a table per leftover length.
-    The tables depend on m only and are never changed. The degenerate d = m
+    (_WALK_STEPS) and an odd last seed bit steps +1 or -1. Each whole seed
+    byte is one map from a 256-entry table of composed steps, and the
+    leftover d % 8 bits one map from the table of that length. The shifts
+    that cut x into chunks and s into bytes are fixed with the sampler; the
+    tables depend on m only and are never changed. The degenerate d = m
     case passes the seed straight through.
     """
     if n < 0 or d < 0 or m < 1:
@@ -117,31 +122,35 @@ def expander_walk_sampler(n: int, d: int, m: int, seed: int = 0) -> Sampler:
     if d == m:
         return Sampler(n=n, d=d, m=m, sample=pass_seed, cert=None)
 
-    byte_steps = _composed_steps(8, mask)
-    tail_steps = tuple(_composed_steps(bits, mask) for bits in range(8))
-    width = f"0{m}b"
+    # x's last chunk is its low n % m bits; the whole chunks sit above it
+    part = n % m
+    part_mask, fold_shifts = (1 << part) - 1, tuple(range(part, n, m))
+    # s's whole bytes from the left, then its low d % 8 bits
+    tail = d & 7
+    byte_shifts = tuple(range(d - 8, tail - 1, -8))
+    tail_mask = (1 << tail) - 1
+    byte_steps, tail_steps = _composed_steps(8, mask), _composed_steps(tail, mask)
 
-    def sample(x: str, s: str) -> str:
-        v = salt
-        if x:
-            # x's last chunk is its low len(x) % m bits; the rest are whole chunks
-            r, part = int(x, 2), len(x) % m
-            v ^= r & ((1 << part) - 1)
-            r >>= part
-            while r:
-                v ^= r & mask
-                r >>= m
-        if s:
-            r, tail = int(s, 2), len(s) & 7
-            for byte in (r >> tail).to_bytes(len(s) >> 3, "big"):
-                a, b = byte_steps[byte]
-                v = (a * v + b) & mask
-            if tail:
-                a, b = tail_steps[tail][r & ((1 << tail) - 1)]
-                v = (a * v + b) & mask
-        return format(v, width)
+    def sample(x: int, s: int) -> int:
+        v = salt ^ (x & part_mask)
+        for shift in fold_shifts:
+            v ^= (x >> shift) & mask
+        for shift in byte_shifts:
+            a, b = byte_steps[(s >> shift) & 255]
+            v = (a * v + b) & mask
+        if tail:
+            a, b = tail_steps[s & tail_mask]
+            v = (a * v + b) & mask
+        return v
 
     return Sampler(n=n, d=d, m=m, sample=sample, cert=None)
+
+
+def check_outputs(outs: Iterable, m: int) -> None:
+    """ContractError naming the first of outs that is not an int in [0, 2^m); a bool is not."""
+    for out in outs:
+        if type(out) is not int or out < 0 or out >> m:
+            raise ContractError(f"sampler output {out!r} is not an int in [0, 2^{m})")
 
 
 def tv_profile(g: Sampler) -> TvProfile:
@@ -150,18 +159,17 @@ def tv_profile(g: Sampler) -> TvProfile:
     Over 2^(d+m), an output hit c times is |c*2^m - 2^d| from uniform and a
     missed one 2^d, so each TV is one Fraction of an int sum. Each x is
     counted in one pass over the seeds; the Counter keeps outputs in
-    first-seen order, so a wrong-length output is reported as the first one
-    met in (x, s) order.
+    first-seen order, so an output out of range is reported as the first
+    one met in (x, s) order. Only distinct outputs are checked: a value
+    equal to one already counted (True after 1) is counted as that int.
     """
     check_capacity((1 << g.n) * (1 << g.d), "sampler TV profile")
     unif, den = 1 << g.d, 1 << (g.d + g.m + 1)
-    seeds = tuple(all_bits(g.d))
+    seeds = range(1 << g.d)
     per_x = []
-    for x in all_bits(g.n):
+    for x in range(1 << g.n):
         counts = Counter(map(g.sample, repeat(x), seeds))
-        for out in counts:
-            if len(out) != g.m:
-                raise ContractError(f"sampler output {out!r} is not {g.m} bits")
+        check_outputs(counts, g.m)
         hit_mass = sum(abs((c << g.m) - unif) for c in counts.values())
         miss_mass = ((1 << g.m) - len(counts)) * unif
         per_x.append(Fraction(hit_mass + miss_mass, den))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from prpd import Certificate, PseudoDist, RobustPrpd, Sampler, build_ck, inf_norm
-from prpd.bits import all_bits, int_to_bits
+from prpd.bits import all_bits, bits_to_int, int_to_bits
 
 
 @contextmanager
@@ -88,12 +88,12 @@ def rand_flat_map(rng: random.Random, m_bits: int, w: int, lo=-1, hi=1) -> dict:
 
 def rand_table_sampler(rng: random.Random, n: int, d: int, m: int) -> Sampler:
     table = {
-        (x, s): rand_bits(rng, m)
-        for x in all_bits(n)
-        for s in all_bits(d)
+        (x, s): bits_to_int(rand_bits(rng, m))
+        for x in range(1 << n)
+        for s in range(1 << d)
     }
 
-    def sample(x: str, s: str) -> str:
+    def sample(x: int, s: int) -> int:
         return table[(x, s)]
 
     return Sampler(n=n, d=d, m=m, sample=sample, cert=None)

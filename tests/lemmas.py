@@ -6,16 +6,15 @@ against), the generator-table dump that compares builds byte for byte
 (dump_prpd), the pseudodistribution algebra (realization turns scale /
 union / concat into matrix scale / sum / product exactly), the Fraction view
 of a generator's int form, the mean of a form, the norm statistics of a
-matrix form, a sampler's average over a per-seed table and the three
-sampler-product rules with their worst-case bounds, the fraction of a
-sampler's bad outer inputs, the expander walk on strings that the int walk
-is tested against, the plain average error of a generator, the merge
-level's delta by an argmax over its binomials, the snap and Saks-Zhou
-failure bounds, the grid step program by bisection, two example programs,
-and the reflective ledger codec the specialised one is tested against. The
-package keeps
-what its commands, scripts and benchmark call; these stay next to the
-assertions that check them.
+matrix form, a sampler read on bit strings, a sampler's average over a
+per-seed table and the three sampler-product rules with their worst-case
+bounds, the fraction of a sampler's bad outer inputs, the expander walk on
+strings that the int walk is tested against, the plain average error of a
+generator, the merge level's delta by an argmax over its binomials, the
+snap and Saks-Zhou failure bounds, the grid step program by bisection, two
+example programs, and the reflective ledger codec the specialised one is
+tested against. The package keeps what its commands, scripts and benchmark
+call; these stay next to the assertions that check them.
 """
 
 from __future__ import annotations
@@ -203,9 +202,14 @@ def right_product_bound(stats_a: FormStats, stats_b: FormStats,
     return fail + good_a * stats_b.robust_norm
 
 
+def sample_on_bits(g: Sampler, x: str, s: str) -> str:
+    """g.sample read on bit strings: x and s parsed, the output formatted at g.m bits."""
+    return int_to_bits(g.sample(bits_to_int(x), bits_to_int(s)), g.m)
+
+
 def sampled_average(mapping: Dict[str, Mat], g: Sampler, z: str) -> Mat:
     """E_s[A(g(z, s))]: the mean of the mapping over g's samples for input z; no certificate check."""
-    total = reduce(mat_add, (mapping[g.sample(z, s)] for s in all_bits(g.d)))
+    total = reduce(mat_add, (mapping[sample_on_bits(g, z, s)] for s in all_bits(g.d)))
     return mat_scale(Fraction(1, 1 << g.d), total)
 
 

@@ -13,7 +13,7 @@ from prpd.bits import all_bits
 from prpd.recursion import MergeNode, ck_requirements
 
 from helpers import assumed_sampler, corrupted_uniform_prpd, weighted_exact_prpd
-from lemmas import argmax_delta, average, dump_prpd, zeros
+from lemmas import argmax_delta, average, dump_prpd, sample_on_bits, zeros
 
 GAMMA = Fraction(1, 256)
 
@@ -29,7 +29,7 @@ def child_bundle(node, side, i, x, y):
     y_part = y[:node.lens[i]] if side == "A" else y[len(y) - node.lens[i]:]
     if i < len(node.samplers):
         g = node.samplers[i]
-        z = g.sample(x[:g.n], y_part)
+        z = sample_on_bits(g, x[:g.n], y_part)
     else:
         z = x[:child.s_out] + y_part
     return child.bundle(z[:child.s_out], z[child.s_out:])

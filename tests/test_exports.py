@@ -105,6 +105,36 @@ def test_only_sampler_judges_certificates():
     assert {name: found for name, found in judged.items() if found} == {}
 
 
+def bit_text_uses(tree):
+    """Where an AST turns ints into bit strings or back: an import of prpd.bits, int() with
+    a base, format(), bin(), str.format() and an f-string format spec."""
+    def found(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module in ("bits", "prpd.bits") or any(a.name == "bits" for a in node.names)
+        if isinstance(node, ast.Import):
+            return any(a.name == "prpd.bits" for a in node.names)
+        if isinstance(node, ast.Call):
+            func = node.func
+            return ((isinstance(func, ast.Name) and (func.id in ("format", "bin") or func.id == "int"
+                     and (len(node.args) > 1 or any(kw.arg == "base" for kw in node.keywords))))
+                    or (isinstance(func, ast.Attribute) and func.attr == "format"))
+        return isinstance(node, ast.FormattedValue) and node.format_spec is not None
+
+    return [ast.unparse(node) for node in ast.walk(tree) if found(node)]
+
+
+def test_sampler_layer_handles_no_bit_strings():
+    # a sampler maps (int, int) to int; strings are converted where a generator reads one
+    # (recursion.behind), so prpd.sampler neither parses nor formats bit text
+    source = ("from .bits import all_bits\nfrom prpd import bits\nv = int(x, 2)\n"
+              "v = int(x, base=2)\nz = format(v, w)\nz = bin(v)\nz = '{:b}'.format(v)\n"
+              "z = f'{v:0{m}b}'\nok = int(v) + len(f'{v!r}')\n")
+    assert bit_text_uses(ast.parse(source)) == [
+        "from .bits import all_bits", "from prpd import bits", "int(x, 2)", "int(x, base=2)",
+        "format(v, w)", "bin(v)", "'{:b}'.format(v)", "{v:0{m}b}"]
+    assert bit_text_uses(ast.parse((PACKAGE / "sampler.py").read_text())) == []
+
+
 def test_pdist_is_the_module():
     # the package re-exports no function called pdist, so its attribute is the module
     assert isinstance(prpd.pdist, types.ModuleType)

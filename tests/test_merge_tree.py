@@ -9,6 +9,7 @@ against an all-Fraction oracle that scales no int sums.
 """
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -27,7 +28,8 @@ from prpd.recursion import _MergeTree, behind, merge_tree_form
 
 from helpers import (assumed_sampler, corrupted_uniform_prpd, rand_bits, rand_child,
                      rand_depth1_tree, rand_depth2_tree, rand_merge, rand_table_sampler)
-from lemmas import fraction_form, measure_average_error, sampled_average, walk_matrix
+from lemmas import (fraction_form, measure_average_error, sample_on_bits, sampled_average,
+                    walk_matrix)
 from test_recursion import PINNED_DUMPS
 
 
@@ -165,8 +167,45 @@ def test_behind_bundle_reads_child_at_selected_seed(data):
     assert reader.reads[0] is child and reader.reads[1] is g
     for x in all_bits(g.n):
         for s in all_bits(g.d):
-            z = g.sample(x, s)
+            z = sample_on_bits(g, x, s)
             assert reader.bundle(x, s) == child.bundle(z[:child.s_out], z[child.s_out:])
+
+
+@pytest.mark.parametrize("n,d,m", [(0, 2, 2), (2, 0, 2), (1, 1, 0), (0, 0, 0), (2, 3, 3)])
+def test_behind_converts_seeds_at_its_edge(n, d, m):
+    # the sampler gets ints, also for an empty x or s, and a 0-bit output is the empty
+    # flat seed (format(0, "00b") is "0"); each bit of the output is checked by hand
+    seen = []
+
+    def sample(x, s):
+        seen.append((type(x), type(s), x, s))
+        return (3 * x + s + 1) % (1 << m)
+
+    child = RobustPrpd(out_len=1, s_out=m // 2, s_in=m - m // 2, mu=1,
+                       bundle=lambda x, y: [(x + "|" + y, 1)])
+    reader = behind(child, Sampler(n=n, d=d, m=m, sample=sample))
+    for x in all_bits(n):
+        for s in all_bits(d):
+            xi, si = int(x or "0", 2), int(s or "0", 2)
+            v = (3 * xi + si + 1) % (1 << m)
+            z = "".join("1" if v >> (m - 1 - j) & 1 else "0" for j in range(m))
+            assert reader.bundle(x, s) == [(z[:m // 2] + "|" + z[m // 2:], 1)]
+            assert seen[-1] == (int, int, xi, si)
+    assert len(seen) == 1 << (n + d)
+
+
+@pytest.mark.parametrize("out", [4, -1, "10", True])
+def test_behind_refuses_out_of_range_output(out):
+    # 2^m, -1, a str and a bool: a ContractError (exit 2 at the command line), never a
+    # ValueError from formatting, read from the bundle or through the tree
+    message = re.escape(f"sampler output {out!r} is not an int in [0, 2^2)")
+    reader = behind(uniform_prpd(2), assumed_sampler(Sampler(n=0, d=2, m=2,
+                                                             sample=lambda x, s: out)))
+    with pytest.raises(ContractError, match=message):
+        reader.bundle("", "00")
+    prpd = build_ck([uniform_prpd(2)], w=2, gamma=Fraction(1, 2), samplers=[reader.reads[1]])
+    with pytest.raises(ContractError, match=message):
+        measure_robust_error(prpd, random_robp(4, 2, seed=0))
 
 
 def test_random_trees_have_outer_seeds_and_error():

@@ -10,18 +10,21 @@ Each test holds for build_ck as written and fails if the layout
     only a sampler that does not pass its seed through tells the two reads
     apart, so exact-enumeration builds cannot show it;
 (4) is evaluated, behind pass_seed with a seed shorter than the child's flat
-    seed, as the sum of the child's form: its bundles select strings of the
-    seed's length instead.
+    seed, as the sum of the child's form: its bundles select only the child's
+    seeds that the seed reaches as an m-bit output, or, at m shorter than the
+    child's flat seed, strings of the wrong length.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from prpd import (ContractError, RecursionParams, Sampler, build_ck, exact_average, inf_norm,
-                  ledger_check, mat_sub, measure_robust_error, random_robp, recursive_prpd,
+                  ledger_check, mat_add, mat_sub, measure_robust_error, random_robp, recursive_prpd,
                   uniform_prpd)
 from prpd.cli import main
+from prpd.bits import all_bits
 from prpd.recursion import behind, merge_tree_form
 from prpd.sampler import pass_seed
 
@@ -48,10 +51,10 @@ def test_exact_recursion_cli_exit_codes(tmp_path, capsys):
 
 
 def test_sampled_child_is_read_through_its_sampler():
-    # g selects "1" whatever its seed, so the sampled child always emits 1; read by
+    # g selects 1 whatever its seed, so the sampled child always emits 1; read by
     # pass-through it would emit its uniform inner seed and measure zero error
     leaf = uniform_prpd(1)
-    g = assumed_sampler(Sampler(n=1, d=1, m=1, sample=lambda x, s: "1"))
+    g = assumed_sampler(Sampler(n=1, d=1, m=1, sample=lambda x, s: 1))
     one = build_ck([leaf], w=2, gamma=Fraction(1, 2), samplers=[g])
     # every flat seed of `one` once, behind a function that does not pass seeds through
     g2 = assumed_sampler(Sampler(n=0, d=one.seed_len, m=one.seed_len, sample=lambda x, s: s))
@@ -69,8 +72,16 @@ def test_sampled_child_is_read_through_its_sampler():
 
 @pytest.mark.parametrize("d,m", [(2, 3), (2, 2)])
 def test_pass_seed_shorter_than_child_seed_read_from_bundles(d, m):
-    # pass_seed selects d-bit strings: 2 bits, where the child's flat seed is 3, so the
-    # reader's bundles emit 2-bit strings, and summing the child's form would hide them
+    # pass_seed selects a 2-bit seed where the child's flat seed is 3 bits: as a 3-bit
+    # output it is one of the 4 seeds 0ss, and as a 2-bit output the reader's bundles emit
+    # 2-bit strings; summing the child's form, over all 8 seeds, would hide either
     reader = behind(uniform_prpd(3), Sampler(n=0, d=d, m=m, sample=pass_seed))
-    with pytest.raises(ContractError, match=r"a 2-bit string on segment \[0, 3\]"):
-        merge_tree_form(reader, random_robp(3, 2, seed=1), 0, 3)
+    program = random_robp(3, 2, seed=1)
+    if m == 2:
+        with pytest.raises(ContractError, match=r"a 2-bit string on segment \[0, 3\]"):
+            merge_tree_form(reader, program, 0, 3)
+        return
+    walks = {z: walk_matrix(program, 0, 3, z) for z in all_bits(3)}
+    selected = reduce(mat_add, (walks["0" + s] for s in all_bits(2)))
+    assert merge_tree_form(reader, program, 0, 3) == {"": selected}
+    assert selected != reduce(mat_add, walks.values())

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
@@ -8,21 +9,22 @@ import pytest
 
 from prpd import (Certificate, ContractError, InputError, Sampler, certify, enumeration_sampler,
                   expander_walk_sampler, inf_norm, mat_sub, tv_profile)
-from prpd.bits import all_bits
+from prpd.bits import all_bits, bits_to_int, int_to_bits
 
 from helpers import rand_bits, rand_flat_map, rand_table_sampler
-from lemmas import average, bad_fraction, form_stats, reference_walk, sampled_average
+from lemmas import (average, bad_fraction, form_stats, reference_walk, sample_on_bits,
+                    sampled_average)
 
 
 def sampled_mean(g, f, x):
     """E_s[f(g(x, s))]: g's estimate of the mean of f at outer input x."""
-    return sum(Fraction(f(g.sample(x, s))) for s in all_bits(g.d)) / (1 << g.d)
+    return sum(Fraction(f(sample_on_bits(g, x, s))) for s in all_bits(g.d)) / (1 << g.d)
 
 
 def exhaustive_f_verdict(g, eps, delta):
     """Check the defining property over every 0/1-valued test function."""
     eps, delta = Fraction(eps), Fraction(delta)
-    outs = {x: [g.sample(x, s) for s in all_bits(g.d)] for x in all_bits(g.n)}
+    outs = {x: [sample_on_bits(g, x, s) for s in all_bits(g.d)] for x in all_bits(g.n)}
     bad = set()
     for mask in range(1 << (1 << g.m)):
         f = {y: (mask >> i) & 1 for i, y in enumerate(all_bits(g.m))}
@@ -55,7 +57,7 @@ def test_enumeration_sampler_certifies_at_zero_zero():
 
 def test_constant_sampler_tv():
     m = 2
-    g = Sampler(n=2, d=2, m=m, sample=lambda x, s: "0" * m)
+    g = Sampler(n=2, d=2, m=m, sample=lambda x, s: 0)
     profile = tv_profile(g)
     expected = 1 - Fraction(1, 1 << m)
     assert all(tv == expected for tv in profile.per_x)
@@ -67,7 +69,7 @@ def test_constant_sampler_tv():
 
 def per_output_tv(g, x):
     """TV(p_x, uniform) as a Fraction sum over every output, hit or not."""
-    counts = Counter(g.sample(x, s) for s in all_bits(g.d))
+    counts = Counter(sample_on_bits(g, x, s) for s in all_bits(g.d))
     gap = sum(abs(Fraction(counts[y], 1 << g.d) - Fraction(1, 1 << g.m)) for y in all_bits(g.m))
     return gap / 2
 
@@ -79,7 +81,7 @@ def test_tv_profile_matches_per_output_formula(n, d, m):
         g = expander_walk_sampler(n, d, m, seed=seed)
         assert tv_profile(g).per_x == tuple(per_output_tv(g, x) for x in all_bits(n))
     if d < m:
-        assert len({g.sample("0" * n, s) for s in all_bits(d)}) < 1 << m
+        assert len({g.sample(0, s) for s in range(1 << d)}) < 1 << m
 
 
 def test_expander_walk_certifies_at_measured_profile():
@@ -98,22 +100,25 @@ WALK_GRID = [(d, m) for d in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17) for m in
 def test_expander_walk_matches_string_walk(d, m):
     # n % m leaves a partial fold chunk at n = m + 1 and 2m + 3; past 2^12 (x, s)
     # pairs, a seeded sample of them (every pair up to 2^16 took over a minute on
-    # two cores, doubling the suite)
+    # two cores, doubling the suite). The int walk is read on strings, at m bits
     for n in sorted({0, 1, m, m + 1, 2 * m + 3}):
         for seed in (0, 7, -3):
             g, reference = expander_walk_sampler(n, d, m, seed=seed), reference_walk(m, seed)
             if n + d <= 12:
                 seeds = list(all_bits(d))
                 for x in all_bits(n):
-                    assert (list(map(g.sample, repeat(x), seeds))
+                    assert ([int_to_bits(g.sample(bits_to_int(x), bits_to_int(s)), m)
+                             for s in seeds]
                             == list(map(reference, repeat(x), seeds))), (n, seed, x)
-                oracle = Sampler(n=n, d=d, m=m, sample=reference)
+                oracle = Sampler(n=n, d=d, m=m, sample=lambda x, s: bits_to_int(
+                    reference(int_to_bits(x, n), int_to_bits(s, d))))
                 assert tv_profile(g).per_x == tv_profile(oracle).per_x
             else:
                 rng = random.Random(f"{n} {d} {m} {seed}")
                 for _ in range(512):
                     x, s = rand_bits(rng, n), rand_bits(rng, d)
-                    assert g.sample(x, s) == reference(x, s), (n, seed, x, s)
+                    assert (int_to_bits(g.sample(bits_to_int(x), bits_to_int(s)), m)
+                            == reference(x, s)), (n, seed, x, s)
 
 
 # sha256 of per_x, one line per seed, for expander_walk_sampler(6, 8, 6, seed) with
@@ -131,40 +136,50 @@ def test_expander_walk_bench_profiles_pinned():
     assert per_x_digest(profiles) == BENCH_PER_X_SHA256
 
 
-def wrong_width_at(n, d, m, bad_x, bad_s):
-    """The seed itself as output (d = m), but one bit short at (bad_x, bad_s) only."""
+def bad_output_at(n, d, m, bad_x, bad_s, bad_out):
+    """The seed itself as output (d = m), but bad_out at (bad_x, bad_s) only."""
     def sample(x, s):
-        return s[1:] if (x, s) == (bad_x, bad_s) else s
+        return bad_out if (x, s) == (bad_x, bad_s) else s
     return Sampler(n=n, d=d, m=m, sample=sample)
 
 
-@pytest.mark.parametrize("bad_x,bad_s", [("101", "1101"), ("111", "0110"), ("111", "1111")])
-def test_tv_profile_names_first_wrong_width_output(bad_x, bad_s):
-    # late in (x, s) order, and at the last x only; the output is named exactly
-    g = wrong_width_at(3, 4, 4, bad_x, bad_s)
-    with pytest.raises(ContractError, match=rf"^sampler output {bad_s[1:]!r} is not 4 bits$"):
+def refused_output(out, m):
+    return rf"^{re.escape(f'sampler output {out!r} is not an int in [0, 2^{m})')}$"
+
+
+@pytest.mark.parametrize("bad_x,bad_s,bad_out", [
+    pytest.param(0b101, 0b1101, 16, id="101-1101"),
+    pytest.param(0b111, 0b0110, -1, id="111-0110"),
+    pytest.param(0b111, 0b1111, "1111", id="111-1111"),
+    pytest.param(0b110, 0b0001, True, id="110-0001-bool"),
+    pytest.param(0b101, 0b0011, 3.0, id="101-0011-float")])
+def test_tv_profile_names_first_wrong_width_output(bad_x, bad_s, bad_out):
+    # 2^m, -1, a str, a bool (an int subclass) and a float equal to an int are not m-bit
+    # ints; late in (x, s) order, and at one x only, the output is named exactly
+    g = bad_output_at(3, 4, 4, bad_x, bad_s, bad_out)
+    with pytest.raises(ContractError, match=refused_output(bad_out, 4)):
         tv_profile(g)
 
 
 def test_tv_profile_names_the_earliest_of_several_wrong_outputs():
-    # at x = 110 two short outputs, '11' met before '10'; at x = 111 every output is short
+    # at x = 110 two outputs past 2^3, 11 met before 13; at x = 111 every output is past it
     def sample(x, s):
-        short = x == "111" or (x == "110" and s in ("011", "101"))
-        return s[::-1][:2] if short else s
-    with pytest.raises(ContractError, match=r"^sampler output '11' is not 3 bits$"):
+        bad = x == 0b111 or (x == 0b110 and s in (0b011, 0b101))
+        return s | 8 if bad else s
+    with pytest.raises(ContractError, match=refused_output(11, 3)):
         tv_profile(Sampler(n=3, d=3, m=3, sample=sample))
 
 
 def test_tv_profile_right_width_outputs_profile_as_before():
     # the same sampler with no wrong output is exact, as enumeration is
-    g = wrong_width_at(3, 4, 4, None, None)
+    g = bad_output_at(3, 4, 4, None, None, None)
     assert tv_profile(g).per_x == (Fraction(0),) * 8
 
 
 def test_expander_walk_degenerate_is_enumeration():
     g = expander_walk_sampler(4, 3, 3, seed=0)
-    for x in all_bits(4):
-        for s in all_bits(3):
+    for x in range(1 << 4):
+        for s in range(1 << 3):
             assert g.sample(x, s) == s
     ok, profile = certify(g, 0, 0)
     assert ok and profile.max_tv == 0
