@@ -172,8 +172,7 @@ class MergeNode:
 
 
 def build_ck(children: Sequence[RobustPrpd], w: int, gamma,
-             samplers: Optional[Sequence[Sampler]] = None, *,
-             requirements: Optional[Tuple[Tuple[Fraction, ...], Fraction]] = None) -> RobustPrpd:
+             samplers: Optional[Sequence[Sampler]] = None) -> RobustPrpd:
     """Merge a graded half-segment family into one generator for the doubled segment.
 
     children[i] must be a gamma^(i+1)-robust generator for either half with
@@ -182,10 +181,8 @@ def build_ck(children: Sequence[RobustPrpd], w: int, gamma,
     violated hypothesis raises a ContractError naming it; a sampler's
     certificate must cover (eps_i, delta) of ck_requirements, judged by
     require_certified. Passing samplers=None installs exact enumeration
-    samplers (certified at (0, 0) analytically). requirements, when given,
-    are ck_requirements(m, w, k, gamma) as a plan already holds them, and are
-    not derived again. The generator returned carries its layout as `merge`;
-    the layout's bundle is the generator's bundle.
+    samplers (certified at (0, 0) analytically). The generator returned
+    carries its layout as `merge`; the layout's bundle is the generator's bundle.
     """
     children = tuple(children)
     k = len(children) - 1
@@ -203,7 +200,7 @@ def build_ck(children: Sequence[RobustPrpd], w: int, gamma,
         if child.mu > cap:
             raise ContractError(f"weight hypothesis mu(G_{i}) <= binom(m-1, i) fails: "
                                 f"{child.mu} > binom({m_bits - 1}, {i}) = {cap}")
-    eps_req, delta_req = requirements or ck_requirements(m_bits, w, k, gamma)
+    eps_req, delta_req = ck_requirements(m_bits, w, k, gamma)
     split = len(eps_req) - 1
     if samplers is None:
         samplers = [enumeration_sampler(children[i].seed_len) for i in range(split + 1)]
@@ -392,8 +389,7 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
     shorter programs extended with identity steps). Terminal nodes
     (h = 0 or 2k >= 2^h) are the exact uniform generator with s_out = 0, and
     every merge re-selects its low-index children through build_ck's
-    enumeration samplers, judged against the requirements its plan node
-    holds.
+    enumeration samplers.
     """
     params = params or RecursionParams()
     n_pad = next_power_of_two(n)
@@ -424,8 +420,7 @@ def recursive_prpd(n: int, w: int, eps=None, params: Optional[RecursionParams] =
             prpd = uniform_prpd(1 << h)
         else:
             children = [table[(h - 1, i)] for i in range(kk + 1)]
-            prpd = build_ck(children, w=w, gamma=p.merge_gamma,
-                            requirements=(p.eps_required, p.delta_required))
+            prpd = build_ck(children, w=w, gamma=p.merge_gamma)
             slots = tuple(SamplerSlot(i=i, out_bits=g.m, n=g.n, d=g.d, eps_required=eps_i,
                                       delta_required=p.delta_required, cert_method=g.cert.method,
                                       cert_eps=g.cert.eps, cert_delta=g.cert.delta)

@@ -13,7 +13,6 @@ import pytest
 from prpd import (InputError, MODE_EXACT, RecursionParams, Robp, SeedLedger, exact_average,
                   inf_norm, ledger_check, ledger_from_dict, ledger_to_dict, mat_sub,
                   measure_robust_error, random_robp, recursive_prpd, robust_form)
-from prpd import recursion
 from prpd.recursion import (C_MAX, K_MAX, _parse_frac, cascade_bound, derive_k, frac_str,
                             is_terminal, ledger_plan,
                             next_power_of_two)
@@ -100,21 +99,6 @@ def test_ledger_mu_caps():
         assert node.mu <= max(1, comb((1 << node.h) - 1, node.k))
     top = ledger.top
     assert top.mu == comb(7, 1) == 7  # equality along the natural recursion
-
-
-@pytest.mark.parametrize("n,w,k", [(8, 3, 2), (64, 2, 3)])
-def test_requirements_derived_once_per_merge_node(monkeypatch, n, w, k):
-    # the plan derives each merge node's sampler requirements, and the build reads them
-    # from the plan rather than deriving them a second time
-    calls = []
-    derive = recursion.ck_requirements
-    monkeypatch.setattr(recursion, "ck_requirements",
-                        lambda *args: calls.append(args) or derive(*args))
-    _, ledger = recursive_prpd(n, w, params=RecursionParams(k=k))
-    merges = [node for node in ledger.nodes if node.kind == "merge"]
-    assert len(merges) > 1
-    assert sorted(calls) == sorted((1 << (node.h - 1), w, node.k, node.merge_gamma)
-                                   for node in merges)
 
 
 def test_derive_k():
