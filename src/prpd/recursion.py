@@ -49,8 +49,13 @@ def merge_terms(k: int) -> Tuple[Tuple[int, int, int], ...]:
 
 
 def _term_sum(terms, left: Sequence[Mat], right: Sequence[Mat]) -> Mat:
-    """sum sign * left[i] * right[j] over the merge terms (i, j, sign)."""
-    return reduce(mat_add, (mat_scale(sign, mat_mul(left[i], right[j])) for i, j, sign in terms))
+    """sum sign * left[i] * right[j] over the merge terms (i, j, sign), grouped by i: one
+    product of left[i] with the signed sum of its right[j]."""
+    sums: Dict[int, list] = {}
+    for i, j, sign in terms:            # each i's sum starts from zeros, repeat(repeat(0))
+        sums[i] = [[u + sign * v for u, v in zip(acc, row)]
+                   for acc, row in zip(sums.get(i, repeat(repeat(0))), right[j])]
+    return reduce(mat_add, (mat_mul(left[i], rows) for i, rows in sums.items()))
 
 
 def telescoping_product(a: Mat, b: Mat, a_approx: Sequence[Mat], b_approx: Sequence[Mat], k: int) -> Mat:
@@ -661,22 +666,25 @@ class _MergeTree:
     A step per (generator, segment start), in the order its forms are made,
     readers first: its cost (products, averaged matrices, leaf strings or
     uniform label rows) and the closure that makes its form from the forms
-    made before it.
+    made before it. Its uniform leaves read walk counts from a table kept per
+    segment; their steps hold the table, not the tree, so no reference cycle
+    keeps the tree alive after its call.
     """
 
     def __init__(self, robp: Robp):
         self.robp = robp
         self.steps: Dict[Tuple[int, int], Tuple[int, Callable[[dict], Form]]] = {}
+        self.counts: Dict[Tuple[int, int], Mat] = {}
 
     def plan(self, prpd: RobustPrpd, a: int) -> Tuple[int, int]:
         """Plan prpd's form on the segment from a, once, after its readers'; its key."""
         key = (id(prpd), a)
         if key in self.steps:
             return key
-        robp, node = self.robp, prpd.merge
+        robp, node, counts = self.robp, prpd.merge, self.counts
         b = a + prpd.out_len // robp.d_step
         if _is_uniform(prpd):       # walk_counts reads every label row of its steps once
-            step = (b - a) << robp.d_step, lambda forms: {"": walk_counts(robp, a, b)}
+            step = (b - a) << robp.d_step, lambda forms: {"": _segment_counts(robp, counts, a, b)}
         elif _passes_seed(prpd):
             # every flat seed of the child once, whatever x is: the sum of the child's form
             child = prpd.reads[0]
@@ -706,6 +714,27 @@ class _MergeTree:
         self.steps[key] = step
         return key
 
+    def form(self, prpd: RobustPrpd, a: int, b: int) -> Form:
+        """prpd's form on [a, b]: planned, its total cost checked, then made step by step."""
+        check_segment(self.robp, a, b, prpd.out_len)
+        top = self.plan(prpd, a)
+        check_capacity(sum(cost for cost, _ in self.steps.values()), "merge tree evaluation")
+        forms = {}
+        for key, (_, make) in self.steps.items():
+            forms[key] = make(forms)
+        return forms[top]
+
+
+def _segment_counts(robp: Robp, table: dict, a: int, b: int) -> Mat:
+    """walk_counts(robp, a, b) through table: a segment from its halves, a step object once."""
+    key = (a, b) if b - a != 1 else (id(robp.transitions[a]), -1)     # -1: one step
+    m = table.get(key)
+    if m is None:
+        mid = (a + b) // 2
+        m = table[key] = (walk_counts(robp, a, b) if b - a < 2 else mat_mul(
+            _segment_counts(robp, table, a, mid), _segment_counts(robp, table, mid, b)))
+    return m
+
 
 def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Form:
     """robust_form(prpd, robp, a, b) as x -> int matrix over 2^s_in, through build_ck's layout.
@@ -722,14 +751,7 @@ def merge_tree_form(prpd: RobustPrpd, robp: Robp, a: int, b: int) -> Form:
     strings and uniform label rows, each (generator, start) once, are counted
     against the enumeration budget before any form is made.
     """
-    check_segment(robp, a, b, prpd.out_len)
-    tree = _MergeTree(robp)
-    top = tree.plan(prpd, a)
-    check_capacity(sum(cost for cost, _ in tree.steps.values()), "merge tree evaluation")
-    forms = {}
-    for key, (_, make) in tree.steps.items():
-        forms[key] = make(forms)
-    return forms[top]
+    return _MergeTree(robp).form(prpd, a, b)
 
 
 def measure_robust_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[int] = None) -> Fraction:
@@ -737,13 +759,14 @@ def measure_robust_error(prpd: RobustPrpd, robp: Robp, a: int = 0, b: Optional[i
 
     The form, over 2^s_in, and the walk counts, over 2^bits, are compared
     over 2^(s_in + bits), so the norms sum as ints and the one Fraction is
-    made at the end.
+    made at the end. The target is read from the tree's walk-count table.
     """
     if b is None:
         b = robp.n
-    form = merge_tree_form(prpd, robp, a, b)
+    tree = _MergeTree(robp)
+    form = tree.form(prpd, a, b)
     bits = (b - a) * robp.d_step
-    target = mat_scale(1 << prpd.s_in, walk_counts(robp, a, b))
+    target = mat_scale(1 << prpd.s_in, _segment_counts(robp, tree.counts, a, b))
     total = sum(inf_norm(mat_sub(mat_scale(1 << bits, m), target)) for m in form.values())
     return Fraction(total, 1 << (prpd.s_out + prpd.s_in + bits))
 

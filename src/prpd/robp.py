@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import add, mul
 from typing import Iterable, Optional
 
 from .errors import ContractError, InputError, check_capacity, check_renders
@@ -31,7 +32,7 @@ def identity(w: int) -> Mat:
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple([tuple(map(add, ra, rb)) for ra, rb in zip(a, b)])
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
@@ -44,7 +45,7 @@ def mat_scale(c, a: Mat) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def mat_pow(a: Mat, e: int) -> Mat:
@@ -99,8 +100,11 @@ class Robp:
             raise InputError("Robp needs n >= 1, w >= 1, d_step >= 1")
         if len(self.transitions) != self.n:
             raise InputError(f"expected {self.n} steps, got {len(self.transitions)}")
-        labels = 1 << self.d_step
+        labels, seen = 1 << self.d_step, set()
         for t, step in enumerate(self.transitions):
+            if id(step) in seen:            # a repeated step object is checked once
+                continue
+            seen.add(id(step))
             if len(step) != labels:
                 raise InputError(f"step {t + 1} has {len(step)} label rows, expected {labels}")
             for v, row in enumerate(step):

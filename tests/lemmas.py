@@ -5,7 +5,8 @@ the Fraction product of 0/1 step matrices that every walk kernel is tested
 against), the generator-table dump that compares builds byte for byte
 (dump_prpd), the pseudodistribution algebra (realization turns scale /
 union / concat into matrix scale / sum / product exactly), the Fraction view
-of a generator's int form, the mean of a form, the norm statistics of a
+of a generator's int form, the mean of a form, the merge terms summed one
+product per term (the factored sum's oracle), the norm statistics of a
 matrix form, a sampler read on bit strings, a sampler's average over a
 per-seed table and the three sampler-product rules with their worst-case
 bounds, the fraction of a sampler's bad outer inputs, the expander walk on
@@ -153,6 +154,11 @@ def fraction_form(prpd: RobustPrpd, form: Dict[str, Mat]) -> Dict[str, Mat]:
 def average(form: Dict[str, Mat]) -> Mat:
     """The mean of a form's matrices over its seeds."""
     return mat_scale(Fraction(1, len(form)), reduce(mat_add, form.values()))
+
+
+def term_by_term_sum(terms, left, right) -> Mat:
+    """sum sign * left[i] * right[j] over the merge terms (i, j, sign), one product per term."""
+    return reduce(mat_add, (mat_scale(sign, mat_mul(left[i], right[j])) for i, j, sign in terms))
 
 
 # ---------------------------------------------------------------------------

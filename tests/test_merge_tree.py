@@ -5,11 +5,15 @@ robust_form's dict of exact Fractions, on every generator: random one- and
 two-level build_ck trees with random-table samplers, random signed and lossy
 children, and the pinned recursive builds. A child behind a sampler is
 checked against the per-seed table it replaces, and measure_robust_error
-against an all-Fraction oracle that scales no int sums.
+against an all-Fraction oracle that scales no int sums. The factored merge
+sum is checked against the term-by-term one, and the tree's walk-count table
+against walk_counts.
 """
 
+import gc
 import random
 import re
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -18,18 +22,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from prpd import (CapacityError, ContractError, InputError, RecursionParams, RobustPrpd, Sampler,
-                  build_ck, enumeration_sampler, inf_norm, mat_add, mat_scale, mat_sub,
+from prpd import (CapacityError, ContractError, InputError, RecursionParams, Robp, RobustPrpd,
+                  Sampler, build_ck, enumeration_sampler, inf_norm, mat_add, mat_scale, mat_sub,
                   matrix_form, measure_robust_error, random_robp, recursive_prpd, robust_form,
-                  uniform_prpd)
+                  telescoping_product, uniform_prpd)
+from prpd import recursion
 from prpd.bits import all_bits
 from prpd.pdist import dyadic_form
-from prpd.recursion import _MergeTree, behind, merge_tree_form
+from prpd.recursion import (_MergeTree, _segment_counts, _term_sum, behind, merge_terms,
+                            merge_tree_form)
+from prpd.robp import walk_counts
 
 from helpers import (assumed_sampler, corrupted_uniform_prpd, rand_bits, rand_child,
                      rand_depth1_tree, rand_depth2_tree, rand_merge, rand_table_sampler)
 from lemmas import (fraction_form, measure_average_error, sample_on_bits, sampled_average,
-                    walk_matrix)
+                    term_by_term_sum, walk_matrix)
 from test_recursion import PINNED_DUMPS
 
 
@@ -444,3 +451,81 @@ def test_wrong_length_child_refused_through_tree(sampler):
     prpd = build_ck([child], w=2, gamma=Fraction(1, 2), samplers=samplers)
     with pytest.raises(ContractError, match=r"a 1-bit string on segment \[0, 2\]"):
         measure_robust_error(prpd, random_robp(4, 2, seed=1))
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", range(9))
+def test_factored_term_sum_matches_term_by_term(k, w):
+    # int forms under the tree's signs, sign * 2^(unread inner bits), and Fraction matrices
+    # under the plain telescoping signs; the entries' types must match too
+    rng = random.Random(10 * k + w)
+
+    def draw(entry):
+        return [tuple(tuple(entry() for _ in range(w)) for _ in range(w)) for _ in range(k + 1)]
+
+    shifted = [(i, j, sign << rng.randrange(5)) for i, j, sign in merge_terms(k)]
+    ints = lambda: rng.randrange(-99, 100)
+    fractions = lambda: Fraction(rng.randrange(-99, 100), rng.randrange(1, 50))
+    for terms, entry in [(shifted, ints), (merge_terms(k), fractions)]:
+        left, right = draw(entry), draw(entry)
+        got, expected = _term_sum(terms, left, right), term_by_term_sum(terms, left, right)
+        assert got == expected
+        assert [type(v) for row in got for v in row] == [type(v) for row in expected for v in row]
+    assert telescoping_product(left[0], right[0], left, right, k) == expected
+
+
+@pytest.mark.parametrize("d_step", [1, 2, 3])
+def test_walk_count_table_matches_walk_counts(d_step, monkeypatch):
+    # every segment of a random program, and of one whose steps are one repeated object,
+    # whose step is then counted once per tree
+    repeated = random_robp(1, 3, d_step=d_step, seed=d_step).transitions[0]
+    counted = []
+    monkeypatch.setattr(recursion, "walk_counts",
+                        lambda robp, a, b: counted.append(b - a) or walk_counts(robp, a, b))
+    for program, steps_counted in [(random_robp(6, 3, d_step=d_step, seed=d_step), 6),
+                                   (Robp(n=6, w=3, d_step=d_step, transitions=(repeated,) * 6), 1)]:
+        table, counted[:] = {}, []
+        for a in range(program.n + 1):
+            for b in range(a, program.n + 1):
+                assert _segment_counts(program, table, a, b) == walk_counts(program, a, b)
+        assert counted.count(1) == steps_counted and set(counted) == {0, 1}
+
+
+def test_deep_build_budget_pinned(monkeypatch):
+    # the plan's total at n = 64, w = 3, k = 8: a capacity refusal moves if a step's cost does
+    prpd, _ = recursive_prpd(64, 3, params=RecursionParams(k=8))
+    program = random_robp(64, 3, seed=0)
+    tree = _MergeTree(program)
+    tree.plan(prpd, 0)
+    assert sum(cost for cost, _ in tree.steps.values()) == 1811
+    monkeypatch.setenv("PRPD_ENUM_LIMIT", "1810")
+    with pytest.raises(CapacityError, match="merge tree evaluation needs 1811 evaluations"):
+        measure_robust_error(prpd, program)
+
+
+def test_measurement_keeps_no_state_between_programs():
+    # a uniform leaf and a lossy one: each program's own walk counts feed its leaves and its
+    # target, so a table kept past one call would change the other program's error
+    prpd = build_ck([uniform_prpd(2), corrupted_uniform_prpd(2, 3, 2, "10")], w=2,
+                    gamma=Fraction(1, 2))
+    p1, p2 = random_robp(4, 2, seed=1), random_robp(4, 2, seed=2)
+    before = measure_robust_error(prpd, p2)
+    after_p1 = measure_robust_error(prpd, p1)
+    assert measure_robust_error(prpd, p2) == before == fraction_oracle_error(prpd, p2)
+    assert after_p1 == fraction_oracle_error(prpd, p1) != before
+
+
+def test_tree_is_freed_when_its_call_returns():
+    # no step refers back to the tree, so reference counting frees it and its walk-count
+    # table at once; a cycle would leave every call's tree to the cycle collector
+    prpd, _ = recursive_prpd(8, 3, params=RecursionParams(k=2))
+    tree = _MergeTree(random_robp(8, 3, seed=0))
+    ref = weakref.ref(tree)
+    gc.disable()
+    try:
+        tree.form(prpd, 0, 8)
+        assert tree.counts
+        del tree
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -268,6 +268,12 @@ ROBP_REFUSALS = {
                         "step 1 label 1 has 1 successors, expected 2"),
     "successor-range": (lambda: Robp(n=1, w=2, d_step=1, transitions=(((0, 1), (1, 2)),)),
                         r"step 1 label 1: successor 2 out of range \[0, 2\)"),
+    # a step object repeated n times is checked once, and still named by its first index
+    "repeated-bad-step": (lambda: Robp(n=5, w=2, d_step=1, transitions=(((0, 1), (1, 2)),) * 5),
+                          r"step 1 label 1: successor 2 out of range \[0, 2\)"),
+    "bad-step-after-repeats": (lambda: Robp(n=4, w=2, d_step=1,
+                                            transitions=(((0, 1), (1, 0)),) * 3 + (((0, 2), (1, 0)),)),
+                               r"step 4 label 0: successor 2 out of range \[0, 2\)"),
     "mat-pow-negative": (lambda: mat_pow(identity(2), -1), "matrix power must be non-negative"),
 }
 
