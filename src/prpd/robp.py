@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import add, mul
 from typing import Iterable, Optional
 
@@ -62,11 +63,12 @@ def mat_pow(a: Mat, e: int) -> Mat:
         check_renders((v for row in m for v in row), "matrix power has an entry")
         return m
 
-    result = identity(len(a))
-    base = a
+    if not e:
+        return identity(len(a))
+    result, base = None, tuple(map(tuple, a))
     while e:
-        if e & 1:
-            result = checked(mat_mul(result, base))
+        if e & 1:               # the first factor is the result as it is, checked like a product
+            result = checked(base if result is None else mat_mul(result, base))
         base = checked(mat_mul(base, base)) if e > 1 else base
         e >>= 1
     return result
@@ -100,11 +102,18 @@ class Robp:
             raise InputError("Robp needs n >= 1, w >= 1, d_step >= 1")
         if len(self.transitions) != self.n:
             raise InputError(f"expected {self.n} steps, got {len(self.transitions)}")
-        labels, seen = 1 << self.d_step, set()
+        labels, states, seen = 1 << self.d_step, frozenset(range(self.w)), set()
         for t, step in enumerate(self.transitions):
             if id(step) in seen:            # a repeated step object is checked once
                 continue
             seen.add(id(step))
+            try:                            # one pass accepts a well-formed step ...
+                if (len(step) == labels and {*map(len, step)} == {self.w}
+                        and states.issuperset(chain.from_iterable(step))):
+                    continue
+            except TypeError:
+                pass
+            # ... and the loop below names the first fault, or accepts what it allows
             if len(step) != labels:
                 raise InputError(f"step {t + 1} has {len(step)} label rows, expected {labels}")
             for v, row in enumerate(step):

@@ -11,7 +11,6 @@ function of the previous snapped matrix and not of the offline randomness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Tuple
@@ -20,7 +19,7 @@ from .bits import bits_to_int
 from .errors import ContractError, InputError, check_capacity
 from .pdist import RobustPrpd
 from .recursion import behind, merge_tree_form
-from .robp import Mat, Robp, mat_scale
+from .robp import Mat, Robp
 from .sampler import Sampler, require_certified
 
 
@@ -32,11 +31,13 @@ def _offset_int(y, d: int) -> int:
 
 
 def snap_value(x, y, d: int) -> Fraction:
-    """max(floor(x*2^d - 2^(-d)*y) * 2^(-d), 0); a multiple of 2^(-d)."""
+    """max(floor(x*2^d - 2^(-d)*y) * 2^(-d), 0); a multiple of 2^(-d).
+
+    With x = num/den the floor is one int division, (num*2^2d - y*den) // (den*2^d).
+    """
     v = _offset_int(y, d)
-    scale = 1 << d
-    shifted = Fraction(x) * scale - Fraction(v, scale)
-    return max(Fraction(math.floor(shifted), scale), Fraction(0))
+    num, den = x.as_integer_ratio()
+    return Fraction(max(((num << 2 * d) - v * den) // (den << d), 0), 1 << d)
 
 
 def snap_matrix(m: Mat, y, d: int) -> Mat:
@@ -88,23 +89,24 @@ def robp_from_matrix(m: Mat, n1: int, d: int) -> Robp:
     for i, row in enumerate(m):
         column = []
         for j, e in enumerate(row):
-            c = Fraction(e) * scale
-            if c.denominator != 1:
+            num, den = e.as_integer_ratio()
+            c, off_grid = divmod(num << d, den)
+            if off_grid:
                 raise InputError(f"entry ({i},{j}) = {e} is not a multiple of 2^-{d}")
-            column += [j] * c.numerator
+            column += [j] * c
         columns.append(column + [w] * (scale - len(column)))
     step = tuple(row + (w,) for row in zip(*columns))
     return Robp(n=n1, w=w + 1, d_step=d, transitions=tuple(step for _ in range(n1)))
 
 
 def grid_bits(n1: int, w: int, eps) -> int:
-    """Smallest d with 2^d >= 3*n1*w/eps."""
+    """Smallest d with 2^d >= 3*n1*w/eps, compared in ints as 2^d*num >= 3*n1*w*den."""
     eps = Fraction(eps)
     if eps <= 0:
         raise InputError("eps must be positive")
-    need = Fraction(3 * n1 * w) / eps
+    need = 3 * n1 * w * eps.denominator
     d = 0
-    while (1 << d) < need:
+    while eps.numerator << d < need:
         d += 1
     return max(d, 1)
 
@@ -142,7 +144,7 @@ def armoni_pow(m: Mat, n1: int, prpd: RobustPrpd, samp: Sampler, y: str, eps) ->
     program = robp_from_matrix(snap_matrix(m, 0, d), n1, d)
     sums = merge_tree_form(behind(prpd, samp), program, 0, n1)
     # state w is the absorbing dummy; M^n1 lives on the real states only
-    return mat_scale(Fraction(1, 1 << samp.d), tuple(row[:w] for row in sums[y][:w]))
+    return tuple(tuple(Fraction(v, 1 << samp.d) for v in row[:w]) for row in sums[y][:w])
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ per-seed table and the three sampler-product rules with their worst-case
 bounds, the fraction of a sampler's bad outer inputs, the expander walk on
 strings that the int walk is tested against, the plain average error of a
 generator, the merge level's delta by an argmax over its binomials, the
-snap and Saks-Zhou failure bounds, the grid step program by bisection, two
-example programs, and the reflective ledger codec the specialised one is
-tested against. The package keeps what its commands, scripts and benchmark
-call; these stay next to the assertions that check them.
+snap and Saks-Zhou failure bounds, the grid step program by bisection, the
+Fraction snap, grid-bits loop, identity-first power and per-successor program
+check that the int paths are tested against, two example programs, and the
+reflective ledger codec the specialised one is tested against. The package
+keeps what its commands, scripts and benchmark call; these stay next to the
+assertions that check them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, repeat
-from math import comb
+from math import comb, floor
 from typing import (Callable, Dict, Iterable, Optional, Tuple, Union, get_args, get_origin,
                     get_type_hints)
 
@@ -332,6 +334,50 @@ def bisect_step(m: Mat, d: int) -> Tuple[Tuple[int, ...], ...]:
     scale = 1 << d
     cums = [list(accumulate(int(Fraction(e) * scale) for e in row)) for row in m]
     return tuple(tuple(bisect_right(cum, v) for cum in cums) + (len(m),) for v in range(scale))
+
+
+def fraction_snap_value(x, y: int, d: int) -> Fraction:
+    """snap_value in Fraction arithmetic: max(floor(x*2^d - y/2^d) / 2^d, 0)."""
+    scale = 1 << d
+    shifted = Fraction(x) * scale - Fraction(y, scale)
+    return max(Fraction(floor(shifted), scale), Fraction(0))
+
+
+def fraction_grid_bits(n1: int, w: int, eps) -> int:
+    """grid_bits by comparing 2^d with the Fraction 3*n1*w/eps."""
+    need = Fraction(3 * n1 * w) / Fraction(eps)
+    d = 0
+    while (1 << d) < need:
+        d += 1
+    return max(d, 1)
+
+
+def identity_first_pow(a: Mat, e: int) -> Mat:
+    """a^e by square-and-multiply into the identity, without mat_pow's digit check."""
+    result, base = identity(len(a)), a
+    while e:
+        if e & 1:
+            result = mat_mul(result, base)
+        base = mat_mul(base, base) if e > 1 else base
+        e >>= 1
+    return result
+
+
+def check_steps(w: int, d_step: int, transitions) -> None:
+    """Robp's step check one successor at a time: raises what it raises, in its order."""
+    labels, seen = 1 << d_step, set()
+    for t, step in enumerate(transitions):
+        if id(step) in seen:
+            continue
+        seen.add(id(step))
+        if len(step) != labels:
+            raise InputError(f"step {t + 1} has {len(step)} label rows, expected {labels}")
+        for v, row in enumerate(step):
+            if len(row) != w:
+                raise InputError(f"step {t + 1} label {v} has {len(row)} successors, expected {w}")
+            for s in row:
+                if not (0 <= s < w):
+                    raise InputError(f"step {t + 1} label {v}: successor {s} out of range [0, {w})")
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,28 @@ def test_certify_sampler_out_pinned(tmp_path, n, d, m, seed, eps, delta):
     assert digest == CERTIFY_OUT_SHA256[(n, d, m, seed, eps, delta)]
 
 
+# sha256 of sz-demo --out files, keyed by (argv, exit code): the snap chain writes the same
+# records whichever arithmetic rounds and powers; the first chain fails its bound
+SZ_DEMO_OUT_SHA256 = {
+    ("--approximator armoni --w 2 --n1 2 --n2 2 --d 12 --matrices 5", 1):
+        "936cca91cfe08f3110ab10762b0c033c455ce720ab130ea98bcee3caff266151",
+    ("--approximator armoni --w 3 --n1 4 --n2 2 --d 8 --matrices 3", 0):
+        "429f035ccaeefb648d57ac814f644d851c5fa8a4607d91762dfe3d2e0623714c",
+    ("--approximator armoni --w 2 --n1 2 --n2 3 --d 7 --eps 1/16 --matrices 6", 0):
+        "ef92b288a0479b53202eb73fe2eb91345e46752e12704e6af12acf3f4efab339",
+    ("--approximator exact --w 3 --n1 3 --n2 2 --d 9 --matrices 4", 0):
+        "80bbc794ab23bfdc91e5f034d8e0dfef191033377d98431737083437acd7d887",
+}
+
+
+@pytest.mark.parametrize("argv,code", SZ_DEMO_OUT_SHA256)
+def test_sz_demo_out_pinned(tmp_path, argv, code):
+    out = tmp_path / "sz.jsonl"
+    assert main(["sz-demo", *argv.split(), "--out", str(out)]) == code
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SZ_DEMO_OUT_SHA256[(argv, code)]
+
+
 # sha256 of the ledger-check --out file on the PINNED_LEDGERS builds of test_recursion.py,
 # exported with "c" set in the header, keyed by (n, w, k, c): the records the checker wrote
 # when the scaling c came from a command-line flag instead

@@ -15,7 +15,8 @@ from prpd.bits import all_bits
 from prpd.robp import walk_counts
 
 from helpers import deadline, rand_matrix
-from lemmas import identity_robp, step_matrix, swap_on_one_robp, walk_matrix
+from lemmas import (check_steps, identity_first_pow, identity_robp, step_matrix,
+                    swap_on_one_robp, walk_matrix)
 
 HALF = Fraction(1, 2)
 
@@ -153,6 +154,23 @@ def test_mat_pow_refuses_entries_past_digit_limit():
     assert mat_pow(swap, 1 << 60) == identity(2)
 
 
+def entry_types(m):
+    return [[type(e) for e in row] for row in m]
+
+
+def test_mat_pow_matches_identity_first_power():
+    # the first factor taken as it is against square-and-multiply into the identity
+    rng = random.Random(5)
+    ints = tuple(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3))
+    fracs = rand_matrix(rng, 2, den_bits=3)
+    for a in (ints, fracs, [list(row) for row in ints], [list(row) for row in fracs]):
+        for e in range(41):
+            got, want = mat_pow(a, e), identity_first_pow(a, e)
+            assert got == want, e
+            assert type(got) is tuple and all(type(row) is tuple for row in got)
+            assert entry_types(got) == entry_types(want), e
+
+
 def test_inf_norm_examples():
     program = random_robp(4, 3, seed=2)
     assert inf_norm(exact_average(program, 0, 4)) == 1  # stochastic has norm 1
@@ -274,12 +292,75 @@ ROBP_REFUSALS = {
     "bad-step-after-repeats": (lambda: Robp(n=4, w=2, d_step=1,
                                             transitions=(((0, 1), (1, 0)),) * 3 + (((0, 2), (1, 0)),)),
                                r"step 4 label 0: successor 2 out of range \[0, 2\)"),
+    # a successor of another type is refused as the range check refuses it: a bool or
+    # float by value, and a str, None or list by the TypeError its comparison raises
+    "bool-successor": (lambda: Robp(n=1, w=1, d_step=1, transitions=(((0,), (True,)),)),
+                       r"step 1 label 1: successor True out of range \[0, 1\)"),
+    "float-successor": (lambda: Robp(n=1, w=2, d_step=1, transitions=(((0, 1), (1, 2.0)),)),
+                        r"step 1 label 1: successor 2.0 out of range \[0, 2\)"),
+    "str-successor": (lambda: Robp(n=1, w=2, d_step=1, transitions=(((0, 1), (1, "1")),)),
+                      "'<=' not supported between instances of 'int' and 'str'", TypeError),
+    "none-successor": (lambda: Robp(n=1, w=2, d_step=1, transitions=(((0, 1), (None, 1)),)),
+                       "'<=' not supported between instances of 'int' and 'NoneType'",
+                       TypeError),
+    "list-successor": (lambda: Robp(n=1, w=2, d_step=1, transitions=(((0, [1]), (1, 0)),)),
+                       "'<=' not supported between instances of 'int' and 'list'", TypeError),
+    # the first fault in label order is named, ahead of an unhashable successor after it
+    "range-before-list": (lambda: Robp(n=1, w=2, d_step=1, transitions=(((0, 5), (1, [0])),)),
+                          r"step 1 label 0: successor 5 out of range \[0, 2\)"),
+    "short-row-after-repeats": (lambda: Robp(n=4, w=2, d_step=1,
+                                             transitions=(((0, 1), (1, 0)),) * 3
+                                             + (((0, 1), (1,)),)),
+                                "step 4 label 1 has 1 successors, expected 2"),
     "mat-pow-negative": (lambda: mat_pow(identity(2), -1), "matrix power must be non-negative"),
+    # the first factor is digit-checked although no product makes it
+    "mat-pow-one-past-digit-limit": (lambda: mat_pow(((Fraction(1, 3 ** 9100),),), 1),
+                                     "more than 4300 digits"),
+    "mat-pow-three-past-digit-limit": (lambda: mat_pow(((Fraction(1, 3 ** 9100),),), 3),
+                                       "more than 4300 digits"),
+    "mat-pow-int-past-digit-limit": (lambda: mat_pow([[10 ** 4300]], 1), "more than 4300 digits"),
 }
 
 
 @pytest.mark.parametrize("case", ROBP_REFUSALS)
 def test_robp_refusals(case):
-    build, message = ROBP_REFUSALS[case]
-    with pytest.raises(InputError, match=message):
+    build, message, *error = ROBP_REFUSALS[case]
+    with pytest.raises(error[0] if error else InputError, match=message):
         build()
+
+
+def outcome(check):
+    try:
+        check()
+    except (InputError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_robp_step_check_matches_per_successor_loop():
+    # malformed steps of every kind: the one-pass check accepts, refuses and names faults
+    # exactly as the per-successor loop does
+    rng = random.Random(3)
+    odd = [-1, 3, True, False, 1.0, 1.5, 2.0, float("nan"), "1", None, [0], Fraction(1), 10 ** 30]
+    for _ in range(400):
+        w, d_step, n = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 3)
+        good = [tuple(tuple(rng.randrange(w) for _ in range(w)) for _ in range(1 << d_step))
+                for _ in range(n)]
+        steps = [[list(row) for row in step] for step in good]
+        for _ in range(rng.randint(0, 2)):
+            step = rng.choice(steps)
+            row = rng.choice(step) if step else []
+            kind = rng.randrange(4)
+            if kind == 0 and row:
+                row[rng.randrange(len(row))] = rng.choice(odd)
+            elif kind == 1 and row:
+                row.pop()
+            elif kind == 2 and step:
+                step.pop()
+            else:
+                step.append([0] * w)
+        transitions = tuple(tuple(tuple(row) for row in step) for step in steps)
+        if rng.random() < 0.3:
+            transitions = (transitions[0],) * n
+        assert outcome(lambda: Robp(n=n, w=w, d_step=d_step, transitions=transitions)) == \
+            outcome(lambda: check_steps(w, d_step, transitions)), transitions

@@ -16,7 +16,8 @@ from prpd.bits import all_bits, int_to_bits
 
 from helpers import (assumed_sampler, corrupted_uniform_prpd, deadline, rand_substochastic,
                      rand_table_sampler)
-from lemmas import bisect_step, sampled_average, snap_error_bound, sz_failure_bound
+from lemmas import (bisect_step, fraction_grid_bits, fraction_snap_value, sampled_average,
+                    snap_error_bound, sz_failure_bound)
 
 
 def test_snap_value_on_grid_unchanged():
@@ -46,6 +47,37 @@ def test_snap_value_grid_and_accuracy(num, y, d):
     assert (out * (1 << d)).denominator == 1  # multiple of 2^-d
     assert abs(out - x) <= snap_error_bound(d)
     assert out <= x
+
+
+# ints, Fractions and floats, negative ones, and denominators far above 2^d
+SNAP_INPUTS = ([-3, -1, 0, 1, 2, 7]
+               + [Fraction(p, q) for p in range(-5, 12, 3) for q in (1, 3, 7, 64, 97)]
+               + [Fraction(p, 3 ** 40 + 2) for p in (1, 3 ** 38, 3 ** 40 + 1, -(3 ** 39))]
+               + [Fraction(2 ** 70 + 1, 2 ** 71), Fraction(-1, 2 ** 90)]
+               + [0.0, -0.0, 0.1, 0.5, -0.3, 0.999999, 1.0, 2.5, 1e-30, -1e-30, 1234.5678])
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_snap_value_matches_fraction_formula(d):
+    # the int floor division against the Fraction arithmetic it replaced, at every offset
+    for x in SNAP_INPUTS:
+        for y in range(1 << d):
+            out = snap_value(x, y, d)
+            assert type(out) is Fraction
+            assert out == fraction_snap_value(x, y, d), (x, y, d)
+
+
+def test_grid_bits_matches_fraction_loop():
+    eps_grid = ([Fraction(p, q) for p in range(1, 13) for q in range(1, 13)]
+                + [1, 2, 5, 100, Fraction(1, 3 ** 30), Fraction(7, 2 ** 65), Fraction(10 ** 9, 3)])
+    for n1 in range(1, 5):
+        for w in range(1, 5):
+            for eps in eps_grid:
+                d = grid_bits(n1, w, eps)
+                assert type(d) is int and d == fraction_grid_bits(n1, w, eps), (n1, w, eps)
+    for eps in (0, Fraction(-1, 3), -2):
+        with pytest.raises(InputError, match="eps must be positive"):
+            grid_bits(2, 2, eps)
 
 
 def test_snap_matrix_entrywise():
@@ -434,6 +466,10 @@ SAKS_ZHOU_REFUSALS = {
     "row-sum": (lambda: robp_from_matrix(((HALF, 3 * QUARTER), (0, 0)), 1, 2),
                 "matrix has a row sum above 1"),
     "n1-zero": (lambda: robp_from_matrix(((HALF,),), 0, 2), "n1 must be at least 1"),
+    # an off-grid entry in a row summing above 1 is named by the row sum, checked first
+    "row-sum-before-grid": (lambda: robp_from_matrix(((Fraction(1, 3), Fraction(5, 6)), (0, 0)),
+                                                     1, 2),
+                            "matrix has a row sum above 1"),
 }
 
 

@@ -2,6 +2,7 @@
 its seed-0 units give their reference digests."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -27,6 +28,18 @@ def test_script_runs(script):
     result = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *SCRIPTS[script]],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+# sha256 of snap_collision_scan.py --pairs 3 stdout: every rate and bound it prints is exact
+SNAP_SCAN_STDOUT_SHA256 = "4fc3fecc8b3dce490abc6f3e9bd16bc91498f52ebb96dbd4879ed19cb0d4fa6f"
+
+
+def test_snap_collision_scan_stdout_pinned():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "snap_collision_scan.py"),
+                             "--pairs", "3"], env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == SNAP_SCAN_STDOUT_SHA256
 
 
 def test_bench_traced_names_resolve():
