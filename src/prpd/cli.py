@@ -115,14 +115,15 @@ def cmd_certify_sampler(args, emit):
         g = expander_walk_sampler(args.n, args.d if args.d is not None else args.m,
                                   args.m, seed=args.seed)
     ok, profile = certify(g, args.eps, args.delta)
+    bad = profile.bad_count(args.eps)
     emit({"record": "certificate", "kind": args.kind, "n": g.n, "d": g.d, "m": g.m,
           "eps": frac_str(args.eps), "delta": frac_str(args.delta),
           "method": g.cert.method if ok else "none",
           "max_tv": frac_str(profile.max_tv),
-          "bad_x_count": profile.bad_count(args.eps),
+          "bad_x_count": bad,
           "certified": ok})
     return ok, [f"certify-sampler {args.kind} n={g.n} d={g.d} m={g.m}: "
-                f"max TV {frac_str(profile.max_tv)}, bad x {profile.bad_count(args.eps)}/"
+                f"max TV {frac_str(profile.max_tv)}, bad x {bad}/"
                 f"{1 << g.n} at eps={frac_str(args.eps)} delta={frac_str(args.delta)} -> "
                 f"{'certified' if ok else 'REFUSED'}"]
 

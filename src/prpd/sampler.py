@@ -11,7 +11,8 @@ a covering certificate.
 A sampler is a function on ints: g.sample(x, s) takes the n-bit outer input
 x and the d-bit seed s and returns the m-bit output, each read MSB first,
 so its order is the lexicographic order of the bit strings. Callers that
-hold strings convert at their own edge.
+hold strings convert at their own edge. A sampler may also carry a row:
+g.row(x) yields g.sample(x, s) for every seed s in order, all at once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import ContractError, InputError, check_capacity
 
@@ -46,6 +47,7 @@ class Sampler:
     m: int
     sample: Callable[[int, int], int]
     cert: Optional[Certificate] = None
+    row: Optional[Callable[[int], Iterable[int]]] = None
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,13 @@ def expander_walk_sampler(n: int, d: int, m: int, seed: int = 0) -> Sampler:
     byte is one map from a 256-entry table of composed steps, and the
     leftover d % 8 bits one map from the table of that length. The shifts
     that cut x into chunks and s into bytes are fixed with the sampler; the
-    tables depend on m only and are never changed. The degenerate d = m
-    case passes the seed straight through.
+    tables depend on m only and are never changed. The sampler's row folds
+    x once and expands the start vertex through the same tables, byte by
+    byte from the left, so its outputs come in seed order. Each 2-bit
+    step has odd a and b and the last bit steps +1 or -1, so every step
+    flips the parity of v: all 2^d samples of an x share one parity, their
+    TV is at least 1/2, and the walk cannot certify any eps < 1/2. The
+    degenerate d = m case passes the seed straight through and has no row.
     """
     if n < 0 or d < 0 or m < 1:
         raise InputError("expander_walk_sampler needs n, d >= 0 and m >= 1")
@@ -131,10 +138,14 @@ def expander_walk_sampler(n: int, d: int, m: int, seed: int = 0) -> Sampler:
     tail_mask = (1 << tail) - 1
     byte_steps, tail_steps = _composed_steps(8, mask), _composed_steps(tail, mask)
 
-    def sample(x: int, s: int) -> int:
+    def start(x: int) -> int:
         v = salt ^ (x & part_mask)
         for shift in fold_shifts:
             v ^= (x >> shift) & mask
+        return v
+
+    def sample(x: int, s: int) -> int:
+        v = start(x)
         for shift in byte_shifts:
             a, b = byte_steps[(s >> shift) & 255]
             v = (a * v + b) & mask
@@ -143,7 +154,15 @@ def expander_walk_sampler(n: int, d: int, m: int, seed: int = 0) -> Sampler:
             v = (a * v + b) & mask
         return v
 
-    return Sampler(n=n, d=d, m=m, sample=sample, cert=None)
+    def row(x: int) -> List[int]:
+        vs = [start(x)]
+        for _ in byte_shifts:
+            vs = [(a * v + b) & mask for v in vs for a, b in byte_steps]
+        if tail:
+            vs = [(a * v + b) & mask for v in vs for a, b in tail_steps]
+        return vs
+
+    return Sampler(n=n, d=d, m=m, sample=sample, cert=None, row=row)
 
 
 def check_outputs(outs: Iterable, m: int) -> None:
@@ -158,18 +177,22 @@ def tv_profile(g: Sampler) -> TvProfile:
 
     Over 2^(d+m), an output hit c times is |c*2^m - 2^d| from uniform and a
     missed one 2^d, so each TV is one Fraction of an int sum. Each x is
-    counted in one pass over the seeds; the Counter keeps outputs in
-    first-seen order, so an output out of range is reported as the first
-    one met in (x, s) order. Only distinct outputs are checked: a value
-    equal to one already counted (True after 1) is counted as that int.
+    counted in one pass over the seeds, from g.row(x) when the sampler has
+    a row; the Counter keeps outputs in first-seen order, so an output out
+    of range is reported as the first one met in (x, s) order. Only
+    distinct outputs are checked: a value equal to one already counted
+    (True after 1) is counted as that int. A row must yield 2^d outputs.
     """
     check_capacity((1 << g.n) * (1 << g.d), "sampler TV profile")
     unif, den = 1 << g.d, 1 << (g.d + g.m + 1)
     seeds = range(1 << g.d)
     per_x = []
     for x in range(1 << g.n):
-        counts = Counter(map(g.sample, repeat(x), seeds))
+        counts = Counter(g.row(x) if g.row else map(g.sample, repeat(x), seeds))
         check_outputs(counts, g.m)
+        if g.row and sum(counts.values()) != unif:
+            raise ContractError(f"sampler row at x = {x} yields {sum(counts.values())} "
+                                f"outputs, not 2^{g.d}")
         hit_mass = sum(abs((c << g.m) - unif) for c in counts.values())
         miss_mass = ((1 << g.m) - len(counts)) * unif
         per_x.append(Fraction(hit_mass + miss_mass, den))

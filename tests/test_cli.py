@@ -220,7 +220,8 @@ def test_verify_error_out_pinned(tmp_path, n, w, k, robps):
 
 
 # sha256 of the certify-sampler --kind expander-walk --out file, keyed by
-# (n, d, m, seed, eps, delta): a split verdict, a certified walk and a refused one
+# (n, d, m, seed, eps, delta): a split verdict, a certified walk and a refused one; two
+# whole seed bytes and a 1-bit tail; no seed bits, where x's samples are its start vertex
 CERTIFY_OUT_SHA256 = {
     ("6", "8", "6", "0", "33/64", "1/2"):
         "b7e36cccc629fde0264c883e9000122b8d882a8b41cea2054cd68f648f0dddce",
@@ -228,6 +229,10 @@ CERTIFY_OUT_SHA256 = {
         "93f2d44821211f7261c1a4d36a9ff9c9780ab070e74c858ced77725dbaf5cf95",
     ("4", "3", "9", "1", "1/4", "1/2"):
         "9255bb601e4d37e3ee95de2f41178a1f499636d610419df47351e43e28566d72",
+    ("2", "17", "7", "5", "1/2", "1/2"):
+        "37173b0d146d46a43ea5eec91e3f20cd1f88b71bae183ddf33e5d3f7a8c66636",
+    ("3", "0", "2", "1", "3/4", "0"):
+        "63f36f435efc87b1ed294b9b87ce8a104a8e93b9bf3840bfa36957cadc49e9b0",
 }
 
 

@@ -158,6 +158,8 @@ def test_knobs_pinned():
                     if opt not in ("-h", "--help")] for name, sub in commands.items()}
     assert flags == FLAGS
     assert [f.name for f in dataclasses.fields(prpd.RecursionParams)] == ["gamma", "k", "c"]
+    assert ([f.name for f in dataclasses.fields(prpd.Sampler)]
+            == ["n", "d", "m", "sample", "cert", "row"])
 
 
 ENV_READERS = {"environ", "getenv"}

@@ -100,10 +100,25 @@ WALK_GRID = [(d, m) for d in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17) for m in
 def test_expander_walk_matches_string_walk(d, m):
     # n % m leaves a partial fold chunk at n = m + 1 and 2m + 3; past 2^12 (x, s)
     # pairs, a seeded sample of them (every pair up to 2^16 took over a minute on
-    # two cores, doubling the suite). The int walk is read on strings, at m bits
+    # two cores, doubling the suite). The int walk is read on strings, at m bits.
+    # The row is the pointwise walk at every seed, in seed order: at every x up to
+    # 2^12 pairs and at 16 seeded x past it. Past 2^12 seeds (d = 15..17) the row of
+    # 2 seeded x is compared at its first, its last and 510 seeded seeds (16 whole
+    # rows there took this file from 8 s to nearly five minutes on two cores, and 16
+    # rows at 512 seeds to 38 s). tv_profile counts the row, and the oracle's profile
+    # maps its pointwise sample
     for n in sorted({0, 1, m, m + 1, 2 * m + 3}):
         for seed in (0, 7, -3):
             g, reference = expander_walk_sampler(n, d, m, seed=seed), reference_walk(m, seed)
+            pick = random.Random(f"row {n} {d} {m} {seed}")
+            xs = (range(1 << n) if n + d <= 12 else
+                  [pick.getrandbits(n) for _ in range(16 if d <= 12 else 2)])
+            for x in xs:
+                row = list(g.row(x))
+                assert len(row) == 1 << d, (n, seed, x)
+                seeds = (range(1 << d) if d <= 12 else
+                         [0, (1 << d) - 1] + [pick.getrandbits(d) for _ in range(510)])
+                assert [row[s] for s in seeds] == [g.sample(x, s) for s in seeds], (n, seed, x)
             if n + d <= 12:
                 seeds = list(all_bits(d))
                 for x in all_bits(n):
@@ -168,6 +183,36 @@ def test_tv_profile_names_the_earliest_of_several_wrong_outputs():
         return s | 8 if bad else s
     with pytest.raises(ContractError, match=refused_output(11, 3)):
         tv_profile(Sampler(n=3, d=3, m=3, sample=sample))
+
+
+def several_wrong_outputs(x, s):
+    """At x = 110 two outputs past 2^3, 11 before 13; at x = 111 every output is past it."""
+    return s | 8 if x == 0b111 or (x == 0b110 and s in (0b011, 0b101)) else s
+
+
+@pytest.mark.parametrize("twin,named", [
+    pytest.param(bad_output_at(3, 4, 4, 0b101, 0b1101, 16), 16, id="2^m"),
+    pytest.param(bad_output_at(3, 4, 4, 0b110, 0b0001, True), True, id="bool"),
+    pytest.param(bad_output_at(3, 4, 4, 0b111, 0b1111, "1111"), "1111", id="str"),
+    pytest.param(Sampler(n=3, d=3, m=3, sample=several_wrong_outputs), 11, id="earliest")])
+def test_tv_profile_row_refuses_as_pointwise_twin(twin, named):
+    # a row yielding bad outputs late in an x is refused with the message, naming the
+    # same output, that the same sampler without a row gets
+    g = Sampler(n=twin.n, d=twin.d, m=twin.m, sample=twin.sample,
+                row=lambda x: (twin.sample(x, s) for s in range(1 << twin.d)))
+    for sampler in (twin, g):
+        with pytest.raises(ContractError, match=refused_output(named, twin.m)):
+            tv_profile(sampler)
+
+
+@pytest.mark.parametrize("length", [15, 17])
+def test_tv_profile_refuses_row_of_wrong_length(length):
+    # 2^d outputs per x, or the counts are not a distribution over the seeds
+    g = Sampler(n=2, d=4, m=4, sample=lambda x, s: s,
+                row=lambda x: [s & 15 for s in range(length)] if x == 3 else range(16))
+    with pytest.raises(ContractError, match=rf"^sampler row at x = 3 yields {length} "
+                                            r"outputs, not 2\^4$"):
+        tv_profile(g)
 
 
 def test_tv_profile_right_width_outputs_profile_as_before():
